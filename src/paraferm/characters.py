@@ -149,15 +149,15 @@ def all_string_functions(k: int, i: int, T) -> list[StringFunction]:
 # ---------------------------------------------------------------------------
 
 
-def decomposition_check_lki(k: int, i: int, T, strings=None) -> Report:
+def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
     """Exact equality of graded dimensions: the full module character equals
     the sum over j of (coset character) x (string function), charges folded.
 
     Strings may be supplied explicitly (e.g. mutated, or recomputed from the
     Fock route); by default they are extracted at internal truncation high
-    enough that every product is reliable below T.
+    enough that every product is reliable below max_weight.
     """
-    T = _rat(T)
+    T = _rat(max_weight)
     pad = max(
         Fraction(min(s, 2 * k - s) ** 2, 4 * k) for s in range((i % 2), 2 * k, 2)
     )
@@ -194,8 +194,8 @@ def decomposition_check_lki(k: int, i: int, T, strings=None) -> Report:
     )
 
 
-def decomposition_check_lk0(k: int, T, strings=None) -> Report:
-    return decomposition_check_lki(k, 0, T, strings=strings)
+def decomposition_check_lk0(k: int, max_weight, strings=None) -> Report:
+    return decomposition_check_lki(k, 0, max_weight, strings=strings)
 
 
 # ---------------------------------------------------------------------------

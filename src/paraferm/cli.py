@@ -5,8 +5,26 @@ machine-readable report per check (JSON lines by default, a table with
 --format table); `all` runs the whole suite over a range of levels.  Exit
 code 0 when everything passes, 1 on any failure, 2 on usage errors.
 
-The environment variable PARAFERM_TRUNCATION (a positive integer)
-overrides the per-check default truncations.
+The table The table CHECKS declares each check once, and the subcommands, `run_check`
+and `run_all` read it.  Every param is an integer, validated before any
+computation: a missing, unknown or out-of-range one is a usage error.
+`paraferm CHECK --help` shows the ranges; below, (default) and [truncation]:
+
+    ope                  --k >= 2 [4]
+    singular-vector      --k >= 3, --seed (0) [4]
+    ek-power             --k >= 2 [at least k + 2]
+    lk0-decomposition    --k >= 1, --max-weight >= 1 [10]
+    lki-decomposition    --k >= 1, 0 <= --i <= k (every i), --max-weight >= 1 [10]
+    string-dual-route    --k >= 2, 0 <= --i <= k (0), 0 <= --j < k (every j),
+                         --max-weight >= 1 [6 for k <= 3, else 4]
+    top-weight-match     --k >= 2
+    identify             --k >= 3
+    w1inf-generation     --max >= 2 (20)
+    intertwiner-leading  --k >= 1 [3]
+    all                  --kmax >= 3 (4), --max-weight >= 1 [6], --seed (0)
+
+PARAFERM_TRUNCATION (a positive integer) overrides the truncation fallbacks;
+--max-weight takes precedence where a check has it.
 """
 
 from __future__ import annotations
@@ -14,16 +32,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple
 
-from . import characters, lattice_fock, w1inf_symbols
-from .errors import BadParams, ParafermError, UnknownCheck
-from .fusion_identify import (
-    enumerate_simples,
-    identify,
-    topweight_para,
-    topweight_w,
-    w_label,
-)
+from . import characters, fusion_identify, lattice_fock, w1inf_symbols
+from .errors import BadParams, UnknownCheck
 from .report import Report, make_report
 
 
@@ -41,194 +53,187 @@ def _truncation_default(fallback: int) -> int:
     return fallback
 
 
-def _check_ope(params: dict) -> Report:
-    return lattice_fock.ope_check(params["k"], _truncation_default(4))
+class Param(NamedTuple):
+    """An integer param allowed in lo <= value <= k + hi_k, k being the level
+    declared before it; a bound of None does not apply.  A value left out
+    takes ``default``; None there leaves the choice to the check."""
+
+    lo: int | None = None
+    hi_k: int | None = None
+    default: int | None = None
+    required: bool = False
+
+    def bounds(self, key: str) -> str:
+        text = key if self.lo is None else f"{self.lo} <= {key}"
+        if self.hi_k is not None:
+            text += f" <= k{self.hi_k:+d}" if self.hi_k else " <= k"
+        return text
 
 
-def _check_singular(params: dict) -> Report:
-    k = params["k"]
-    seed = params.get("seed", 0)
-    T = _truncation_default(4)
-    cv = lattice_fock.conformal_vectors(k, T)
-    entries = []
+class Check(NamedTuple):
+    """``run(**params)`` returns the report.  The fallback ``truncation(k)``, which
+    PARAFERM_TRUNCATION overrides, fills max_weight where declared, else truncation."""
+
+    help: str
+    run: Callable[..., Report]
+    params: dict[str, Param]
+    truncation: Callable[[int | None], int] | None = None
+
+
+def _level(lo: int) -> Param:
+    return Param(lo, required=True)
+
+
+def _singular_vector(k: int, seed: int, truncation: int) -> Report:
+    cv = lattice_fock.conformal_vectors(k, truncation)
     r1 = lattice_fock.singular_vector_check(cv["W3"], cv["omega_para"])
-    entries.append(("W3 is singular for the coset conformal vector", r1.passed, None))
     dim = lattice_fock.singular_space_dimension(k)
-    entries.append(
+    r2 = lattice_fock.virasoro_bracket_check(k, truncation=max(truncation, 5), seed=seed)
+    entries = [
+        (
+            "W3 is singular for the coset conformal vector",
+            r1.passed,
+            None if r1.passed else r1.to_obj(),
+        ),
         (
             "weight-3 singular space in the commutant is one-dimensional",
             dim == 1,
             None if dim == 1 else {"dimension": dim},
-        )
-    )
-    r2 = lattice_fock.virasoro_bracket_check(k, truncation=max(T, 5), seed=seed)
-    entries.append(("Virasoro bracket spot checks", r2.passed, None))
+        ),
+        ("Virasoro bracket spot checks", r2.passed, None if r2.passed else r2.to_obj()),
+    ]
     return make_report(
         "singular-vector",
-        {"k": k, "truncation": T, "seed": seed},
+        {"k": k, "truncation": truncation, "seed": seed},
         entries,
         identity="uniqueness and singularity of the weight-3 coset primary",
     )
 
 
-def _check_ek_power(params: dict) -> Report:
-    k = params["k"]
-    return lattice_fock.ek_power_check(k, max(_truncation_default(k + 2), k + 2))
-
-
-def _check_lk0(params: dict) -> Report:
-    k = params["k"]
-    T = params.get("max_weight") or _truncation_default(10)
-    return characters.decomposition_check_lk0(k, T)
-
-
-def _check_lki(params: dict) -> Report:
-    k = params["k"]
-    T = params.get("max_weight") or _truncation_default(10)
-    i = params.get("i")
+def _lki_decomposition(k: int, i: int | None, max_weight: int) -> Report:
     if i is not None:
-        return characters.decomposition_check_lki(k, i, T)
+        return characters.decomposition_check_lki(k, i, max_weight)
     entries = []
     for ii in range(k + 1):
-        r = characters.decomposition_check_lki(k, ii, T)
+        r = characters.decomposition_check_lki(k, ii, max_weight)
         entries.append((f"module {ii} decomposes", r.passed, None if r.passed else r.to_obj()))
     return make_report(
         "lki-decomposition",
-        {"k": k, "i": "all", "max_weight": T},
+        {"k": k, "i": "all", "max_weight": max_weight},
         entries,
         identity="graded dimensions of every affine module equal its coset-sum",
     )
 
 
-def _check_dual_route(params: dict) -> Report:
-    k = params["k"]
-    T = params.get("max_weight") or _truncation_default(6 if k <= 3 else 4)
-    return characters.string_dual_route_check(k, params.get("i") or 0, T, j=params.get("j"), strict=False)
-
-
-def _check_topweight(params: dict) -> Report:
-    k = params["k"]
-    bad = []
-    for i in range(k + 1):
-        for j in range(k):
-            para = topweight_para(k, i, j)
-            img = w_label(k, j, j - i)
-            if para != topweight_w(k, img.a, img.b):
-                bad.append({"i": i, "j": j})
-    n = len(enumerate_simples(k))
-    entries = [
-        (
-            f"top weights match on all {n} classes",
-            not bad,
-            None if not bad else {"mismatches": bad},
-        )
-    ]
-    return make_report(
-        "top-weight-match",
-        {"k": k},
-        entries,
-        identity="coset and W-side top weights agree under the first matching",
-    )
-
-
-def _check_identify(params: dict) -> Report:
-    k = params["k"]
-    bijs = identify(k)
-    entries = [
-        ("exactly two identifications", len(bijs) == 2, {"count": len(bijs)}),
-        (
-            "both preserve top weights",
-            all(b.preserves_topweights() for b in bijs),
-            None,
-        ),
-        ("bijections", True, {"bijections": [b.to_obj() for b in bijs]}),
-    ]
-    return make_report(
-        "identify",
-        {"k": k},
-        entries,
-        identity="the two matchings of the simple-module families",
-    )
-
-
-def _check_w1inf(params: dict) -> Report:
-    bound = params.get("max") or 20
-    reached = w1inf_symbols.generation_closure({1, 2}, bound)
-    want = set(range(1, bound + 1))
+def _w1inf_generation(max: int) -> Report:
+    chains = w1inf_symbols.derivation_chains({1, 2}, max)
+    reached = {1, 2} | set(chains)
+    want = set(range(1, max + 1))
     ok = reached == want
-    chains = w1inf_symbols.derivation_chains({1, 2}, bound)
     witness = {"reached": sorted(reached)}
     if ok:
         witness["witness_products"] = {str(t): list(w) for t, w in sorted(chains.items())}
     else:
         witness["missing"] = sorted(want - reached)
         witness["extra"] = sorted(reached - want)
-    entries = [
-        (f"weight-2 and weight-3 symbols generate J^1..J^{bound}", ok, witness)
-    ]
+    entries = [(f"weight-2 and weight-3 symbols generate J^1..J^{max}", ok, witness)]
     return make_report(
         "w1inf-generation",
-        {"max": bound},
+        {"max": max},
         entries,
         identity="generation of the graded symbol algebra from two seeds",
     )
 
 
-def _check_intertwiner(params: dict) -> Report:
-    return lattice_fock.intertwiner_leading_check(params["k"], _truncation_default(3))
-
-
 CHECKS = {
-    "ope": (_check_ope, "bracket relations of the level-k generators"),
-    "singular-vector": (_check_singular, "weight-3 coset primary: singular and unique"),
-    "ek-power": (_check_ek_power, "highest nonzero power of E(-1) on the vacuum"),
-    "lk0-decomposition": (_check_lk0, "vacuum module decomposition into coset strings"),
-    "lki-decomposition": (_check_lki, "every module's decomposition into coset strings"),
-    "string-dual-route": (_check_dual_route, "string functions vs Fock kernel dimensions"),
-    "top-weight-match": (_check_topweight, "coset vs W-side top weights"),
-    "identify": (_check_identify, "the two simple-module identifications"),
-    "w1inf-generation": (_check_w1inf, "symbol algebra generation"),
-    "intertwiner-leading": (_check_intertwiner, "leading intertwiner coefficients"),
+    "ope": Check("bracket relations of the level-k generators",
+                 lattice_fock.ope_check, {"k": _level(2)}, lambda k: 4),
+    "singular-vector": Check("weight-3 coset primary: singular and unique", _singular_vector,
+                             {"k": _level(3), "seed": Param(default=0)}, lambda k: 4),
+    "ek-power": Check("highest nonzero power of E(-1) on the vacuum",
+                      lattice_fock.ek_power_check, {"k": _level(2)}, lambda k: k + 2),
+    "lk0-decomposition": Check("vacuum module decomposition into coset strings",
+                               characters.decomposition_check_lk0,
+                               {"k": _level(1), "max_weight": Param(1)}, lambda k: 10),
+    "lki-decomposition": Check("every module's decomposition into coset strings",
+                               _lki_decomposition,
+                               {"k": _level(1), "i": Param(0, 0), "max_weight": Param(1)},
+                               lambda k: 10),
+    "string-dual-route": Check(
+        "string functions vs Fock kernel dimensions",
+        # looked up per call, so a wrapper installed on the module attribute sees it
+        lambda k, i, j, max_weight: characters.string_dual_route_check(
+            k, i, max_weight, j=j, strict=False
+        ),
+        {"k": _level(2), "i": Param(0, 0, default=0), "j": Param(0, -1), "max_weight": Param(1)},
+        lambda k: 6 if k <= 3 else 4,
+    ),
+    "top-weight-match": Check("coset vs W-side top weights",
+                              fusion_identify.topweight_match_check, {"k": _level(2)}),
+    "identify": Check("the two simple-module identifications",
+                      fusion_identify.identify_check, {"k": _level(3)}),
+    "w1inf-generation": Check("symbol algebra generation",
+                              _w1inf_generation, {"max": Param(2, default=20)}),
+    "intertwiner-leading": Check("leading intertwiner coefficients",
+                                 lattice_fock.intertwiner_leading_check, {"k": _level(1)},
+                                 lambda k: 3),
 }
 
 
+def _resolve(name: str, check: Check, params: dict) -> dict:
+    """``check.run``'s keyword arguments: params validated, defaults filled."""
+    unknown = sorted(set(params) - set(check.params))
+    if unknown:
+        raise BadParams(f"{name} takes no param {unknown[0]!r}; it takes {list(check.params)}")
+    args = {}
+    for key, param in check.params.items():
+        value = params.get(key)
+        if value is None:
+            if param.required:
+                raise BadParams(f"{name} needs the param {key!r}")
+            value = param.default
+        elif (
+            type(value) is not int
+            or (param.lo is not None and value < param.lo)
+            or (param.hi_k is not None and value > args["k"] + param.hi_k)
+        ):
+            raise BadParams(f"{name} needs {param.bounds(key)}, got {key}={value!r}")
+        args[key] = value
+    if check.truncation is not None:
+        key = "max_weight" if "max_weight" in args else "truncation"
+        if args.get(key) is None:
+            args[key] = _truncation_default(check.truncation(args.get("k")))
+    return args
+
+
 def run_check(name: str, params: dict) -> Report:
-    """Dispatch one registered check; see CHECKS for the registry."""
+    """Validate params against CHECKS[name], then run that check."""
     if name not in CHECKS:
         raise UnknownCheck(f"unknown check {name!r}; known: {sorted(CHECKS)}")
-    handler, _ = CHECKS[name]
-    try:
-        return handler(params)
-    except ParafermError:
-        raise
-    except (TypeError, KeyError) as exc:
-        raise BadParams(f"check {name!r} cannot run with params {params}: {exc}") from exc
+    check = CHECKS[name]
+    return check.run(**_resolve(name, check, params))
 
 
-def run_all(kmax: int, max_weight=None) -> list[Report]:
+def run_all(kmax=None, max_weight=None, seed=None) -> list[Report]:
     """Every check for 3 <= k <= kmax, plus the level-independent ones."""
-    if kmax < 3:
-        raise BadParams(f"need kmax >= 3, got {kmax}")
-    T = max_weight or _truncation_default(6)
-    reports = []
-    for k in range(3, kmax + 1):
-        reports.append(run_check("ope", {"k": k}))
-        reports.append(run_check("singular-vector", {"k": k}))
-        reports.append(run_check("ek-power", {"k": k}))
-        reports.append(run_check("lk0-decomposition", {"k": k, "max_weight": T}))
-        reports.append(run_check("lki-decomposition", {"k": k, "max_weight": T}))
-        # the Fock route grows quickly with rank and depth; shrink the window
-        dual_T = max(3, T - 2 - (k - 3))
-        for i in range(k + 1):
-            reports.append(
-                run_check("string-dual-route", {"k": k, "i": i, "max_weight": dual_T})
-            )
-        reports.append(run_check("top-weight-match", {"k": k}))
-        reports.append(run_check("identify", {"k": k}))
-        reports.append(run_check("intertwiner-leading", {"k": k}))
-    reports.append(run_check("w1inf-generation", {"max": 20}))
+    args = _resolve("all", ALL, {"kmax": kmax, "max_weight": max_weight, "seed": seed})
+    reports = [run_check("w1inf-generation", {})]
+    for k in range(3, args["kmax"] + 1):
+        for name, check in CHECKS.items():
+            params = {key: args[key] for key in check.params if key in args}
+            if name == "string-dual-route":
+                # the Fock route grows quickly with rank and depth; shrink the window
+                params["max_weight"] = max(3, args["max_weight"] - 2 - (k - 3))
+                reports += [run_check(name, {**params, "k": k, "i": i}) for i in range(k + 1)]
+            elif "k" in check.params:
+                reports.append(run_check(name, {**params, "k": k}))
     reports.sort(key=lambda r: (r.check, r.to_json()))
     return reports
+
+
+ALL = Check("run the full suite for 3 <= k <= kmax", run_all,
+            {"kmax": Param(3, default=4), "max_weight": Param(1), "seed": Param(default=0)},
+            lambda k: 6)
 
 
 # ---------------------------------------------------------------------------
@@ -236,42 +241,28 @@ def run_all(kmax: int, max_weight=None) -> list[Report]:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as BadParams, so it ends in one usage line."""
+
+    def error(self, message):
+        raise BadParams(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="paraferm",
-        description="Exact verification suite for the coset/W-algebra identities.",
-    )
+    ap = _Parser(prog="paraferm", description=__doc__,
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, k=True, ij=False, weight=False):
-        if k:
-            p.add_argument("--k", type=int, required=True, help="level (k >= 3)")
-        if ij:
-            p.add_argument("--i", type=int, default=None)
-            p.add_argument("--j", type=int, default=None)
-        if weight:
-            p.add_argument("--max-weight", type=int, default=None)
+    for name, check in {**CHECKS, "all": ALL}.items():
+        p = sub.add_parser(name, help=check.help)
+        for key, param in check.params.items():
+            hint = param.bounds(key)
+            if param.default is not None:
+                hint += f", default {param.default}"
+            p.add_argument(
+                "--" + key.replace("_", "-"), type=int, required=param.required, help=hint
+            )
         p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-
-    for name, (_, help_text) in CHECKS.items():
-        p = sub.add_parser(name, help=help_text)
-        if name == "w1inf-generation":
-            p.add_argument("--max", type=int, default=20)
-            common(p, k=False)
-        elif name in ("lk0-decomposition",):
-            common(p, weight=True)
-        elif name in ("lki-decomposition", "string-dual-route"):
-            common(p, ij=True, weight=True)
-        else:
-            common(p)
-    p = sub.add_parser("all", help="run the full suite for 3 <= k <= kmax")
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--max-weight", type=int, default=None)
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
     return ap
 
 
@@ -300,22 +291,14 @@ def _emit(reports: list[Report], fmt: str, out: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
     try:
-        if args.command == "all":
-            reports = run_all(args.kmax, args.max_weight)
-        else:
-            params = {
-                key: getattr(args, key)
-                for key in ("k", "i", "j", "max_weight", "seed", "max")
-                if getattr(args, key, None) is not None
-            }
-            reports = [run_check(args.command, params)]
-    except (BadParams, UnknownCheck) as exc:
+        args = vars(_build_parser().parse_args(argv))
+        command, fmt, out = args.pop("command"), args.pop("format"), args.pop("out")
+        reports = run_all(**args) if command == "all" else [run_check(command, args)]
+    except BadParams as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _emit(reports, args.format, args.out)
+    _emit(reports, fmt, out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AmbiguousIdentification, BadLabel, NoIdentification
+from .report import Report, make_report
 
 
 @dataclass(frozen=True, order=True)
@@ -282,3 +283,41 @@ def identify(k: int) -> list[Bijection]:
             raise NoIdentification(f"stage assembly is not a bijection at k={k}")
         results.append(Bijection(k, "form1" if sigma == 1 else "form2", mapping))
     return results
+
+
+def topweight_match_check(k: int) -> Report:
+    """Coset and W-side top weights agree on every label (i, j) under the
+    first matching (i, j) -> {j, j - i}."""
+    bad = []
+    for i in range(k + 1):
+        for j in range(k):
+            para = topweight_para(k, i, j)
+            img = w_label(k, j, j - i)
+            if para != topweight_w(k, img.a, img.b):
+                bad.append({"i": i, "j": j})
+    n = len(enumerate_simples(k))
+    witness = None if not bad else {"mismatches": bad}
+    entries = [(f"top weights match on all {n} classes", not bad, witness)]
+    return make_report(
+        "top-weight-match",
+        {"k": k},
+        entries,
+        identity="coset and W-side top weights agree under the first matching",
+    )
+
+
+def identify_check(k: int) -> Report:
+    """`identify` finds exactly two matchings, and both preserve top weights."""
+    bijs = identify(k)
+    moved = [b.to_obj() for b in bijs if not b.preserves_topweights()]
+    entries = [
+        ("exactly two identifications", len(bijs) == 2, {"count": len(bijs)}),
+        ("both preserve top weights", not moved, {"bijections": moved} if moved else None),
+        ("bijections", True, {"bijections": [b.to_obj() for b in bijs]}),
+    ]
+    return make_report(
+        "identify",
+        {"k": k},
+        entries,
+        identity="the two matchings of the simple-module families",
+    )

@@ -651,6 +651,12 @@ def sl2_generators(k: int, truncation=DEFAULT_TRUNCATION):
     return H, E, F
 
 
+def _omega_aff(k: int, H, E, F) -> StateVector:
+    return (
+        mode_apply(H, -1, H).scale(Fraction(1, 2)) + mode_apply(E, -1, F) + mode_apply(F, -1, E)
+    ).scale(Fraction(1, 2 * (k + 2)))
+
+
 def conformal_vectors(k: int, truncation=DEFAULT_TRUNCATION) -> dict:
     """The affine, Heisenberg and coset conformal vectors and the weight-3
     primary, realized through modes of H, E, F on the vacuum:
@@ -664,11 +670,8 @@ def conformal_vectors(k: int, truncation=DEFAULT_TRUNCATION) -> dict:
     T = _rat(truncation)
     H, E, F = sl2_generators(k, T)
     vac = StateVector.vacuum(H.lattice, T)
-    hh = mode_apply(H, -1, H)
-    omega_aff = (hh.scale(Fraction(1, 2)) + mode_apply(E, -1, F) + mode_apply(F, -1, E)).scale(
-        Fraction(1, 2 * (k + 2))
-    )
-    omega_h = hh.scale(Fraction(1, 4 * k))
+    omega_aff = _omega_aff(k, H, E, F)
+    omega_h = mode_apply(H, -1, H).scale(Fraction(1, 4 * k))
     omega_para = omega_aff - omega_h
     w3 = (
         mode_apply(H, -3, vac).scale(k * k)
@@ -772,38 +775,32 @@ def singular_vector_check(w: StateVector, omega: StateVector) -> Report:
 def ek_power_check(k: int, truncation=None) -> Report:
     """(E_(-1))^k 1 is nonzero of gamma(0)-eigenvalue 2k and is killed by the
     positive Heisenberg modes; the (k+1)-st power vanishes (the realization
-    is the simple quotient)."""
-    T = _rat(truncation if truncation is not None else k + 2)
+    is the simple quotient).  A truncation below k + 2 cannot hold the
+    weight-(k+1) power and is raised to k + 2."""
+    T = _rat(k + 2 if truncation is None else max(truncation, k + 2))
     H, E, F = sl2_generators(k, T)
     lat = E.lattice
     v = StateVector.vacuum(lat, T)
     for _ in range(k):
         v = mode_apply(E, -1, v)
-    entries = []
-    entries.append(("(E-1)^k 1 != 0", not v.is_zero(), None))
-    h0 = mode_apply(H, 0, v)
-    ok_eig = h0 == v.scale(2 * k)
-    entries.append(
-        ("H0 (E-1)^k 1 = 2k (E-1)^k 1", ok_eig, None if ok_eig else {"got": h0.canonical_text()})
-    )
-    for n in (1, 2):
-        hn = mode_apply(H, n, v)
-        entries.append((f"H{n} (E-1)^k 1 = 0", hn.is_zero(), None))
     v1 = mode_apply(E, -1, v)
-    entries.append(
-        (
-            "(E-1)^(k+1) 1 = 0",
-            v1.is_zero(),
-            None if v1.is_zero() else {"got": v1.canonical_text()},
-        )
-    )
-    truncated = v1.truncated
+    zero = StateVector(lat, T)
+    nonzero = not v.is_zero()
+    entries = [("(E-1)^k 1 != 0", nonzero, None if nonzero else {"got": "0"})]
+    for name, got, want in [
+        ("H0 (E-1)^k 1 = 2k (E-1)^k 1", mode_apply(H, 0, v), v.scale(2 * k)),
+        ("H1 (E-1)^k 1 = 0", mode_apply(H, 1, v), zero),
+        ("H2 (E-1)^k 1 = 0", mode_apply(H, 2, v), zero),
+        ("(E-1)^(k+1) 1 = 0", v1, zero),
+    ]:
+        ok = got == want
+        entries.append((name, ok, None if ok else {"got": got.canonical_text()}))
     return make_report(
         "ek-power",
         {"k": k, "truncation": T},
         entries,
         identity="highest power of E(-1) on the vacuum and its Heisenberg eigenvalue",
-        truncated=truncated,
+        truncated=v1.truncated,
     )
 
 
@@ -899,9 +896,6 @@ class GradedBasis:
 
     def dims(self) -> dict[Fraction, int]:
         return {w: len(rows) for w, rows in sorted(self.layers.items()) if rows}
-
-    def aff_dims(self) -> dict[Fraction, int]:
-        return {w - self.aff_offset: len(rows) for w, rows in sorted(self.layers.items()) if rows}
 
     def charge_dims(self) -> dict[tuple[Fraction, Fraction], int]:
         """Dimensions resolved by (weight relative to the realized conformal
@@ -1001,12 +995,14 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
         if not mode_apply(F, 0, cur).is_zero():
             raise AssertionError("top level did not close")
     basis = generated_subspace([H, E, F], T, seeds=seeds)
-    omega_aff = conformal_vectors(k, max(T, 3))["omega_aff"]
+    omega_aff = _omega_aff(k, *sl2_generators(k, max(T, 3)))
     top = seeds[0]
     l0 = mode_apply(omega_aff, 1, top._with(dict(top.terms), truncation=max(T, 3)))
     (s0, c0), = top.terms.items()
     aff_weight = l0.coefficient(s0) / c0
     basis.aff_offset = state_weight(lat, s0) - aff_weight
+    if basis.aff_offset != Fraction(i * (k - i), 4 * (k + 2)):
+        raise AssertionError(f"realized offset {basis.aff_offset} differs from i(k-i)/4(k+2)")
     return basis
 
 
@@ -1181,14 +1177,6 @@ def virasoro_bracket_check(k: int, truncation=5, seed=0) -> Report:
         identity="Virasoro commutation relations of the realized conformal vectors",
         truncated=truncated,
     )
-
-
-def _partition_count(n: int) -> int:
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        for total in range(part, n + 1):
-            table[total] += table[total - part]
-    return table[n]
 
 
 def sector_graded_dims(lat: Lattice, sector, max_weight) -> dict[Fraction, int]:

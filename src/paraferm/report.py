@@ -57,12 +57,15 @@ class Report:
 def make_report(check, params, entries, identity="", truncated=False) -> Report:
     """Assemble a Report from (name, ok, witness) triples.
 
-    ``witness`` may be None for passing entries; a truncated computation that
-    otherwise passes is reported as pass-up-to-truncation.
+    ``witness`` may be None for passing entries only; a failing entry without
+    one raises ValueError.  A truncated computation that otherwise passes is
+    reported as pass-up-to-truncation.
     """
     details = []
     all_ok = True
     for name, ok, witness in entries:
+        if not ok and witness is None:
+            raise ValueError(f"{check}: failing entry {name!r} carries no witness")
         item = {"name": name, "ok": bool(ok)}
         if witness is not None:
             item["witness"] = witness

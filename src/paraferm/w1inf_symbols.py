@@ -94,22 +94,8 @@ def generation_closure(seeds, bound: int) -> set[int]:
     nonzero coefficient (seeds included)."""
     if bound < max(seeds, default=0):
         raise ValueError("bound must be at least max(seeds)")
-    reached = {m for m in seeds if 0 <= m <= bound}
-    frontier = set(reached)
-    while frontier:
-        new = set()
-        for m in frontier:
-            for n in reached:
-                for a, b in ((m, n), (n, m)):
-                    for r in range(0, a + b + 1):
-                        t = a + b - r
-                        if t > bound or t in reached or t in new:
-                            continue
-                        if symbol_product_coefficient(a, r, b):
-                            new.add(t)
-        reached |= new
-        frontier = new
-    return reached
+    kept = {m for m in seeds if 0 <= m <= bound}
+    return kept | set(derivation_chains(kept, bound))
 
 
 def derivation_chains(seeds, bound: int) -> dict[int, tuple[int, int, int]]:

@@ -1,14 +1,22 @@
 """Front-end dispatch, output formats, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from paraferm.cli import CHECKS, main, run_all, run_check
+from paraferm import cli
+from paraferm.cli import ALL, CHECKS, main, run_all, run_check
 from paraferm.errors import BadParams, UnknownCheck
+from paraferm.report import make_report
 
 
 class TestRunCheck:
@@ -128,3 +136,132 @@ class TestSubprocess:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+def _main(argv):
+    """main(argv) in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:"), err
+
+
+_TABLE = {**CHECKS, "all": ALL}
+_BOUNDED = [
+    (name, key)
+    for name, check in _TABLE.items()
+    for key, param in check.params.items()
+    if param.lo is not None or param.hi_k is not None
+]
+
+
+class TestParamRanges:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_out_of_range_is_usage_error(self, data):
+        name, key = data.draw(st.sampled_from(_BOUNDED))
+        params = _TABLE[name].params
+        argv = [name]
+        k = None
+        if key != "k" and "k" in params:
+            k = data.draw(st.integers(params["k"].lo, params["k"].lo + 6))
+            argv += ["--k", str(k)]
+        param = params[key]
+        outside = []
+        if param.lo is not None:
+            outside.append(st.integers(max_value=param.lo - 1))
+        if param.hi_k is not None:
+            outside.append(st.integers(min_value=k + param.hi_k + 1))
+        value = data.draw(st.one_of(outside))
+        argv += ["--" + key.replace("_", "-"), str(value)]
+        _assert_usage_error(*_main(argv))
+
+    @given(name=st.sampled_from(sorted(CHECKS)), key=st.text(min_size=1, max_size=12))
+    def test_run_check_unknown_key(self, name, key):
+        assume(key not in CHECKS[name].params)
+        params = {key: 1}
+        if "k" in CHECKS[name].params:
+            params["k"] = 3
+        with pytest.raises(BadParams):
+            run_check(name, params)
+
+    @pytest.mark.parametrize("name", sorted(n for n, c in CHECKS.items() if "k" in c.params))
+    def test_run_check_missing_key(self, name):
+        with pytest.raises(BadParams):
+            run_check(name, {})
+
+    @pytest.mark.parametrize("value", ["3", 3.0, True])
+    def test_run_check_non_integer(self, value):
+        with pytest.raises(BadParams):
+            run_check("ope", {"k": value})
+
+
+# Each used to end in a traceback, run on a substituted value, ignore a flag
+# or give a false verdict of an exact identity.
+BAD_INPUT = [
+    "ope --k 1",
+    "ek-power --k 0",
+    "intertwiner-leading --k 0",
+    "intertwiner-leading --k -2",
+    "lki-decomposition --k 3 --i 7",
+    "identify --k 2",
+    "string-dual-route --k 3 --i 9",
+    "string-dual-route --k 3 --j 7",
+    "lk0-decomposition --k 3 --max-weight -2",
+    "lk0-decomposition --k 3 --max-weight 0",
+    "lk0-decomposition --k 0 --max-weight 3",
+    "all --kmax 3 --max-weight 0",
+    "w1inf-generation --max 0",
+    "w1inf-generation --max 1",
+    "lki-decomposition --k 3 --j 0",
+    "ope --k 3 --seed 4",
+    "singular-vector --k 2",
+    "ope --k x",
+    "ope",
+    "no-such-check",
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", BAD_INPUT)
+    def test_usage_error(self, command):
+        _assert_usage_error(*_main(shlex.split(command)))
+
+    def test_all_passes_seed_to_singular_vector(self, monkeypatch):
+        calls = []
+
+        def record(name, params):
+            calls.append((name, params))
+            return make_report(name, params, [("recorded", True, None)])
+
+        monkeypatch.setattr(cli, "run_check", record)
+        run_all(3, seed=5)
+        assert ("singular-vector", {"k": 3, "seed": 5}) in calls
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("paraferm ")
+    ]
+
+
+def test_readme_commands_match_the_table():
+    commands = _readme_commands()
+    parser = cli._build_parser()
+    for argv in commands:
+        args = vars(parser.parse_args(argv))
+        name = args.pop("command")
+        del args["format"], args["out"]
+        cli._resolve(name, _TABLE[name], args)
+    assert {argv[0] for argv in commands} == set(CHECKS) | {"all"}
