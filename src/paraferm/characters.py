@@ -216,8 +216,12 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None, st
     shared realization.  A disagreement is an implementation bug and raises
     RouteDisagreement unless ``strict`` is false.
     """
+    if not 0 <= i <= k:
+        raise BadLabel(f"no integrable module (k={k}, i={i})")
+    if j is not None and not 0 <= j < k:
+        raise BadLabel(f"no string (k={k}, j={j}): need 0 <= j < k")
     T = _rat(max_weight)
-    js = list(range(k)) if j is None else [j % k]
+    js = list(range(k)) if j is None else [j]
     lams = {jj: _min_charge_rep(k, i, jj) for jj in js}
     max_heis = max(Fraction(l * l, 4 * k) for l in lams.values())
     delta = Fraction(i * (k - i), 4 * (k + 2))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, floor, isqrt
 from typing import NamedTuple
 
 from .errors import NonIntegralPairing
@@ -35,6 +35,20 @@ DEFAULT_TRUNCATION = 8
 
 def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _accumulate(acc: dict, key, c) -> None:
+    """acc[key] += c for a nonzero c; a new key stores c itself and a sum of
+    zero deletes the key, so acc never holds a zero coefficient."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = c
+        return
+    new = old + c
+    if new:
+        acc[key] = new
+    else:
+        del acc[key]
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +172,8 @@ class StateVector:
             items = terms.items() if isinstance(terms, dict) else terms
             for s, c in items:
                 c = _rat(c)
-                if not c:
-                    continue
-                acc = self.terms.get(s, 0) + c
-                if acc:
-                    self.terms[s] = acc
-                else:
-                    self.terms.pop(s, None)
+                if c:
+                    _accumulate(self.terms, s, c)
 
     # -- constructors ------------------------------------------------------
 
@@ -189,7 +198,8 @@ class StateVector:
 
     def charge(self) -> Fraction:
         """gamma(0)-eigenvalue; raises if the vector mixes charges."""
-        vals = {_pairing(self.lattice, self.lattice.gamma(), s.point) for s in self.terms}
+        gamma = self.lattice.gamma()
+        vals = {_pairing(self.lattice, gamma, point) for point in {s.point for s in self.terms}}
         if len(vals) != 1:
             raise ValueError("vector does not have a single charge")
         return vals.pop()
@@ -230,30 +240,26 @@ class StateVector:
 
     # -- linear structure ------------------------------------------------------
 
-    def _with(self, terms, truncated=None, truncation=None) -> "StateVector":
-        return StateVector(
-            self.lattice,
-            self.truncation if truncation is None else truncation,
-            terms,
-            self.truncated if truncated is None else truncated,
-        )
+    def _with(self, terms: dict, truncated=None, truncation=None) -> "StateVector":
+        """Internal constructor: a vector on the same lattice (by default with
+        the same truncation and flag) that takes a dict built in this module
+        as it is, without normalising.  The dict holds no zero coefficient and
+        only Fraction values; a truncation passed in is a Fraction."""
+        v = StateVector.__new__(StateVector)
+        v.lattice = self.lattice
+        v.truncation = self.truncation if truncation is None else truncation
+        v.terms = terms
+        v.truncated = self.truncated if truncated is None else truncated
+        return v
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.lattice != other.lattice:
             raise ValueError("cannot add vectors over different lattices")
         acc = dict(self.terms)
         for s, c in other.terms.items():
-            v = acc.get(s, 0) + c
-            if v:
-                acc[s] = v
-            else:
-                acc.pop(s, None)
-        return StateVector(
-            self.lattice,
-            min(self.truncation, other.truncation),
-            acc,
-            self.truncated or other.truncated,
-        )
+            _accumulate(acc, s, c)
+        truncation = min(self.truncation, other.truncation)
+        return self._with(acc, self.truncated or other.truncated, truncation)
 
     def __neg__(self) -> "StateVector":
         return self._with({s: -c for s, c in self.terms.items()})
@@ -291,10 +297,16 @@ def _insert_mode(modes: tuple, p: int, n: int) -> tuple:
     return tuple(out)
 
 
-def _remove_mode_once(modes: tuple, p: int, n: int) -> tuple:
-    out = list(modes)
-    out.remove((p, n))
-    return tuple(out)
+def _contractions(modes: tuple, n: int, bp):
+    """For each distinct b_p(-n) in the sorted mode tuple with bp[p] =
+    <beta, b_p> nonzero: the tuple with one copy removed, and the factor
+    n <beta, b_p> times its multiplicity with which beta(n) removes it."""
+    prev = None
+    for idx, pm in enumerate(modes):
+        # sorted, so a repeated pair directly follows its first copy
+        if pm != prev and pm[1] == n and bp[pm[0]]:
+            yield modes[:idx] + modes[idx + 1:], modes.count(pm) * n * bp[pm[0]]
+        prev = pm
 
 
 def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
@@ -306,32 +318,15 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
     """
     lat = v.lattice
     beta = tuple(beta)
+    if n > 0:
+        return _annihilate([lat.basis_pairing(beta, p) for p in range(lat.rank)], n, v)
     acc: dict[FockState, Fraction] = {}
     flagged = v.truncated
-
-    def put(state, c):
-        if not c:
-            return
-        x = acc.get(state, 0) + c
-        if x:
-            acc[state] = x
-        else:
-            acc.pop(state, None)
-
     if n == 0:
         for s, c in v.terms.items():
-            put(s, c * _pairing(lat, beta, s.point))
-    elif n > 0:
-        for s, c in v.terms.items():
-            seen = set()
-            for p, m in s.modes:
-                if m != n or p in seen:
-                    continue
-                seen.add(p)
-                mult = s.modes.count((p, n))
-                coeff = c * mult * n * lat.basis_pairing(beta, p)
-                if coeff:
-                    put(FockState(s.point, _remove_mode_once(s.modes, p, n)), coeff)
+            pair = _pairing(lat, beta, s.point)
+            if pair:
+                _accumulate(acc, s, c * pair)
     else:
         step = -n
         for s, c in v.terms.items():
@@ -340,29 +335,21 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
                 continue
             for p in range(lat.rank):
                 if beta[p]:
-                    put(
+                    _accumulate(
+                        acc,
                         FockState(s.point, _insert_mode(s.modes, p, step)),
                         c * Fraction(beta[p], lat.den),
                     )
-    return StateVector(lat, v.truncation, acc, flagged)
+    return v._with(acc, flagged)
 
 
-def _basis_annihilate(p: int, n: int, v: StateVector) -> StateVector:
-    """b_p(n) for n >= 1: fast path used inside vertex operator expansions."""
-    lat = v.lattice
-    g = lat.gram[p]
+def _annihilate(bp, n: int, v: StateVector) -> StateVector:
+    """beta(n) for n >= 1, beta given by its pairings bp[p] = <beta, b_p>."""
     acc: dict[FockState, Fraction] = {}
     for s, c in v.terms.items():
-        mult = s.modes.count((p, n))
-        if mult:
-            coeff = c * mult * n * g
-            state = FockState(s.point, _remove_mode_once(s.modes, p, n))
-            x = acc.get(state, 0) + coeff
-            if x:
-                acc[state] = x
-            else:
-                acc.pop(state, None)
-    return StateVector(lat, v.truncation, acc, v.truncated)
+        for rest, f in _contractions(s.modes, n, bp):
+            _accumulate(acc, FockState(s.point, rest), c * f)
+    return v._with(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +379,9 @@ def _annihilation_layers(lat, beta, modes: tuple):
         acc: dict[tuple, Fraction] = {}
         for t in range(1, b + 1):
             for mds, c in layers[b - t].items():
-                seen = set()
-                for p, n in mds:
-                    if n != t or p in seen:
-                        continue
-                    seen.add(p)
-                    coeff = c * mds.count((p, t)) * t * bp[p]
-                    if coeff:
-                        out = _remove_mode_once(mds, p, t)
-                        x = acc.get(out, 0) + coeff
-                        if x:
-                            acc[out] = x
-                        else:
-                            acc.pop(out, None)
-        layers.append({m: Fraction(-v, b) for m, v in acc.items() if v})
+                for rest, f in _contractions(mds, t, bp):
+                    _accumulate(acc, rest, c * f)
+        layers.append({m: v / -b for m, v in acc.items()})
     _ANN_CACHE[key] = layers
     return layers
 
@@ -425,14 +401,8 @@ def _creation_poly(lat, beta, a: int) -> dict[tuple, Fraction]:
             for mds, c in _creation_poly(lat, beta, a - t).items():
                 for p in range(lat.rank):
                     if beta[p]:
-                        state = _insert_mode(mds, p, t)
-                        coeff = c * Fraction(beta[p], lat.den)
-                        x = acc.get(state, 0) + coeff
-                        if x:
-                            acc[state] = x
-                        else:
-                            acc.pop(state, None)
-        out = {m: c / a for m, c in acc.items() if c}
+                        _accumulate(acc, _insert_mode(mds, p, t), c * Fraction(beta[p], lat.den))
+        out = {m: c / a for m, c in acc.items()}
     _CRE_CACHE[key] = out
     return out
 
@@ -461,23 +431,21 @@ def _exp_component(lat, beta, modes: tuple, d: int) -> dict[tuple, Fraction]:
         cre = _creation_poly(lat, beta, a)
         for tmds, tc in layers[b].items():
             for cmds, cc in cre.items():
-                md = _merge_modes(tmds, cmds)
-                x = acc.get(md, 0) + tc * cc
-                if x:
-                    acc[md] = x
-                else:
-                    acc.pop(md, None)
+                _accumulate(acc, _merge_modes(tmds, cmds), tc * cc)
     _COMP_CACHE[key] = acc
     return acc
 
 
-def _check_uniform_pairing(lat, beta, v: StateVector) -> None:
-    fracs = {_pairing(lat, beta, s.point) % 1 for s in v.terms}
-    if len(fracs) > 1:
+def _point_pairings(lat, beta, v: StateVector) -> dict[tuple, Fraction]:
+    """<beta, point> for each distinct lattice point of v; raises unless
+    they agree mod 1."""
+    pairs = {point: _pairing(lat, beta, point) for point in {s.point for s in v.terms}}
+    if len({x % 1 for x in pairs.values()}) > 1:
         raise NonIntegralPairing(
             "mode components of the exponential field are ill-defined: "
             "the pairing with the sector is not constant mod 1"
         )
+    return pairs
 
 
 def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
@@ -489,28 +457,26 @@ def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
     lat = v.lattice
     beta = tuple(beta)
     m = _rat(m)
-    _check_uniform_pairing(lat, beta, v)
     wtb = lat.point_weight(beta)
+    # per lattice point: the mode weight a result may carry under the
+    # truncation, the net degree d (None if fractional), the shifted point
+    per_point = {}
+    for point, pair in _point_pairings(lat, beta, v).items():
+        d = -m - 1 - pair
+        room = floor(v.truncation - _point_weight(lat, point) - wtb + m + 1)
+        per_point[point] = (room, int(d) if d.denominator == 1 else None, lat.add(point, beta))
     acc: dict[FockState, Fraction] = {}
     flagged = v.truncated
     for s, c in v.terms.items():
-        final_w = state_weight(lat, s) + wtb - m - 1
-        if final_w > v.truncation:
+        room, d, newpoint = per_point[s.point]
+        if _mode_weight(s) > room:
             flagged = True
             continue
-        pair = _pairing(lat, beta, s.point)
-        d = -m - 1 - pair
-        if d.denominator != 1:
+        if d is None:
             continue
-        newpoint = lat.add(s.point, beta)
-        for mds, cc in _exp_component(lat, beta, s.modes, int(d)).items():
-            state = FockState(newpoint, mds)
-            x = acc.get(state, 0) + c * cc
-            if x:
-                acc[state] = x
-            else:
-                acc.pop(state, None)
-    return StateVector(lat, v.truncation, acc, flagged)
+        for mds, cc in _exp_component(lat, beta, s.modes, d).items():
+            _accumulate(acc, FockState(newpoint, mds), c * cc)
+    return v._with(acc, flagged)
 
 
 def exp_apply(beta, v: StateVector, weight_window) -> dict:
@@ -518,13 +484,13 @@ def exp_apply(beta, v: StateVector, weight_window) -> dict:
     the inclusive weight window; keyed by the z-exponent."""
     lat = v.lattice
     beta = tuple(beta)
-    _check_uniform_pairing(lat, beta, v)
+    pairs = _point_pairings(lat, beta, v)
     wmin, wmax = (_rat(weight_window[0]), _rat(weight_window[1]))
     wmax = min(wmax, v.truncation)
     wtb = lat.point_weight(beta)
     out: dict[Fraction, dict] = {}
     for s, c in v.terms.items():
-        pair = _pairing(lat, beta, s.point)
+        pair = pairs[s.point]
         base = state_weight(lat, s) + pair + wtb
         newpoint = lat.add(s.point, beta)
         mw = _mode_weight(s)
@@ -535,15 +501,10 @@ def exp_apply(beta, v: StateVector, weight_window) -> dict:
                 if comp:
                     bucket = out.setdefault(d + pair, {})
                     for mds, cc in comp.items():
-                        state = FockState(newpoint, mds)
-                        x = bucket.get(state, 0) + c * cc
-                        if x:
-                            bucket[state] = x
-                        else:
-                            bucket.pop(state, None)
+                        _accumulate(bucket, FockState(newpoint, mds), c * cc)
             d += 1
     return {
-        z: StateVector(lat, v.truncation, terms, v.truncated)
+        z: v._with(terms)
         for z, terms in sorted(out.items())
         if terms
     }
@@ -563,6 +524,12 @@ def _binom_general(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
+def _add_scaled(acc: dict, v: StateVector, c) -> None:
+    """acc += c v for a nonzero c."""
+    for s, x in v.terms.items():
+        _accumulate(acc, s, c * x)
+
+
 def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVector:
     """Apply the m-th mode of the field of one Fock state to v.
 
@@ -580,7 +547,10 @@ def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVec
     p, n = astate.modes[0]
     rest = FockState(astate.point, astate.modes[1:])
     wrest = wa - n
-    out = StateVector(lat, v.truncation, {}, v.truncated)
+    bcoords = _basis_coords(lat, p)
+    bp = [lat.gram[p] if q == p else 0 for q in range(lat.rank)]
+    acc: dict[FockState, Fraction] = {}
+    flagged = v.truncated
     # annihilation half: b_p(j) hits v first
     maxj = 0
     for s in v.terms:
@@ -590,15 +560,12 @@ def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVec
         coeff = _binom_general(-j - 1, n - 1)
         if not coeff:
             continue
-        if j:
-            w = _basis_annihilate(p, j, v)
-        else:
-            w = heisenberg_apply(_basis_coords(lat, p), 0, v)
+        w = _annihilate(bp, j, v) if j else heisenberg_apply(bcoords, 0, v)
         if w.is_zero():
             continue
         inner = _state_mode_apply(lat, rest, wrest, m - n - j, w)
-        if not inner.is_zero() or inner.truncated:
-            out = out + inner.scale(coeff)
+        flagged = flagged or inner.truncated
+        _add_scaled(acc, inner, coeff)
     # creation half: b_p(j), j <= -n, applied last
     wvmax = v.max_weight()
     j = -n
@@ -607,9 +574,11 @@ def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVec
         if coeff:
             inner = _state_mode_apply(lat, rest, wrest, m - n - j, v)
             if not inner.is_zero() or inner.truncated:
-                out = out + heisenberg_apply(_basis_coords(lat, p), j, inner).scale(coeff)
+                inner = heisenberg_apply(bcoords, j, inner)
+                flagged = flagged or inner.truncated
+                _add_scaled(acc, inner, coeff)
         j -= 1
-    return out
+    return v._with(acc, flagged)
 
 
 def _basis_coords(lat: Lattice, p: int) -> tuple[int, ...]:
@@ -622,11 +591,13 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
         raise ValueError("operator and argument live over different lattices")
     lat = v.lattice
     m = _rat(m)
-    out = StateVector(lat, min(a.truncation, v.truncation), {}, a.truncated or v.truncated)
+    acc: dict[FockState, Fraction] = {}
+    flagged = a.truncated or v.truncated
     for s, c in a.terms.items():
         piece = _state_mode_apply(lat, s, state_weight(lat, s), m, v)
-        out = out + piece.scale(c)
-    return out
+        flagged = flagged or piece.truncated
+        _add_scaled(acc, piece, c)
+    return v._with(acc, flagged, min(a.truncation, v.truncation))
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +628,13 @@ def _omega_aff(k: int, H, E, F) -> StateVector:
     ).scale(Fraction(1, 2 * (k + 2)))
 
 
+def _omegas(k: int, H, E, F) -> dict[str, StateVector]:
+    """omega_aff, omega_h and omega_para, as in `conformal_vectors`."""
+    omega_aff = _omega_aff(k, H, E, F)
+    omega_h = mode_apply(H, -1, H).scale(Fraction(1, 4 * k))
+    return {"omega_aff": omega_aff, "omega_h": omega_h, "omega_para": omega_aff - omega_h}
+
+
 def conformal_vectors(k: int, truncation=DEFAULT_TRUNCATION) -> dict:
     """The affine, Heisenberg and coset conformal vectors and the weight-3
     primary, realized through modes of H, E, F on the vacuum:
@@ -670,9 +648,7 @@ def conformal_vectors(k: int, truncation=DEFAULT_TRUNCATION) -> dict:
     T = _rat(truncation)
     H, E, F = sl2_generators(k, T)
     vac = StateVector.vacuum(H.lattice, T)
-    omega_aff = _omega_aff(k, H, E, F)
-    omega_h = mode_apply(H, -1, H).scale(Fraction(1, 4 * k))
-    omega_para = omega_aff - omega_h
+    omegas = _omegas(k, H, E, F)
     w3 = (
         mode_apply(H, -3, vac).scale(k * k)
         + mode_apply(H, -2, H).scale(3 * k)
@@ -681,7 +657,7 @@ def conformal_vectors(k: int, truncation=DEFAULT_TRUNCATION) -> dict:
         + mode_apply(E, -2, F).scale(3 * k * k)
         - mode_apply(E, -1, mode_apply(F, -2, vac)).scale(3 * k * k)
     )
-    return {"omega_aff": omega_aff, "omega_h": omega_h, "omega_para": omega_para, "W3": w3}
+    return {**omegas, "W3": w3}
 
 
 def virasoro_mode(omega: StateVector, n: int, v: StateVector) -> StateVector:
@@ -701,11 +677,12 @@ def central_charge_of(omega: StateVector) -> Fraction:
 def theta_involution(v: StateVector) -> StateVector:
     """Lift of the -1 lattice isometry: e^point -> e^(-point), modes flip sign."""
     lat = v.lattice
-    terms = {
-        FockState(lat.negate(s.point), s.modes): c * (-1) ** len(s.modes)
-        for s, c in v.terms.items()
-    }
-    return StateVector(lat, v.truncation, terms, v.truncated)
+    return v._with(
+        {
+            FockState(lat.negate(s.point), s.modes): -c if len(s.modes) % 2 else c
+            for s, c in v.terms.items()
+        }
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -859,14 +836,9 @@ class _Echelon:
             idx = self.pivots.get(lead)
             if idx is None:
                 break
-            row = self.rows[idx]
-            c = terms[lead]
-            for s, rv in row.terms.items():
-                nv = terms.get(s, 0) - c * rv
-                if nv:
-                    terms[s] = nv
-                else:
-                    terms.pop(s, None)
+            c = -terms[lead]
+            for s, rv in self.rows[idx].terms.items():
+                _accumulate(terms, s, c * rv)
         return v._with(terms)
 
     def insert(self, v: StateVector) -> bool:
@@ -921,10 +893,31 @@ class GradedBasis:
 
 
 def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
-    """Span of iterated lowering modes of the (weight-one) generators applied
-    to the seed vectors, graded by ambient weight up to max_weight."""
+    """Span of iterated lowering modes g(-t), t >= 1, of the generators
+    applied to the seed vectors, graded by ambient weight up to max_weight.
+
+    The generators must be weight-one states whose 0-mode brackets a(0)b
+    span exactly the span of the generators, as H, E, F do ([sl2, sl2] =
+    sl2).  Then [a(-1), b(-t)] = (a(0)b)(-t-1) makes every g(-t) a sum of
+    commutators of (-1)-modes, so layer w is spanned by the (-1)-modes of
+    the generators applied to layer w-1, and only those are applied.  A
+    generating set failing the condition (say [H] alone, which is abelian)
+    raises ValueError.
+    """
     if not generators:
         raise ValueError("need at least one generator")
+    if any(g.weights() != {1} for g in generators):
+        raise ValueError("generators must be weight-one vectors")
+    span, brackets = _Echelon(), _Echelon()
+    for a in generators:
+        span.insert(a)
+        for b in generators:
+            brackets.insert(mode_apply(a, 0, b))
+    if len(brackets.rows) != len(span.rows) or any(span.reduce(r).terms for r in brackets.rows):
+        raise ValueError(
+            "the 0-mode brackets of the generators do not span the generators, "
+            "so their (-1)-modes do not generate every lowering mode"
+        )
     lat = generators[0].lattice
     T = _rat(max_weight)
     if seeds is None:
@@ -951,16 +944,12 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
     for d in range(1, steps + 1):
         w = w0 + d
         tgt = layer(w)
-        for t in range(1, d + 1):
-            src = layers.get(w - t)
-            if not src:
-                continue
-            for v in src.rows:
-                for g in generators:
-                    cand = mode_apply(g, -t, v)
-                    truncated = truncated or cand.truncated
-                    if not cand.is_zero():
-                        tgt.insert(cand)
+        for v in layer(w - 1).rows:
+            for g in generators:
+                cand = mode_apply(g, -1, v)
+                truncated = truncated or cand.truncated
+                if not cand.is_zero():
+                    tgt.insert(cand)
     return GradedBasis(
         lattice=lat,
         truncation=T,
@@ -995,9 +984,10 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
         if not mode_apply(F, 0, cur).is_zero():
             raise AssertionError("top level did not close")
     basis = generated_subspace([H, E, F], T, seeds=seeds)
-    omega_aff = _omega_aff(k, *sl2_generators(k, max(T, 3)))
+    T3 = max(T, Fraction(3))
+    omega_aff = _omega_aff(k, *sl2_generators(k, T3))
     top = seeds[0]
-    l0 = mode_apply(omega_aff, 1, top._with(dict(top.terms), truncation=max(T, 3)))
+    l0 = mode_apply(omega_aff, 1, top._with(dict(top.terms), truncation=T3))
     (s0, c0), = top.terms.items()
     aff_weight = l0.coefficient(s0) / c0
     basis.aff_offset = state_weight(lat, s0) - aff_weight
@@ -1015,12 +1005,9 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
         for pc, prow in ech:
             cv = r.get(pc)
             if cv:
+                cv = -cv
                 for c, v in prow.items():
-                    nv = r.get(c, 0) - cv * v
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
+                    _accumulate(r, c, cv * v)
         if not r:
             continue
         pc = min(r)
@@ -1029,13 +1016,10 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
         for idx, (opc, orow) in enumerate(ech):
             cv = orow.get(pc)
             if cv:
+                cv = -cv
                 new = dict(orow)
                 for c, v in r.items():
-                    nv = new.get(c, 0) - cv * v
-                    if nv:
-                        new[c] = nv
-                    else:
-                        new.pop(c, None)
+                    _accumulate(new, c, cv * v)
                 ech[idx] = (opc, new)
         ech.append((pc, r))
     pivots = {pc for pc, _ in ech}
@@ -1097,7 +1081,7 @@ def singular_space_dimension(k: int, weight: int = 3, basis: GradedBasis | None 
     conformal vector inside the given weight slice of the commutant."""
     if basis is None:
         basis = affine_module_basis(k, 0, weight)
-    omega = conformal_vectors(k, max(basis.truncation, 3))["omega_para"]
+    omega = _omegas(k, *sl2_generators(k, max(basis.truncation, 3)))["omega_para"]
     vecs = commutant_kernel(basis, 0).get(_rat(weight), [])
     if not vecs:
         return 0

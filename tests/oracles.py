@@ -17,6 +17,7 @@ from paraferm.fusion_identify import (
     w_current,
     w_label,
 )
+from paraferm.lattice_fock import StateVector, mode_apply, sl2_generators
 
 Q = Fraction
 
@@ -118,3 +119,52 @@ def brute_force_identifications(k: int) -> list[dict]:
             if mapping not in found:
                 found.append(mapping)
     return found
+
+
+def all_modes_affine_dims(k: int, i: int, max_weight) -> dict[Fraction, int]:
+    """Graded dimensions of the i-th level-k affine module in the Fock space,
+    generated the long way: layer d is spanned by g(-t) applied to layer
+    d - t for every t = 1..d and g in H, E, F, starting from the F(0)-orbit
+    of the top exponential.  Ranks come from a plain reduced row echelon,
+    not from lattice_fock's echelon."""
+    T = Q(max_weight)
+    H, E, F = sl2_generators(k, T)
+    lat = H.lattice
+    cur = StateVector.exponential(lat, tuple(1 if p < i else 0 for p in range(k)), T)
+    w0 = Q(i, 4)
+    layers = {w0: []}
+    while not cur.is_zero():
+        _rref_insert(layers[w0], cur.terms)
+        cur = mode_apply(F, 0, cur)
+    for d in range(1, int(T - w0) + 1):
+        rows: list[dict] = []
+        for t in range(1, d + 1):
+            for r in layers[w0 + d - t]:
+                v = StateVector(lat, T, r)
+                for g in (H, E, F):
+                    _rref_insert(rows, mode_apply(g, -t, v).terms)
+        layers[w0 + d] = rows
+    return {w: len(rows) for w, rows in layers.items() if rows}
+
+
+def _rref_insert(rows: list[dict], vec: dict) -> None:
+    """Add vec to the span of rows, kept in reduced row echelon form: each
+    row has a pivot that no other row holds."""
+    r = dict(vec)
+    for row in rows:
+        pivot = next(iter(row))
+        c = r.get(pivot)
+        if c:
+            for key, x in row.items():
+                r[key] = r.get(key, 0) - c * x
+            r = {key: x for key, x in r.items() if x}
+    if not r:
+        return
+    pivot = next(iter(r))
+    r = {key: x / r[pivot] for key, x in r.items()}
+    for idx, row in enumerate(rows):
+        c = row.get(pivot)
+        if c:
+            new = {key: row.get(key, 0) - c * r.get(key, 0) for key in {**row, **r}}
+            rows[idx] = {key: x for key, x in new.items() if x}
+    rows.append(r)

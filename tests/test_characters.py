@@ -164,6 +164,15 @@ class TestDualRoute:
         r = string_dual_route_check(3, 1, 4, j=1)
         assert r.status == "pass"
 
+    def test_out_of_range_label_is_a_bad_label(self):
+        # j = 7 used to check the string j = 1 and report j = 7
+        for j in (-1, 3, 7):
+            with pytest.raises(BadLabel):
+                string_dual_route_check(3, 0, 3, j=j)
+        for i in (-1, 4):
+            with pytest.raises(BadLabel):
+                string_dual_route_check(3, i, 3)
+
     def test_disagreement_raises(self):
         # sabotage: compare the (3,1) sector strings against the (3,2) kernel
         # dimensions by asking for an impossible label mix through the

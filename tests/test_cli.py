@@ -1,6 +1,7 @@
 """Front-end dispatch, output formats, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -265,3 +266,22 @@ def test_readme_commands_match_the_table():
         del args["format"], args["out"]
         cli._resolve(name, _TABLE[name], args)
     assert {argv[0] for argv in commands} == set(CHECKS) | {"all"}
+
+
+def test_fock_reports_match_the_benchmark_reference():
+    """The Fock-route reports are byte-identical to the ones recorded in
+    perfbench/reference.json (read here, never written)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())
+    commands = [f"string-dual-route --k 3 --i {i} --max-weight 4" for i in range(4)]
+    commands.append("singular-vector --k 3 --seed 0")
+    differ = []
+    for command in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(command.split()) == 0, command
+        data = buf.getvalue().encode()
+        want = reference[command]
+        if (len(data), hashlib.sha256(data).hexdigest()) != (want["bytes"], want["sha256"]):
+            differ.append(command)
+    assert not differ

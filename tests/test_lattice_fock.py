@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import all_modes_affine_dims
 from oracles import colored_partitions_table as colored_partitions
 from paraferm.errors import NonIntegralPairing
 from paraferm.lattice_fock import (
     FockState,
     StateVector,
+    _Echelon,
     affine_module_basis,
     central_charge_of,
     commutant_kernel,
@@ -274,6 +278,19 @@ class TestGeneratedSubspace:
         with pytest.raises(ValueError):
             generated_subspace([H, E, F], 2, seeds=[bad])
 
+    def test_g_minus_one_generation_matches_all_modes(self):
+        # generating with g(-1) alone spans what every g(-t) spans
+        for k in (2, 3, 4):
+            for i in range(k + 1):
+                want = all_modes_affine_dims(k, i, 3)
+                assert affine_module_basis(k, i, 3).dims() == want, (k, i)
+
+    def test_generators_must_close_under_zero_mode_brackets(self):
+        # H(0)H = 0: the (-1)-mode of H alone misses H(-2)
+        H, _, _ = sl2_generators(3, 2)
+        with pytest.raises(ValueError):
+            generated_subspace([H], 2)
+
     def test_lki_top_levels(self):
         # the i-th module has an (i+1)-dimensional top level
         for k, i in ((3, 1), (3, 2), (4, 2)):
@@ -386,3 +403,57 @@ class TestGoldenDumps:
         obj = b.to_obj()
         assert obj["dims"] == {"0": 1, "1": 3, "2": 9}
         assert obj["truncated"] is False
+
+
+def _normal(v: StateVector) -> bool:
+    """The invariants the public constructor establishes."""
+    return isinstance(v.truncation, Fraction) and all(
+        isinstance(c, Fraction) and c for c in v.terms.values()
+    )
+
+
+_SAMPLES = given(
+    seed=st.integers(0, 2**32),
+    m=st.integers(-2, 2),
+    c=st.fractions(-3, 3, max_denominator=4),
+)
+
+
+class TestStateVectorInvariants:
+    """Internally built vectors keep the public constructor's invariants, and
+    mode application is linear in its argument."""
+
+    LAT = rank_lattice(2)
+
+    def _vectors(self, seed: int, count: int) -> list[StateVector]:
+        rng = random.Random(seed)
+        return [
+            random_state_vector(self.LAT, 4, rng, nterms=3, max_weight=2) for _ in range(count)
+        ]
+
+    @_SAMPLES
+    @settings(max_examples=40, deadline=None)
+    def test_results_hold_only_nonzero_fractions(self, seed, m, c):
+        a, u, v = self._vectors(seed, 3)
+        ech = _Echelon()
+        ech.insert(u)
+        results = [
+            mode_apply(a, m, u),
+            heisenberg_apply(self.LAT.gamma(), m, u),
+            exp_mode_apply((2, 0), m, u),
+            u + v,
+            u + u.scale(-1),
+            u.scale(c),
+            ech.reduce(v),
+            ech.reduce(u + v),
+        ]
+        for r in results:
+            assert _normal(r), r.terms
+        assert (u + u.scale(-1)).is_zero()
+
+    @_SAMPLES
+    @settings(max_examples=40, deadline=None)
+    def test_mode_apply_is_linear(self, seed, m, c):
+        a, u, v = self._vectors(seed, 3)
+        assert mode_apply(a, m, u + v) == mode_apply(a, m, u) + mode_apply(a, m, v)
+        assert mode_apply(a, m, v.scale(c)) == mode_apply(a, m, v).scale(c)
