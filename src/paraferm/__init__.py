@@ -24,7 +24,6 @@ from .lattice_fock import (
     commutant_kernel,
     conformal_vectors,
     ek_power_check,
-    exp_apply,
     gamma_lattice,
     generated_subspace,
     heisenberg_apply,

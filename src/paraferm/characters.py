@@ -95,9 +95,6 @@ class StringFunction:
             raise ValueError("empty string function")
         return lead[0]
 
-    def coefficients(self) -> dict[Fraction, int]:
-        return {e: int(c) for e, c in sorted(self.series.terms.items())}
-
     def to_obj(self) -> dict:
         top = self.top_weight
         coeffs = []

@@ -5,7 +5,7 @@ machine-readable report per check (JSON lines by default, a table with
 --format table); `all` runs the whole suite over a range of levels.  Exit
 code 0 when everything passes, 1 on any failure, 2 on usage errors.
 
-The table The table CHECKS declares each check once, and the subcommands, `run_check`
+The table CHECKS declares each check once, and the subcommands, `run_check`
 and `run_all` read it.  Every param is an integer, validated before any
 computation: a missing, unknown or out-of-range one is a usage error.
 `paraferm CHECK --help` shows the ranges; below, (default) and [truncation]:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from math import comb, floor, isqrt
 from typing import NamedTuple
 
@@ -66,6 +67,12 @@ class Lattice:
 
     gram: tuple[int, ...]
     den: int
+    # memo tables of the mode computations on this lattice, see _per_lattice
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __reduce__(self):
+        # pickle the lattice without its tables
+        return (Lattice, (self.gram, self.den))
 
     @property
     def rank(self) -> int:
@@ -91,9 +98,6 @@ class Lattice:
     def gamma(self) -> tuple[int, ...]:
         """The distinguished norm-sum vector b_1 + ... + b_r."""
         return (self.den,) * self.rank
-
-    def sector_of(self, point: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(c % self.den for c in point)
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple(x + y for x, y in zip(a, b))
@@ -123,26 +127,31 @@ class FockState(NamedTuple):
     modes: tuple[tuple[int, int], ...]
 
 
-_POINT_W_CACHE: dict = {}
-_PAIR_CACHE: dict = {}
+def _per_lattice(fn):
+    """Memoise fn(lat, *args) in a table of lat.memo keyed by args, so the
+    table lives and dies with the lattice instance."""
+
+    @wraps(fn)
+    def memoised(lat, *args):
+        table = lat.memo.get(fn)
+        if table is None:
+            table = lat.memo[fn] = {}
+        hit = table.get(args)
+        if hit is None:
+            hit = table[args] = fn(lat, *args)
+        return hit
+
+    return memoised
 
 
+@_per_lattice
 def _point_weight(lat: Lattice, point) -> Fraction:
-    key = (lat, point)
-    w = _POINT_W_CACHE.get(key)
-    if w is None:
-        w = lat.point_weight(point)
-        _POINT_W_CACHE[key] = w
-    return w
+    return lat.point_weight(point)
 
 
+@_per_lattice
 def _pairing(lat: Lattice, beta, point) -> Fraction:
-    key = (lat, beta, point)
-    w = _PAIR_CACHE.get(key)
-    if w is None:
-        w = lat.pairing(beta, point)
-        _PAIR_CACHE[key] = w
-    return w
+    return lat.pairing(beta, point)
 
 
 def state_weight(lat: Lattice, s: FockState) -> Fraction:
@@ -204,19 +213,8 @@ class StateVector:
             raise ValueError("vector does not have a single charge")
         return vals.pop()
 
-    def sector(self):
-        secs = {self.lattice.sector_of(s.point) for s in self.terms}
-        if not secs:
-            return None
-        if len(secs) != 1:
-            raise ValueError("vector spans several sectors")
-        return secs.pop()
-
     def coefficient(self, state: FockState) -> Fraction:
         return self.terms.get(state, Fraction(0))
-
-    def vacuum_coefficient(self) -> Fraction:
-        return self.terms.get(FockState(self.lattice.zero_point(), ()), Fraction(0))
 
     def __eq__(self, other):
         if not isinstance(other, StateVector):
@@ -357,21 +355,14 @@ def _annihilate(bp, n: int, v: StateVector) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-_ANN_CACHE: dict = {}
-_CRE_CACHE: dict = {}
-
-
+@_per_lattice
 def _annihilation_layers(lat, beta, modes: tuple):
     """Annihilation half of the exponential field on one mode tuple: layer b
     collects the z^(-b) part as a map (surviving modes) -> coefficient.
 
     T_0 = id, T_b = -(1/b) sum_{t=1..b} beta(t) T_(b-t).  Independent of the
-    lattice point, hence cached per (lattice, beta, modes).
+    lattice point, hence memoised per (beta, modes).
     """
-    key = (lat, beta, modes)
-    hit = _ANN_CACHE.get(key)
-    if hit is not None:
-        return hit
     bp = [lat.basis_pairing(beta, p) for p in range(lat.rank)]
     mw = sum(n for _, n in modes)
     layers: list[dict[tuple, Fraction]] = [{modes: Fraction(1)}]
@@ -382,46 +373,33 @@ def _annihilation_layers(lat, beta, modes: tuple):
                 for rest, f in _contractions(mds, t, bp):
                     _accumulate(acc, rest, c * f)
         layers.append({m: v / -b for m, v in acc.items()})
-    _ANN_CACHE[key] = layers
     return layers
 
 
+@_per_lattice
 def _creation_poly(lat, beta, a: int) -> dict[tuple, Fraction]:
     """Degree-a part of the creation half as a map (created modes) ->
     coefficient: S_0 = id, S_a = (1/a) sum_{t=1..a} beta(-t) S_(a-t)."""
-    key = (lat, beta, a)
-    hit = _CRE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if a == 0:
-        out = {(): Fraction(1)}
-    else:
-        acc: dict[tuple, Fraction] = {}
-        for t in range(1, a + 1):
-            for mds, c in _creation_poly(lat, beta, a - t).items():
-                for p in range(lat.rank):
-                    if beta[p]:
-                        _accumulate(acc, _insert_mode(mds, p, t), c * Fraction(beta[p], lat.den))
-        out = {m: c / a for m, c in acc.items()}
-    _CRE_CACHE[key] = out
-    return out
+        return {(): Fraction(1)}
+    acc: dict[tuple, Fraction] = {}
+    for t in range(1, a + 1):
+        for mds, c in _creation_poly(lat, beta, a - t).items():
+            for p in range(lat.rank):
+                if beta[p]:
+                    _accumulate(acc, _insert_mode(mds, p, t), c * Fraction(beta[p], lat.den))
+    return {m: c / a for m, c in acc.items()}
 
 
 def _merge_modes(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b))
 
 
-_COMP_CACHE: dict = {}
-
-
+@_per_lattice
 def _exp_component(lat, beta, modes: tuple, d: int) -> dict[tuple, Fraction]:
     """Net-degree-d part of the normally ordered exponential expansion on one
     mode tuple: sum over b of S_(b+d) T_b, merged; every entry has mode
     weight (weight of `modes`) + d."""
-    key = (lat, beta, modes, d)
-    hit = _COMP_CACHE.get(key)
-    if hit is not None:
-        return hit
     layers = _annihilation_layers(lat, beta, modes)
     acc: dict[tuple, Fraction] = {}
     for b in range(len(layers)):
@@ -432,7 +410,6 @@ def _exp_component(lat, beta, modes: tuple, d: int) -> dict[tuple, Fraction]:
         for tmds, tc in layers[b].items():
             for cmds, cc in cre.items():
                 _accumulate(acc, _merge_modes(tmds, cmds), tc * cc)
-    _COMP_CACHE[key] = acc
     return acc
 
 
@@ -477,37 +454,6 @@ def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
         for mds, cc in _exp_component(lat, beta, s.modes, d).items():
             _accumulate(acc, FockState(newpoint, mds), c * cc)
     return v._with(acc, flagged)
-
-
-def exp_apply(beta, v: StateVector, weight_window) -> dict:
-    """All mode components of Y(e^beta, z) applied to v whose results lie in
-    the inclusive weight window; keyed by the z-exponent."""
-    lat = v.lattice
-    beta = tuple(beta)
-    pairs = _point_pairings(lat, beta, v)
-    wmin, wmax = (_rat(weight_window[0]), _rat(weight_window[1]))
-    wmax = min(wmax, v.truncation)
-    wtb = lat.point_weight(beta)
-    out: dict[Fraction, dict] = {}
-    for s, c in v.terms.items():
-        pair = pairs[s.point]
-        base = state_weight(lat, s) + pair + wtb
-        newpoint = lat.add(s.point, beta)
-        mw = _mode_weight(s)
-        d = -mw  # smallest net degree with a surviving term
-        while base + d <= wmax:
-            if base + d >= wmin:
-                comp = _exp_component(lat, beta, s.modes, d)
-                if comp:
-                    bucket = out.setdefault(d + pair, {})
-                    for mds, cc in comp.items():
-                        _accumulate(bucket, FockState(newpoint, mds), c * cc)
-            d += 1
-    return {
-        z: v._with(terms)
-        for z, terms in sorted(out.items())
-        if terms
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -788,13 +734,12 @@ def intertwiner_leading_check(k: int, truncation=3) -> Report:
     lat = gamma_lattice(k)
     T = _rat(truncation)
     v = StateVector.exponential(lat, (-2,), T)
-    beta = (2,)
-    fam = exp_apply(beta, v, (0, 2))
-    z0 = Fraction(-2, k)
+    # the mode m sits at z^(-m-1): m = 2/k - 1 at z^(-2/k), one less at z^(1-2/k)
+    m0 = Fraction(2, k) - 1
+    got0 = exp_mode_apply((2,), m0, v)
+    got1 = exp_mode_apply((2,), m0 - 1, v)
     vac = StateVector.vacuum(lat, T)
     want1 = heisenberg_apply(lat.gamma(), -1, vac).scale(Fraction(1, k))
-    got0 = fam.get(z0, StateVector(lat, T))
-    got1 = fam.get(z0 + 1, StateVector(lat, T))
     entries = [
         (
             "coefficient of z^(-2/k) is the vacuum",
@@ -878,9 +823,6 @@ class GradedBasis:
                 key = (w - self.aff_offset, v.charge())
                 out[key] = out.get(key, 0) + 1
         return out
-
-    def vectors(self, weight) -> list[StateVector]:
-        return self.layers.get(_rat(weight), [])
 
     def to_obj(self) -> dict:
         """JSON-ready graded-dimension table."""
@@ -1011,7 +953,7 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
         if not r:
             continue
         pc = min(r)
-        inv = 1 / r[pc]
+        inv = 1 / _rat(r[pc])
         r = {c: v * inv for c, v in r.items()}
         for idx, (opc, orow) in enumerate(ech):
             cv = orow.get(pc)

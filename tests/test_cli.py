@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import paraferm
 from paraferm import cli
 from paraferm.cli import ALL, CHECKS, main, run_all, run_check
 from paraferm.errors import BadParams, UnknownCheck
@@ -105,12 +106,15 @@ class TestMain:
 
 
 def _run_cli(*args, **env):
-    """Run `python -m paraferm ARGS` with the parent's environment plus ENV."""
+    """Run `python -m paraferm ARGS` with the parent's environment plus ENV,
+    importing the same paraferm as this process does."""
+    src = str(Path(paraferm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "paraferm", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, **env},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 

@@ -1,6 +1,9 @@
 """Fock-space mode operators, generators, conformal vectors, kernels."""
 
+import gc
+import pickle
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -19,7 +22,6 @@ from paraferm.lattice_fock import (
     commutant_kernel,
     conformal_vectors,
     ek_power_check,
-    exp_apply,
     exp_mode_apply,
     gamma_lattice,
     generated_subspace,
@@ -27,6 +29,7 @@ from paraferm.lattice_fock import (
     intertwiner_leading_check,
     kernel_dims,
     mode_apply,
+    nullspace,
     ope_check,
     rank_lattice,
     random_state_vector,
@@ -123,15 +126,21 @@ class TestExpApply:
             assert r.status == "pass", r.to_json()
 
     def test_intertwiner_modes_explicitly(self):
+        # the z-exponent -m-1 of the mode m runs -5/3, -2/3, 1/3, 4/3 here
         k = 3
         lat = gamma_lattice(k)
         v = StateVector.exponential(lat, (-2,), 3)
-        fam = exp_apply((2,), v, (0, 2))
-        assert set(fam) == {Q(-2, 3), Q(1, 3), Q(4, 3)}
-        assert fam[Q(-2, 3)] == StateVector.vacuum(lat, 3)
+
+        def component(z):
+            return exp_mode_apply((2,), -z - 1, v)
+
         vac = StateVector.vacuum(lat, 3)
         want = heisenberg_apply(lat.gamma(), -1, vac).scale(Q(1, k))
-        assert fam[Q(-2, 3) + 1] == want
+        assert component(Q(-5, 3)).is_zero()
+        assert component(Q(-2, 3)) == vac
+        assert component(Q(1, 3)) == want
+        third = component(Q(4, 3))
+        assert not third.is_zero() and third.weights() == {2}
 
     def test_root_exponential_pairing(self):
         # the z^(-2) coefficient of the field of e^(b_1) on e^(-b_1) is 1
@@ -148,6 +157,61 @@ class TestExpApply:
         )
         with pytest.raises(NonIntegralPairing):
             exp_mode_apply((2,), 0, mixed)
+
+
+class TestLatticeMemo:
+    """Mode computations are memoised in tables owned by the Lattice."""
+
+    @staticmethod
+    def _work(lat):
+        E = StateVector.exponential(lat, (2, 0, 0), 4)
+        F = StateVector.exponential(lat, (-2, 0, 0), 4)
+        return mode_apply(E, -1, F)
+
+    def test_work_fills_only_its_own_lattice(self):
+        lat, twin = rank_lattice(3), rank_lattice(3)
+        self._work(lat)
+        assert lat.memo
+        assert twin.memo == {}
+
+    def test_memo_is_invisible_to_eq_hash_repr(self):
+        lat, twin = rank_lattice(3), rank_lattice(3)
+        self._work(lat)
+        assert lat.memo != twin.memo
+        assert lat == twin
+        assert hash(lat) == hash(twin)
+        assert repr(lat) == repr(twin) == "Lattice(gram=(2, 2, 2), den=2)"
+
+    def test_tables_are_freed_with_the_lattice(self):
+        lat = rank_lattice(3)
+        ref = weakref.ref(lat)
+        v = self._work(lat)
+        assert lat.memo
+        del lat, v
+        gc.collect()
+        assert ref() is None
+
+    def test_pickle_round_trip_drops_the_tables(self):
+        lat = rank_lattice(3)
+        v = self._work(lat)
+        assert not v.is_zero() and lat.memo
+        w = pickle.loads(pickle.dumps(v))
+        assert w == v
+        assert (w.truncation, w.truncated) == (v.truncation, v.truncated)
+        assert w.lattice == lat and w.lattice is not lat
+        assert w.lattice.memo == {}
+        assert self._work(w.lattice) == v
+
+
+class TestNullspace:
+    def test_int_rows_give_fractions(self):
+        for rows, ncols, want in [
+            ([{0: 1, 1: 2}], 2, [{0: -2, 1: 1}]),
+            ([{0: 2, 1: 4, 2: 6}, {1: 3, 2: 3}], 3, [{0: -1, 1: -1, 2: 1}]),
+        ]:
+            out = nullspace(rows, ncols)
+            assert out == want
+            assert all(isinstance(c, Fraction) for x in out for c in x.values())
 
 
 class TestSl2Generators:
