@@ -10,9 +10,6 @@ from .qseries import (
     free_w_char,
     heisenberg_char,
     lattice_coset_char,
-    qs_add,
-    qs_inv_unit,
-    qs_mul,
 )
 from .lattice_fock import (
     FockState,

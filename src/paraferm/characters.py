@@ -230,7 +230,7 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None, st
     for jj in js:
         lam = lams[jj]
         top_est = topweight_para(k, i, jj)
-        kdims = lattice_fock.kernel_dims(lattice_fock.commutant_kernel(basis, lam))
+        kdims = lattice_fock.commutant_dims(basis, lam)
         st = string_function(k, i, jj, T + max_heis + 1, _char=ch)
         cover = min(st.series.truncation, T)
         mism = []

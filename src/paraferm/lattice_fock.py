@@ -13,10 +13,19 @@ e^beta dressed with creation modes b_p(-n).  Two instances are used:
   of gamma/2k, used for intertwining-operator computations with fractional
   z-powers.
 
-All coefficients are exact rationals.  A global weight truncation bounds
-every stored state; creation results beyond it are dropped and recorded in
-a sticky ``truncated`` flag (overflow is a flag, never an exception), so a
-check consuming flagged vectors can only report success up to truncation.
+All coefficients are exact rationals, kept as integer numerators over one
+positive denominator: a vector holds ``num`` (state -> int) and ``den`` with
+the gcd of the numerators prime to ``den``, and every memoised coefficient
+table is one dict of integer numerators with its denominator.  The hot loops
+add and multiply plain ints; `StateVector.terms`, ``coefficient`` and
+``canonical_text`` present the same values as ``Fraction``s, and the public
+constructor takes ints or ``Fraction``s.  Eliminations (`_Echelon`,
+`nullspace`, `rank`) are fraction-free on primitive integer rows.
+
+A global weight truncation bounds every stored state; creation results
+beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
+is a flag, never an exception), so a check consuming flagged vectors can
+only report success up to truncation.
 """
 
 from __future__ import annotations
@@ -25,7 +34,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
-from math import comb, floor, isqrt
+from math import comb, floor, gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NonIntegralPairing
@@ -38,18 +48,47 @@ def _rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _accumulate(acc: dict, key, c) -> None:
-    """acc[key] += c for a nonzero c; a new key stores c itself and a sum of
-    zero deletes the key, so acc never holds a zero coefficient."""
-    old = acc.get(key)
-    if old is None:
-        acc[key] = c
-        return
-    new = old + c
-    if new:
-        acc[key] = new
-    else:
-        del acc[key]
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction: mode indices are
+    mostly integers, and int arithmetic on them is much cheaper."""
+    x = _rat(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _canonical(num: dict, den: int) -> tuple[dict, int]:
+    """num/den with zero numerators dropped and the common factor of the
+    numerators and den cancelled (den > 0 in and out)."""
+    if 0 in num.values():
+        num = {s: c for s, c in num.items() if c}
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            num = {s: c // g for s, c in num.items()}
+            den //= g
+    return num, den
+
+
+def _add_into(acc: dict, den: int, c: int, num: dict, d: int) -> int:
+    """acc/den += c * num/d in place, for int dicts acc and num and an int c;
+    returns the new denominator lcm(den, d), to which acc is rescaled."""
+    L = lcm(den, d)
+    if L != den:
+        f = L // den
+        for s in acc:
+            acc[s] *= f
+    f = c * (L // d)
+    for s, x in num.items():
+        acc[s] = acc.get(s, 0) + f * x
+    return L
+
+
+def _lincomb(pieces) -> tuple[dict, int]:
+    """sum c * num / d over the (c, num, d) pieces, in canonical form."""
+    acc: dict = {}
+    den = 1
+    for c, num, d in pieces:
+        den = _add_into(acc, den, c, num, d)
+    return _canonical(acc, den)
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +126,6 @@ class Lattice:
 
     def point_weight(self, a: tuple[int, ...]) -> Fraction:
         return self.norm(a) / 2
-
-    def basis_pairing(self, beta: tuple[int, ...], p: int) -> Fraction:
-        """<beta, b_p>."""
-        return Fraction(beta[p] * self.gram[p], self.den)
 
     def zero_point(self) -> tuple[int, ...]:
         return (0,) * self.rank
@@ -150,39 +185,57 @@ def _point_weight(lat: Lattice, point) -> Fraction:
 
 
 @_per_lattice
-def _pairing(lat: Lattice, beta, point) -> Fraction:
-    return lat.pairing(beta, point)
+def _pairing(lat: Lattice, beta, point) -> int:
+    """Numerator of <beta, point> over the table's denominator den^2."""
+    return sum(x * y * g for x, y, g in zip(beta, point, lat.gram))
 
 
-def state_weight(lat: Lattice, s: FockState) -> Fraction:
-    return _point_weight(lat, s.point) + sum(n for _, n in s.modes)
+_mode_n = itemgetter(1)
 
 
 def _mode_weight(s: FockState) -> int:
-    return sum(n for _, n in s.modes)
+    return sum(map(_mode_n, s.modes))
+
+
+def state_weight(lat: Lattice, s: FockState) -> Fraction:
+    return _point_weight(lat, s.point) + _mode_weight(s)
+
+
+def _floor_minus_weight(lat: Lattice, c: Fraction, point) -> int:
+    """floor(c - weight(point)), in integers: twice a point weight is its
+    self-pairing numerator over den^2."""
+    q = 2 * lat.den * lat.den
+    return (c.numerator * q - _pairing(lat, point, point) * c.denominator) // (c.denominator * q)
 
 
 class StateVector:
     """Sparse exact-rational linear combination of Fock states.
 
-    Immutable by convention; all operations return fresh vectors.  The
-    ``truncated`` flag is sticky: it is set whenever a creation result was
-    dropped for exceeding the truncation, in this vector or any ancestor.
+    The coefficients are ``num[state] / den``: nonzero int numerators over
+    one positive int denominator with gcd(numerators, den) = 1, so equal
+    vectors have equal ``num`` and ``den``.  ``terms`` is the same map with
+    ``Fraction`` coefficients.  Immutable by convention; all operations
+    return fresh vectors.  The ``truncated`` flag is sticky: it is set
+    whenever a creation result was dropped for exceeding the truncation, in
+    this vector or any ancestor.
     """
 
-    __slots__ = ("lattice", "truncation", "terms", "truncated")
+    __slots__ = ("lattice", "truncation", "num", "den", "truncated", "_terms")
 
     def __init__(self, lattice: Lattice, truncation, terms=None, truncated=False):
-        self.lattice = lattice
-        self.truncation = _rat(truncation)
-        self.terms: dict[FockState, Fraction] = {}
-        self.truncated = bool(truncated)
+        acc: dict[FockState, Fraction] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for s, c in items:
-                c = _rat(c)
-                if c:
-                    _accumulate(self.terms, s, c)
+                acc[s] = acc.get(s, 0) + _rat(c)
+        den = lcm(*(c.denominator for c in acc.values()))
+        self.lattice = lattice
+        self.truncation = _rat(truncation)
+        self.num, self.den = _canonical(
+            {s: c.numerator * (den // c.denominator) for s, c in acc.items()}, den
+        )
+        self.truncated = bool(truncated)
+        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
@@ -192,94 +245,110 @@ class StateVector:
 
     @classmethod
     def exponential(cls, lattice, point, truncation=DEFAULT_TRUNCATION) -> "StateVector":
-        return cls(lattice, truncation, {FockState(tuple(point), ()): Fraction(1)})
+        return cls(lattice, truncation, {FockState(tuple(point), ()): 1})
 
     # -- queries -------------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[FockState, Fraction]:
+        """The coefficients as Fractions, built on first use."""
+        if self._terms is None:
+            den = self.den
+            self._terms = {s: Fraction(c, den) for s, c in self.num.items()}
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def weights(self) -> set[Fraction]:
-        return {state_weight(self.lattice, s) for s in self.terms}
+        return {state_weight(self.lattice, s) for s in self.num}
 
     def max_weight(self) -> Fraction:
-        return max(self.weights(), default=Fraction(0))
+        lat = self.lattice
+        # twice the weight of a state, over q = 2 den^2
+        q = 2 * lat.den * lat.den
+        top = max(
+            (_pairing(lat, s.point, s.point) + q * _mode_weight(s) for s in self.num), default=0
+        )
+        return Fraction(top, q)
 
     def charge(self) -> Fraction:
         """gamma(0)-eigenvalue; raises if the vector mixes charges."""
-        gamma = self.lattice.gamma()
-        vals = {_pairing(self.lattice, gamma, point) for point in {s.point for s in self.terms}}
+        lat = self.lattice
+        gamma = lat.gamma()
+        vals = {_pairing(lat, gamma, point) for point in {s.point for s in self.num}}
         if len(vals) != 1:
             raise ValueError("vector does not have a single charge")
-        return vals.pop()
+        return Fraction(vals.pop(), lat.den * lat.den)
 
     def coefficient(self, state: FockState) -> Fraction:
-        return self.terms.get(state, Fraction(0))
+        return Fraction(self.num.get(state, 0), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, StateVector):
             return NotImplemented
-        return self.lattice == other.lattice and self.terms == other.terms
+        return self.lattice == other.lattice and self.den == other.den and self.num == other.num
 
     def __hash__(self):
         return hash((self.lattice, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
-        n = len(self.terms)
+        n = len(self.num)
         return f"StateVector({n} terms, T={self.truncation}, truncated={self.truncated})"
 
     def canonical_text(self) -> str:
         """Deterministic plain-text dump: one `point | modes | coefficient`
         line per state in canonical order."""
+        terms = self.terms
         lines = []
-        for s in sorted(self.terms):
-            lines.append(f"{list(s.point)} | {list(s.modes)} | {self.terms[s]}")
+        for s in sorted(terms):
+            lines.append(f"{list(s.point)} | {list(s.modes)} | {terms[s]}")
         return "\n".join(lines)
 
     # -- linear structure ------------------------------------------------------
 
-    def _with(self, terms: dict, truncated=None, truncation=None) -> "StateVector":
-        """Internal constructor: a vector on the same lattice (by default with
-        the same truncation and flag) that takes a dict built in this module
-        as it is, without normalising.  The dict holds no zero coefficient and
-        only Fraction values; a truncation passed in is a Fraction."""
+    def _with(self, num: dict, den: int, truncated=None, truncation=None) -> "StateVector":
+        """Internal constructor: the vector num/den on the same lattice (by
+        default with the same truncation and flag), put in canonical form.
+        num maps states to ints (zeros allowed), den is a positive int and a
+        truncation passed in is a Fraction."""
         v = StateVector.__new__(StateVector)
         v.lattice = self.lattice
         v.truncation = self.truncation if truncation is None else truncation
-        v.terms = terms
+        v.num, v.den = _canonical(num, den)
         v.truncated = self.truncated if truncated is None else truncated
+        v._terms = None
         return v
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.lattice != other.lattice:
             raise ValueError("cannot add vectors over different lattices")
-        acc = dict(self.terms)
-        for s, c in other.terms.items():
-            _accumulate(acc, s, c)
+        acc = dict(self.num)
+        den = _add_into(acc, self.den, 1, other.num, other.den)
         truncation = min(self.truncation, other.truncation)
-        return self._with(acc, self.truncated or other.truncated, truncation)
+        return self._with(acc, den, self.truncated or other.truncated, truncation)
 
     def __neg__(self) -> "StateVector":
-        return self._with({s: -c for s, c in self.terms.items()})
+        return self._with({s: -c for s, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "StateVector") -> "StateVector":
         return self + (-other)
 
     def scale(self, c) -> "StateVector":
         c = _rat(c)
-        if not c:
-            return self._with({})
-        return self._with({s: c * v for s, v in self.terms.items()})
+        p = c.numerator
+        num = {s: p * x for s, x in self.num.items()} if p else {}
+        return self._with(num, self.den * c.denominator)
 
     def is_multiple_of_vacuum(self):
         """The scalar c with self = c * vacuum, or None."""
-        if not self.terms:
+        if not self.num:
             return Fraction(0)
-        if len(self.terms) != 1:
+        if len(self.num) != 1:
             return None
-        (s, c), = self.terms.items()
+        (s, c), = self.num.items()
         if s.point == self.lattice.zero_point() and not s.modes:
-            return c
+            return Fraction(c, self.den)
         return None
 
 
@@ -295,15 +364,16 @@ def _insert_mode(modes: tuple, p: int, n: int) -> tuple:
     return tuple(out)
 
 
-def _contractions(modes: tuple, n: int, bp):
-    """For each distinct b_p(-n) in the sorted mode tuple with bp[p] =
-    <beta, b_p> nonzero: the tuple with one copy removed, and the factor
-    n <beta, b_p> times its multiplicity with which beta(n) removes it."""
+def _contractions(modes: tuple, bp):
+    """For each distinct b_p(-n) in the sorted mode tuple with bp[p], the
+    numerator of <beta, b_p>, nonzero: the tuple with one copy removed, n,
+    and the factor n bp[p] times its multiplicity with which beta(n)
+    removes it."""
     prev = None
     for idx, pm in enumerate(modes):
         # sorted, so a repeated pair directly follows its first copy
-        if pm != prev and pm[1] == n and bp[pm[0]]:
-            yield modes[:idx] + modes[idx + 1:], modes.count(pm) * n * bp[pm[0]]
+        if pm != prev and bp[pm[0]]:
+            yield modes[:idx] + modes[idx + 1:], pm[1], modes.count(pm) * pm[1] * bp[pm[0]]
         prev = pm
 
 
@@ -316,38 +386,48 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
     """
     lat = v.lattice
     beta = tuple(beta)
+    # <beta, b_p> = beta[p] gram[p] / den and <beta, point> = pairing / den^2
     if n > 0:
-        return _annihilate([lat.basis_pairing(beta, p) for p in range(lat.rank)], n, v)
-    acc: dict[FockState, Fraction] = {}
-    flagged = v.truncated
+        bp = [x * g for x, g in zip(beta, lat.gram)]
+        return v._with(_annihilations(bp, v.num).get(n, {}), v.den * lat.den)
+    acc: dict[FockState, int] = {}
     if n == 0:
-        for s, c in v.terms.items():
+        for s, c in v.num.items():
             pair = _pairing(lat, beta, s.point)
             if pair:
-                _accumulate(acc, s, c * pair)
-    else:
-        step = -n
-        for s, c in v.terms.items():
-            if state_weight(lat, s) + step > v.truncation:
-                flagged = True
-                continue
-            for p in range(lat.rank):
-                if beta[p]:
-                    _accumulate(
-                        acc,
-                        FockState(s.point, _insert_mode(s.modes, p, step)),
-                        c * Fraction(beta[p], lat.den),
-                    )
-    return v._with(acc, flagged)
+                acc[s] = c * pair
+        return v._with(acc, v.den * lat.den * lat.den)
+    step = -n
+    flagged = v.truncated
+    # mode weight a result may carry at each point: state_weight + step <= T
+    room: dict[tuple, int] = {}
+    for s, c in v.num.items():
+        r = room.get(s.point)
+        if r is None:
+            r = room[s.point] = _floor_minus_weight(lat, v.truncation, s.point)
+        if _mode_weight(s) + step > r:
+            flagged = True
+            continue
+        for p, b in enumerate(beta):
+            if b:
+                key = FockState(s.point, _insert_mode(s.modes, p, step))
+                acc[key] = acc.get(key, 0) + c * b
+    return v._with(acc, v.den * lat.den, flagged)
 
 
-def _annihilate(bp, n: int, v: StateVector) -> StateVector:
-    """beta(n) for n >= 1, beta given by its pairings bp[p] = <beta, b_p>."""
-    acc: dict[FockState, Fraction] = {}
-    for s, c in v.terms.items():
-        for rest, f in _contractions(s.modes, n, bp):
-            _accumulate(acc, FockState(s.point, rest), c * f)
-    return v._with(acc)
+def _annihilations(bp, num: dict) -> dict[int, dict]:
+    """n -> numerators of beta(n) num for every n >= 1 with a contraction,
+    in one pass over num; beta is given by the numerators bp[p] of its
+    pairings <beta, b_p> (their denominator is the caller's)."""
+    out: dict[int, dict] = {}
+    for s, c in num.items():
+        for rest, n, f in _contractions(s.modes, bp):
+            acc = out.get(n)
+            if acc is None:
+                acc = out[n] = {}
+            key = FockState(s.point, rest)
+            acc[key] = acc.get(key, 0) + c * f
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,40 +435,49 @@ def _annihilate(bp, n: int, v: StateVector) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
-@_per_lattice
-def _annihilation_layers(lat, beta, modes: tuple):
+def _annihilation_layers(lat, beta, modes: tuple) -> list[tuple[dict, int]]:
     """Annihilation half of the exponential field on one mode tuple: layer b
-    collects the z^(-b) part as a map (surviving modes) -> coefficient.
+    collects the z^(-b) part as (surviving modes -> numerator, denominator).
 
     T_0 = id, T_b = -(1/b) sum_{t=1..b} beta(t) T_(b-t).  Independent of the
-    lattice point, hence memoised per (beta, modes).
+    lattice point.  Not memoised: `_exp_component` memoises what it builds
+    from the layers, and keeping the layers too would cost more memory than
+    rebuilding them for each net degree costs time.
     """
-    bp = [lat.basis_pairing(beta, p) for p in range(lat.rank)]
-    mw = sum(n for _, n in modes)
-    layers: list[dict[tuple, Fraction]] = [{modes: Fraction(1)}]
+    bp = [x * g for x, g in zip(beta, lat.gram)]
+    mw = sum(map(_mode_n, modes))
+    layers = [({modes: 1}, 1)]
     for b in range(1, mw + 1):
-        acc: dict[tuple, Fraction] = {}
+        pieces = []
         for t in range(1, b + 1):
-            for mds, c in layers[b - t].items():
-                for rest, f in _contractions(mds, t, bp):
-                    _accumulate(acc, rest, c * f)
-        layers.append({m: v / -b for m, v in acc.items()})
+            num, den = layers[b - t]
+            acc: dict[tuple, int] = {}
+            for mds, c in num.items():
+                for rest, n, f in _contractions(mds, bp):
+                    if n == t:
+                        acc[rest] = acc.get(rest, 0) + c * f
+            pieces.append((-1, acc, den * lat.den * b))
+        layers.append(_lincomb(pieces))
     return layers
 
 
 @_per_lattice
-def _creation_poly(lat, beta, a: int) -> dict[tuple, Fraction]:
-    """Degree-a part of the creation half as a map (created modes) ->
-    coefficient: S_0 = id, S_a = (1/a) sum_{t=1..a} beta(-t) S_(a-t)."""
+def _creation_poly(lat, beta, a: int) -> tuple[dict, int]:
+    """Degree-a part of the creation half as (created modes -> numerator,
+    denominator): S_0 = id, S_a = (1/a) sum_{t=1..a} beta(-t) S_(a-t)."""
     if a == 0:
-        return {(): Fraction(1)}
-    acc: dict[tuple, Fraction] = {}
+        return {(): 1}, 1
+    pieces = []
     for t in range(1, a + 1):
-        for mds, c in _creation_poly(lat, beta, a - t).items():
-            for p in range(lat.rank):
-                if beta[p]:
-                    _accumulate(acc, _insert_mode(mds, p, t), c * Fraction(beta[p], lat.den))
-    return {m: c / a for m, c in acc.items()}
+        num, den = _creation_poly(lat, beta, a - t)
+        acc: dict[tuple, int] = {}
+        for mds, c in num.items():
+            for p, b in enumerate(beta):
+                if b:
+                    key = _insert_mode(mds, p, t)
+                    acc[key] = acc.get(key, 0) + c * b
+        pieces.append((1, acc, den * lat.den * a))
+    return _lincomb(pieces)
 
 
 def _merge_modes(a: tuple, b: tuple) -> tuple:
@@ -396,28 +485,30 @@ def _merge_modes(a: tuple, b: tuple) -> tuple:
 
 
 @_per_lattice
-def _exp_component(lat, beta, modes: tuple, d: int) -> dict[tuple, Fraction]:
+def _exp_component(lat, beta, modes: tuple, d: int) -> tuple[dict, int]:
     """Net-degree-d part of the normally ordered exponential expansion on one
-    mode tuple: sum over b of S_(b+d) T_b, merged; every entry has mode
-    weight (weight of `modes`) + d."""
-    layers = _annihilation_layers(lat, beta, modes)
-    acc: dict[tuple, Fraction] = {}
-    for b in range(len(layers)):
+    mode tuple, sum over b of S_(b+d) T_b merged, as (modes -> numerator,
+    denominator); every entry has mode weight (weight of `modes`) + d."""
+    pieces = []
+    for b, (tnum, tden) in enumerate(_annihilation_layers(lat, beta, modes)):
         a = b + d
-        if a < 0 or not layers[b]:
+        if a < 0 or not tnum:
             continue
-        cre = _creation_poly(lat, beta, a)
-        for tmds, tc in layers[b].items():
-            for cmds, cc in cre.items():
-                _accumulate(acc, _merge_modes(tmds, cmds), tc * cc)
-    return acc
+        cnum, cden = _creation_poly(lat, beta, a)
+        acc: dict[tuple, int] = {}
+        for tmds, tc in tnum.items():
+            for cmds, cc in cnum.items():
+                key = _merge_modes(tmds, cmds)
+                acc[key] = acc.get(key, 0) + tc * cc
+        pieces.append((1, acc, tden * cden))
+    return _lincomb(pieces)
 
 
-def _point_pairings(lat, beta, v: StateVector) -> dict[tuple, Fraction]:
-    """<beta, point> for each distinct lattice point of v; raises unless
-    they agree mod 1."""
-    pairs = {point: _pairing(lat, beta, point) for point in {s.point for s in v.terms}}
-    if len({x % 1 for x in pairs.values()}) > 1:
+def _point_pairings(lat, beta, v: StateVector) -> dict[tuple, int]:
+    """Numerators of <beta, point> over den^2 for each distinct lattice point
+    of v; raises unless the pairings agree mod 1."""
+    pairs = {point: _pairing(lat, beta, point) for point in {s.point for s in v.num}}
+    if len({x % (lat.den * lat.den) for x in pairs.values()}) > 1:
         raise NonIntegralPairing(
             "mode components of the exponential field are ill-defined: "
             "the pairing with the sector is not constant mod 1"
@@ -433,27 +524,39 @@ def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
     """
     lat = v.lattice
     beta = tuple(beta)
-    m = _rat(m)
-    wtb = lat.point_weight(beta)
+    m = _exact(m)
     # per lattice point: the mode weight a result may carry under the
-    # truncation, the net degree d (None if fractional), the shifted point
+    # truncation, floor(T - wt(point) - wt(beta) + m + 1), the net degree
+    # d = -m - 1 - <beta, point> (None if fractional) and the shifted point,
+    # in integers: the pairing is a numerator over den^2
+    top = v.truncation - _point_weight(lat, beta) + m + 1
+    base = -m - 1
+    bn, bd = base.numerator * lat.den * lat.den, base.denominator * lat.den * lat.den
     per_point = {}
     for point, pair in _point_pairings(lat, beta, v).items():
-        d = -m - 1 - pair
-        room = floor(v.truncation - _point_weight(lat, point) - wtb + m + 1)
-        per_point[point] = (room, int(d) if d.denominator == 1 else None, lat.add(point, beta))
-    acc: dict[FockState, Fraction] = {}
+        room = _floor_minus_weight(lat, top, point)
+        d, frac = divmod(bn - pair * base.denominator, bd)
+        per_point[point] = (room, None if frac else d, lat.add(point, beta))
     flagged = v.truncated
-    for s, c in v.terms.items():
+    parts = []
+    for s, c in v.num.items():
         room, d, newpoint = per_point[s.point]
         if _mode_weight(s) > room:
             flagged = True
             continue
         if d is None:
             continue
-        for mds, cc in _exp_component(lat, beta, s.modes, d).items():
-            _accumulate(acc, FockState(newpoint, mds), c * cc)
-    return v._with(acc, flagged)
+        cnum, cden = _exp_component(lat, beta, s.modes, d)
+        if cnum:
+            parts.append((c, newpoint, cnum, cden))
+    L = lcm(*{cden for _, _, _, cden in parts})
+    acc: dict[FockState, int] = {}
+    for c, newpoint, cnum, cden in parts:
+        f = c * (L // cden)
+        for mds, cc in cnum.items():
+            key = FockState(newpoint, mds)
+            acc[key] = acc.get(key, 0) + f * cc
+    return v._with(acc, v.den * L, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +571,6 @@ def _binom_general(a: int, b: int) -> int:
     if a >= 0:
         return comb(a, b) if a >= b else 0
     return (-1) ** b * comb(b - a - 1, b)
-
-
-def _add_scaled(acc: dict, v: StateVector, c) -> None:
-    """acc += c v for a nonzero c."""
-    for s, x in v.terms.items():
-        _accumulate(acc, s, c * x)
 
 
 def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVector:
@@ -494,37 +591,31 @@ def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVec
     rest = FockState(astate.point, astate.modes[1:])
     wrest = wa - n
     bcoords = _basis_coords(lat, p)
+    # <b_p, b_q> = gram[p] delta_pq is an integer
     bp = [lat.gram[p] if q == p else 0 for q in range(lat.rank)]
-    acc: dict[FockState, Fraction] = {}
+    acc: dict[FockState, int] = {}
+    den = 1
     flagged = v.truncated
-    # annihilation half: b_p(j) hits v first
-    maxj = 0
-    for s in v.terms:
-        for _, nn in s.modes:
-            maxj = max(maxj, nn)
-    for j in range(0, maxj + 1):
-        coeff = _binom_general(-j - 1, n - 1)
-        if not coeff:
-            continue
-        w = _annihilate(bp, j, v) if j else heisenberg_apply(bcoords, 0, v)
+    # annihilation half: b_p(j), j >= 0, hits v first
+    hits = _annihilations(bp, v.num)
+    for j in (0, *hits):
+        w = v._with(hits[j], v.den) if j else heisenberg_apply(bcoords, 0, v)
         if w.is_zero():
             continue
         inner = _state_mode_apply(lat, rest, wrest, m - n - j, w)
         flagged = flagged or inner.truncated
-        _add_scaled(acc, inner, coeff)
-    # creation half: b_p(j), j <= -n, applied last
-    wvmax = v.max_weight()
-    j = -n
-    while wvmax + wrest - m + n + j - 1 >= 0:
+        den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
+    # creation half: b_p(j) for -n >= j >= 1 - n - floor(wt(v) + wt(a') - m),
+    # applied last; a lower j leaves a'_(m-n-j) v below the vacuum
+    for j in range(-n, -n - floor(v.max_weight() + wrest - m), -1):
         coeff = _binom_general(-j - 1, n - 1)
         if coeff:
             inner = _state_mode_apply(lat, rest, wrest, m - n - j, v)
             if not inner.is_zero() or inner.truncated:
                 inner = heisenberg_apply(bcoords, j, inner)
                 flagged = flagged or inner.truncated
-                _add_scaled(acc, inner, coeff)
-        j -= 1
-    return v._with(acc, flagged)
+                den = _add_into(acc, den, coeff, inner.num, inner.den)
+    return v._with(acc, den, flagged)
 
 
 def _basis_coords(lat: Lattice, p: int) -> tuple[int, ...]:
@@ -536,14 +627,15 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     if a.lattice != v.lattice:
         raise ValueError("operator and argument live over different lattices")
     lat = v.lattice
-    m = _rat(m)
-    acc: dict[FockState, Fraction] = {}
+    m = _exact(m)
+    acc: dict[FockState, int] = {}
+    den = 1
     flagged = a.truncated or v.truncated
-    for s, c in a.terms.items():
+    for s, c in a.num.items():
         piece = _state_mode_apply(lat, s, state_weight(lat, s), m, v)
         flagged = flagged or piece.truncated
-        _add_scaled(acc, piece, c)
-    return v._with(acc, flagged, min(a.truncation, v.truncation))
+        den = _add_into(acc, den, c, piece.num, a.den * piece.den)
+    return v._with(acc, den, flagged, min(a.truncation, v.truncation))
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +710,6 @@ def central_charge_of(omega: StateVector) -> Fraction:
     if c is None:
         raise ValueError("L(2) of the conformal vector is not a vacuum multiple")
     return 2 * c
-
-
-def theta_involution(v: StateVector) -> StateVector:
-    """Lift of the -1 lattice isometry: e^point -> e^(-point), modes flip sign."""
-    lat = v.lattice
-    return v._with(
-        {
-            FockState(lat.negate(s.point), s.modes): -c if len(s.modes) % 2 else c
-            for s, c in v.terms.items()
-        }
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +846,40 @@ def intertwiner_leading_check(k: int, truncation=3) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _cancel(r: dict, row: dict, key) -> tuple[dict, int]:
+    """(b r - a row, b) for the coprime a, b with a/b = r[key]/row[key], so
+    that key drops out; row[key] > 0, so b > 0.  r is consumed."""
+    a, b = r[key], row[key]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if b != 1:
+        r = {s: b * x for s, x in r.items()}
+    for s, x in row.items():
+        y = r.get(s, 0) - a * x
+        if y:
+            r[s] = y
+        else:
+            del r[s]
+    return r, b
+
+
+def _primitive(r: dict, lead) -> dict:
+    """The nonzero int dict r divided by the gcd of its entries, signed so
+    that r[lead] > 0."""
+    g = gcd(*r.values())
+    if r[lead] < 0:
+        g = -g
+    return r if g == 1 else {s: x // g for s, x in r.items()}
+
+
 class _Echelon:
-    """Leading-term-reduced spanning set with canonical state-order pivots."""
+    """Leading-term-reduced spanning set with canonical state-order pivots.
+
+    Each row is a StateVector whose numerators form a primitive integer row
+    with a positive lead, and whose denominator is that lead: the monic row,
+    which the fraction-free reduction uses through its numerators."""
 
     __slots__ = ("rows", "pivots")
 
@@ -774,26 +887,32 @@ class _Echelon:
         self.rows: list[StateVector] = []
         self.pivots: dict[FockState, int] = {}
 
-    def reduce(self, v: StateVector) -> StateVector:
-        terms = dict(v.terms)
+    def _reduce(self, num: dict) -> tuple[dict, int]:
+        """(r, s): r = s (num - a combination of rows) has no pivot as its
+        lead, for an int s > 0."""
+        terms = dict(num)
+        scale = 1
         while terms:
             lead = max(terms)
             idx = self.pivots.get(lead)
             if idx is None:
                 break
-            c = -terms[lead]
-            for s, rv in self.rows[idx].terms.items():
-                _accumulate(terms, s, c * rv)
-        return v._with(terms)
+            terms, b = _cancel(terms, self.rows[idx].num, lead)
+            scale *= b
+        return terms, scale
+
+    def reduce(self, v: StateVector) -> StateVector:
+        terms, scale = self._reduce(v.num)
+        return v._with(terms, v.den * scale)
 
     def insert(self, v: StateVector) -> bool:
-        r = self.reduce(v)
-        if r.is_zero():
+        terms, _ = self._reduce(v.num)
+        if not terms:
             return False
-        lead = max(r.terms)
-        r = r.scale(1 / r.terms[lead])
+        lead = max(terms)
+        num = _primitive(terms, lead)
         self.pivots[lead] = len(self.rows)
-        self.rows.append(r)
+        self.rows.append(v._with(num, num[lead]))
         return True
 
 
@@ -855,7 +974,9 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
         span.insert(a)
         for b in generators:
             brackets.insert(mode_apply(a, 0, b))
-    if len(brackets.rows) != len(span.rows) or any(span.reduce(r).terms for r in brackets.rows):
+    if len(brackets.rows) != len(span.rows) or any(
+        not span.reduce(r).is_zero() for r in brackets.rows
+    ):
         raise ValueError(
             "the 0-mode brackets of the generators do not span the generators, "
             "so their (-1)-modes do not generate every lowering mode"
@@ -864,7 +985,7 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
     T = _rat(max_weight)
     if seeds is None:
         seeds = [StateVector.vacuum(lat, T)]
-    seeds = [s._with(dict(s.terms), truncation=T) for s in seeds]
+    seeds = [s._with(s.num, s.den, truncation=T) for s in seeds]
     layers: dict[Fraction, _Echelon] = {}
     truncated = False
 
@@ -929,7 +1050,7 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
     T3 = max(T, Fraction(3))
     omega_aff = _omega_aff(k, *sl2_generators(k, T3))
     top = seeds[0]
-    l0 = mode_apply(omega_aff, 1, top._with(dict(top.terms), truncation=T3))
+    l0 = mode_apply(omega_aff, 1, top._with(top.num, top.den, truncation=T3))
     (s0, c0), = top.terms.items()
     aff_weight = l0.coefficient(s0) / c0
     basis.aff_offset = state_weight(lat, s0) - aff_weight
@@ -938,44 +1059,78 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
     return basis
 
 
+def _row_echelon(rows) -> dict[int, dict[int, int]]:
+    """Fraction-free forward elimination of sparse rows (column -> int or
+    Fraction): pivot column -> primitive integer row whose smallest column is
+    that pivot, with a positive pivot entry."""
+    ech: dict[int, dict[int, int]] = {}
+    for row in rows:
+        den = lcm(*(x.denominator for x in row.values()))
+        r = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        while r:
+            pc = min(r)
+            r = _primitive(r, pc)
+            prow = ech.get(pc)
+            if prow is None:
+                ech[pc] = r
+                break
+            r, _ = _cancel(r, prow, pc)
+    return ech
+
+
+def rank(rows) -> int:
+    """Rank of the sparse system rows . x = 0 (entries int or Fraction), by
+    forward elimination alone."""
+    return len(_row_echelon(rows))
+
+
 def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     """Nullspace basis of the sparse constraint system rows . x = 0 over the
-    rationals; reduced row echelon with canonical (smallest-column) pivots."""
-    ech: list[tuple[int, dict]] = []
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        for pc, prow in ech:
-            cv = r.get(pc)
-            if cv:
-                cv = -cv
-                for c, v in prow.items():
-                    _accumulate(r, c, cv * v)
-        if not r:
+    rationals (entries int or Fraction), one Fraction vector per free column
+    f with x_f = 1: the reduced row echelon basis with canonical
+    (smallest-column) pivots.  Elimination runs on integer rows; fractions
+    appear only in the returned vectors."""
+    ech = _row_echelon(rows)
+    # back-substitution, last pivot first: clear every other pivot column
+    red: dict[int, dict[int, int]] = {}
+    for pc in sorted(ech, reverse=True):
+        r = ech[pc]
+        for c in [c for c in r if c != pc and c in red]:
+            r, _ = _cancel(r, red[c], c)
+        red[pc] = _primitive(r, pc)
+    # column f of pivot row pc holds -x_pc * r[pc] for the free f
+    cols: dict[int, dict[int, Fraction]] = {}
+    for pc in sorted(red):
+        r = red[pc]
+        for c, x in r.items():
+            if c != pc:
+                cols.setdefault(c, {})[pc] = Fraction(-x, r[pc])
+    return [{f: Fraction(1), **cols.get(f, {})} for f in range(ncols) if f not in red]
+
+
+def _commutant_systems(basis: GradedBasis, charge: int):
+    """Per ambient weight holding vectors of the given gamma(0)-eigenvalue:
+    the coset weight, those candidate vectors and the integer rows of
+    gamma(m) sum_t x_t num_t = 0 for every m >= 1.  The system is posed on
+    the candidates' integer numerators num_t = den_t cands[t]: that rescales
+    the coordinates of its solutions and keeps its rank."""
+    lat = basis.lattice
+    gamma = lat.gamma()
+    heis = Fraction(charge * charge, 2 * lat.norm(gamma))
+    # numerators of <gamma, b_p>; their common denominator drops out
+    bp = [x * g for x, g in zip(gamma, lat.gram)]
+    for w, rows in sorted(basis.layers.items()):
+        cands = [v for v in rows if v.charge() == charge]
+        if not cands:
             continue
-        pc = min(r)
-        inv = 1 / _rat(r[pc])
-        r = {c: v * inv for c, v in r.items()}
-        for idx, (opc, orow) in enumerate(ech):
-            cv = orow.get(pc)
-            if cv:
-                cv = -cv
-                new = dict(orow)
-                for c, v in r.items():
-                    _accumulate(new, c, cv * v)
-                ech[idx] = (opc, new)
-        ech.append((pc, r))
-    pivots = {pc for pc, _ in ech}
-    out = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        x = {f: Fraction(1)}
-        for pc, r in ech:
-            v = r.get(f)
-            if v:
-                x[pc] = -v
-        out.append(x)
-    return out
+        constraints: dict[tuple, dict[int, int]] = {}
+        for t, v in enumerate(cands):
+            # gamma(m) acts only through the modes b_p(-m) present
+            for m, img in _annihilations(bp, v.num).items():
+                for s, c in img.items():
+                    if c:
+                        constraints.setdefault((m, s), {})[t] = c
+        yield w - basis.aff_offset - heis, cands, list(constraints.values())
 
 
 def commutant_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[StateVector]]:
@@ -984,33 +1139,41 @@ def commutant_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[Sta
 
     Keys are the absolute coset weights: ambient weight minus the affine
     offset minus the Heisenberg contribution charge^2/(2 <gamma,gamma>).
+    At each weight the vectors are the reduced-echelon nullspace basis over
+    that weight's candidates: each has coefficient 1 on its own free
+    candidate and 0 on the other free ones.
     """
-    lat = basis.lattice
-    gamma = lat.gamma()
-    gnorm = lat.norm(gamma)
-    heis = Fraction(charge * charge, 2 * gnorm)
     out: dict[Fraction, list[StateVector]] = {}
-    for w, rows in sorted(basis.layers.items()):
-        cands = [v for v in rows if v.charge() == charge]
-        if not cands:
-            continue
-        constraints: dict[tuple, dict[int, Fraction]] = {}
-        for t, v in enumerate(cands):
-            mmax = int(w) + 1
-            for m in range(1, mmax + 1):
-                img = heisenberg_apply(gamma, m, v)
-                for s, c in img.terms.items():
-                    constraints.setdefault((m, s), {})[t] = c
-        combos = nullspace(list(constraints.values()), len(cands))
-        if not combos:
-            continue
-        kvecs = []
-        for x in combos:
-            vec = StateVector(lat, basis.truncation)
-            for t, c in x.items():
-                vec = vec + cands[t].scale(c)
-            kvecs.append(vec)
-        out[w - basis.aff_offset - heis] = kvecs
+    for w, cands, rows in _commutant_systems(basis, charge):
+        combos = nullspace(rows, len(cands))
+        if combos:
+            out[w] = [_kernel_vector(basis, cands, x) for x in combos]
+    return out
+
+
+def _kernel_vector(basis: GradedBasis, cands: list[StateVector], x: dict) -> StateVector:
+    """sum_t x_t num_t / den_f for a nullspace vector x of the system on the
+    numerators, f = max(x) its free column: with cands[t] = num_t / den_t
+    this is the combination of the candidates with coefficient 1 on cands[f],
+    accumulated in one pass."""
+    df = cands[max(x)].den
+    used = [cands[t] for t in x]
+    return used[0]._with(
+        *_lincomb([(c.numerator, cands[t].num, c.denominator * df) for t, c in x.items()]),
+        truncated=any(v.truncated for v in used),
+        truncation=min([basis.truncation] + [v.truncation for v in used]),
+    )
+
+
+def commutant_dims(basis: GradedBasis, charge: int) -> dict[Fraction, int]:
+    """The dimensions `kernel_dims(commutant_kernel(basis, charge))` reads
+    off, each as candidates minus the rank of the constraint system, without
+    building kernel vectors."""
+    out: dict[Fraction, int] = {}
+    for w, cands, rows in _commutant_systems(basis, charge):
+        dim = len(cands) - rank(rows)
+        if dim:
+            out[w] = dim
     return out
 
 
@@ -1033,11 +1196,11 @@ def singular_space_dimension(k: int, weight: int = 3, basis: GradedBasis | None 
             img = virasoro_mode(omega, n, v)
             for s, c in img.terms.items():
                 constraints.setdefault((n, s), {})[t] = c
-    return len(nullspace(list(constraints.values()), len(vecs)))
+    return len(vecs) - rank(list(constraints.values()))
 
 
 # ---------------------------------------------------------------------------
-# randomized spot checks and enumeration oracles
+# randomized spot checks
 # ---------------------------------------------------------------------------
 
 
@@ -1057,7 +1220,7 @@ def random_state_vector(
             if budget >= 0:
                 break
         modes = []
-        while budget >= 1 and rng.random() < 0.7:
+        while budget >= 1 and rng.random() < Fraction(7, 10):
             n = rng.randint(1, int(budget))
             modes.append((rng.randrange(lat.rank), n))
             budget -= n
@@ -1103,43 +1266,3 @@ def virasoro_bracket_check(k: int, truncation=5, seed=0) -> Report:
         identity="Virasoro commutation relations of the realized conformal vectors",
         truncated=truncated,
     )
-
-
-def sector_graded_dims(lat: Lattice, sector, max_weight) -> dict[Fraction, int]:
-    """Dimension of each weight slice of one lattice-coset Fock sector,
-    counted by direct enumeration of points and mode partitions."""
-    T = _rat(max_weight)
-    sector = tuple(sector)
-    points = [()]
-    for r in sector:
-        new = []
-        bound = isqrt(int(2 * T * lat.den * lat.den / min(lat.gram))) + lat.den
-        for prefix in points:
-            c = r % lat.den - lat.den * (bound // lat.den + 1)
-            while c <= bound:
-                new.append(prefix + (c,))
-                c += lat.den
-        points = new
-    dims: dict[Fraction, int] = {}
-    for point in points:
-        w0 = lat.point_weight(point)
-        if w0 > T:
-            continue
-        n = 0
-        while w0 + n <= T:
-            cnt = _colored_partitions(n, lat.rank)
-            dims[w0 + n] = dims.get(w0 + n, 0) + cnt
-            n += 1
-    return dict(sorted(dims.items()))
-
-
-def _colored_partitions(n: int, colors: int) -> int:
-    if n == 0:
-        return 1
-    table = [1] + [0] * n
-    for part in range(1, n + 1):
-        # `colors` independent kinds of each part size
-        for _ in range(colors):
-            for total in range(part, n + 1):
-                table[total] += table[total - part]
-    return table[n]

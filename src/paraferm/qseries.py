@@ -232,21 +232,6 @@ class QSeries:
         return cls.from_obj(json.loads(text))
 
 
-# -- operation aliases matching the public contract --------------------------
-
-
-def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    return a + b
-
-
-def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    return a * b
-
-
-def qs_inv_unit(a: QSeries) -> QSeries:
-    return a.inverse()
-
-
 # -- character building blocks ----------------------------------------------
 
 

@@ -6,7 +6,7 @@ through the code paths under test.
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, isqrt
 
 from paraferm.fusion_identify import (
     enumerate_simples,
@@ -17,7 +17,13 @@ from paraferm.fusion_identify import (
     w_current,
     w_label,
 )
-from paraferm.lattice_fock import StateVector, mode_apply, sl2_generators
+from paraferm.lattice_fock import (
+    FockState,
+    StateVector,
+    heisenberg_apply,
+    mode_apply,
+    sl2_generators,
+)
 
 Q = Fraction
 
@@ -168,3 +174,102 @@ def _rref_insert(rows: list[dict], vec: dict) -> None:
             new = {key: row.get(key, 0) - c * r.get(key, 0) for key in {**row, **r}}
             rows[idx] = {key: x for key, x in new.items() if x}
     rows.append(r)
+
+
+def sector_graded_dims(lat, sector, max_weight) -> dict[Fraction, int]:
+    """Dimension of each weight slice of one lattice-coset Fock sector,
+    counted by direct enumeration of points and mode partitions."""
+    T = Q(max_weight)
+    sector = tuple(sector)
+    points = [()]
+    for r in sector:
+        new = []
+        bound = isqrt(int(2 * T * lat.den * lat.den / min(lat.gram))) + lat.den
+        for prefix in points:
+            c = r % lat.den - lat.den * (bound // lat.den + 1)
+            while c <= bound:
+                new.append(prefix + (c,))
+                c += lat.den
+        points = new
+    dims: dict[Fraction, int] = {}
+    for point in points:
+        w0 = lat.point_weight(point)
+        if w0 > T:
+            continue
+        n = 0
+        while w0 + n <= T:
+            dims[w0 + n] = dims.get(w0 + n, 0) + colored_partitions_table(n, lat.rank)
+            n += 1
+    return dict(sorted(dims.items()))
+
+
+def theta_involution(v: StateVector) -> StateVector:
+    """Lift of the -1 lattice isometry: e^point -> e^(-point), and every
+    creation mode changes sign, so a state with an odd number of modes
+    changes sign."""
+    lat = v.lattice
+    return StateVector(
+        lat,
+        v.truncation,
+        {
+            FockState(lat.negate(s.point), s.modes): -c if len(s.modes) % 2 else c
+            for s, c in v.terms.items()
+        },
+        v.truncated,
+    )
+
+
+def rref_nullspace(rows: list[dict], ncols: int) -> list[dict]:
+    """Nullspace basis of rows . x = 0 from a dense Fraction reduced row
+    echelon form, pivots taken column by column: one vector per free column
+    f, with x_f = 1, zero at the other free columns, zeros left out."""
+    mat = [[Q(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        x = {f: Q(1)}
+        for i, pc in enumerate(pivots):
+            if mat[i][f]:
+                x[pc] = -mat[i][f]
+        out.append(x)
+    return out
+
+
+def commutant_kernel_oracle(basis, charge) -> dict[Fraction, list[StateVector]]:
+    """The commutant kernel in Fractions through the public API: per weight,
+    the candidates of the given charge, the Fraction rows of gamma(m) on
+    them, their `rref_nullspace` and the combinations sum_t x_t cand_t."""
+    lat = basis.lattice
+    gamma = lat.gamma()
+    heis = Q(charge * charge, 2 * lat.norm(gamma))
+    out = {}
+    for w, layer in sorted(basis.layers.items()):
+        cands = [v for v in layer if v.charge() == charge]
+        rows: dict[tuple, dict[int, Fraction]] = {}
+        for t, v in enumerate(cands):
+            for m in range(1, int(w) + 2):
+                for s, c in heisenberg_apply(gamma, m, v).terms.items():
+                    rows.setdefault((m, s), {})[t] = c
+        vecs = []
+        for x in rref_nullspace(list(rows.values()), len(cands)):
+            vec = StateVector(lat, basis.truncation)
+            for t, c in x.items():
+                vec = vec + cands[t].scale(c)
+            vecs.append(vec)
+        if vecs:
+            out[w - basis.aff_offset - heis] = vecs
+    return out

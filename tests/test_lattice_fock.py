@@ -1,17 +1,26 @@
 """Fock-space mode operators, generators, conformal vectors, kernels."""
 
+import ast
 import gc
 import pickle
 import random
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import all_modes_affine_dims
+from oracles import (
+    all_modes_affine_dims,
+    commutant_kernel_oracle,
+    rref_nullspace,
+    sector_graded_dims,
+    theta_involution,
+)
 from oracles import colored_partitions_table as colored_partitions
+import paraferm.lattice_fock
 from paraferm.errors import NonIntegralPairing
 from paraferm.lattice_fock import (
     FockState,
@@ -19,6 +28,7 @@ from paraferm.lattice_fock import (
     _Echelon,
     affine_module_basis,
     central_charge_of,
+    commutant_dims,
     commutant_kernel,
     conformal_vectors,
     ek_power_check,
@@ -33,12 +43,11 @@ from paraferm.lattice_fock import (
     ope_check,
     rank_lattice,
     random_state_vector,
-    sector_graded_dims,
+    rank,
     singular_space_dimension,
     singular_vector_check,
     sl2_generators,
     state_weight,
-    theta_involution,
     virasoro_bracket_check,
     virasoro_mode,
 )
@@ -213,6 +222,25 @@ class TestNullspace:
             assert out == want
             assert all(isinstance(c, Fraction) for x in out for c in x.values())
 
+    @given(
+        ncols=st.integers(1, 6),
+        rows=st.lists(
+            st.dictionaries(
+                st.integers(0, 5),
+                st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5)),
+                max_size=6,
+            ),
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_rref_and_rank(self, ncols, rows):
+        rows = [{c: x for c, x in row.items() if c < ncols} for row in rows]
+        out = nullspace(rows, ncols)
+        assert out == rref_nullspace(rows, ncols)
+        assert all(isinstance(c, Fraction) and c for x in out for c in x.values())
+        assert ncols - rank(rows) == len(out)
+
 
 class TestSl2Generators:
     def test_term_counts_and_weights(self):
@@ -386,6 +414,19 @@ class TestCommutantKernel:
         dims = kernel_dims(commutant_kernel(b, -2))
         assert min(dims) == Q(2, 3)
 
+    def test_kernel_matches_fraction_oracle(self):
+        # the same vectors, scaled alike, as a Fraction elimination finds
+        for k, i, T, charges in ((3, 0, 3, (0, -2)), (3, 1, Q(13, 4), (1, -1, 3))):
+            b = affine_module_basis(k, i, T)
+            for charge in charges:
+                assert commutant_kernel(b, charge) == commutant_kernel_oracle(b, charge)
+
+    def test_rank_dims_equal_kernel_dims(self):
+        for k, i, T in ((3, 0, 4), (3, 1, Q(17, 4)), (3, 2, Q(9, 2)), (4, 0, 3)):
+            b = affine_module_basis(k, i, T)
+            for charge in range(-2 * k, 2 * k + 1):
+                assert commutant_dims(b, charge) == kernel_dims(commutant_kernel(b, charge))
+
     def test_kernel_vectors_are_annihilated(self):
         b = affine_module_basis(3, 0, 3)
         lat = b.lattice
@@ -470,10 +511,28 @@ class TestGoldenDumps:
 
 
 def _normal(v: StateVector) -> bool:
-    """The invariants the public constructor establishes."""
-    return isinstance(v.truncation, Fraction) and all(
-        isinstance(c, Fraction) and c for c in v.terms.values()
+    """The invariants the public constructor establishes: int numerators
+    over a positive int denominator prime to their gcd, presented as the
+    same nonzero Fractions by `terms`."""
+    return (
+        isinstance(v.truncation, Fraction)
+        and type(v.den) is int
+        and v.den > 0
+        and all(type(c) is int and c for c in v.num.values())
+        and gcd(v.den, *v.num.values()) == 1
+        and all(isinstance(c, Fraction) and c for c in v.terms.values())
+        and v.terms == {s: Fraction(c, v.den) for s, c in v.num.items()}
     )
+
+
+def _parse_canonical_text(lat, truncation, text: str) -> StateVector:
+    terms = {}
+    for line in text.splitlines():
+        point, modes, coeff = line.split(" | ")
+        terms[FockState(tuple(ast.literal_eval(point)), tuple(ast.literal_eval(modes)))] = (
+            Fraction(coeff)
+        )
+    return StateVector(lat, truncation, terms)
 
 
 _SAMPLES = given(
@@ -517,7 +576,53 @@ class TestStateVectorInvariants:
 
     @_SAMPLES
     @settings(max_examples=40, deadline=None)
+    def test_scale_round_trip_and_text(self, seed, m, c):
+        a, u = self._vectors(seed, 2)
+        for v in (a, u, mode_apply(a, m, u)):
+            assert _normal(v)
+            if c:
+                w = v.scale(c).scale(1 / c)
+                assert w == v and hash(w) == hash(v) and _normal(w)
+            back = _parse_canonical_text(self.LAT, v.truncation, v.canonical_text())
+            assert back == v and hash(back) == hash(v)
+            assert back.canonical_text() == v.canonical_text()
+
+    @_SAMPLES
+    @settings(max_examples=40, deadline=None)
     def test_mode_apply_is_linear(self, seed, m, c):
         a, u, v = self._vectors(seed, 3)
         assert mode_apply(a, m, u + v) == mode_apply(a, m, u) + mode_apply(a, m, v)
         assert mode_apply(a, m, v.scale(c)) == mode_apply(a, m, v).scale(c)
+
+
+class TestRouteIndependence:
+    """The Fock route computes the coset dimensions on its own: lattice_fock
+    takes nothing from the character route or the label arithmetic, and is
+    exact (no float literal, no float() call)."""
+
+    OTHER_ROUTES = {"characters", "qseries", "fusion_identify"}
+
+    def _tree(self):
+        with open(paraferm.lattice_fock.__file__) as fh:
+            return ast.parse(fh.read())
+
+    def test_imports_nothing_from_the_other_routes(self):
+        imported = set()
+        for node in ast.walk(self._tree()):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[-1] for a in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= set((node.module or "").split("."))
+                imported |= {a.name for a in node.names}
+        assert not imported & self.OTHER_ROUTES
+
+    def test_no_floats(self):
+        for node in ast.walk(self._tree()):
+            assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), (
+                node.lineno
+            )
+            assert not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ), node.lineno

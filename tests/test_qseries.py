@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraferm.errors import BadResidue, ZeroConstantTerm
 from oracles import colored_partition_count, free_generation_count
@@ -14,9 +16,6 @@ from paraferm.qseries import (
     free_w_char,
     heisenberg_char,
     lattice_coset_char,
-    qs_add,
-    qs_inv_unit,
-    qs_mul,
 )
 
 Q = Fraction
@@ -50,30 +49,30 @@ class TestArithmetic:
     def test_add_cancellation(self):
         a = S({0: 1, 1: 1}, 8)
         b = S({0: 1, 1: -1}, 8)
-        assert qs_add(a, b) == S({0: 2}, 8)
+        assert a + b == S({0: 2}, 8)
 
     def test_add_identity(self):
         x = S({0: 3, Q(1, 2): 5, 3: -2}, 6)
-        assert qs_add(x, QSeries.zero(6)) == x
+        assert x + QSeries.zero(6) == x
 
     def test_add_merges_coefficients(self):
         a = S({0: 1, 2: 1}, 8)
         b = S({2: 1}, 8)
-        assert qs_add(a, b) == S({0: 1, 2: 2}, 8)
+        assert a + b == S({0: 1, 2: 2}, 8)
 
     def test_mul_difference_of_squares(self):
         a = S({0: 1, 1: 1}, 8)
         b = S({0: 1, 1: -1}, 8)
-        assert qs_mul(a, b) == S({0: 1, 2: -1}, 8)
+        assert a * b == S({0: 1, 2: -1}, 8)
 
     def test_mul_truncated_product(self):
         a = S({0: 1, 3: 2}, 4)
         b = S({0: 1, 1: 1, 2: 2, 3: 3}, 4)
-        assert qs_mul(a, b) == S({0: 1, 1: 1, 2: 2, 3: 5}, 4)
+        assert a * b == S({0: 1, 1: 1, 2: 2, 3: 5}, 4)
 
     def test_mul_identity(self):
         a = S({0: 2, Q(1, 3): 1, 2: -4}, 5)
-        assert qs_mul(a, QSeries.one(5)) == a
+        assert a * QSeries.one(5) == a
 
     def test_truncation_is_min(self):
         a = S({0: 1}, 3)
@@ -94,27 +93,74 @@ class TestArithmetic:
             assert a * (b + c) == a * b + a * c
 
 
+_COEFFICIENTS = st.fractions(-4, 4, max_denominator=3)
+
+
+@st.composite
+def series(draw, unit=False):
+    """A QSeries with one of several truncations, so that sums and products
+    mix truncations; with unit=True its constant term is nonzero."""
+    T = draw(st.sampled_from([Q(3), Q(7, 2), Q(4), Q(14, 3), Q(5)]))
+    terms = draw(st.dictionaries(st.fractions(0, 6, max_denominator=3), _COEFFICIENTS, max_size=5))
+    if unit:
+        terms[Q(0)] = draw(_COEFFICIENTS.filter(bool))
+    return QSeries(terms, T)
+
+
+class TestRingLaws:
+    """+ and * form a commutative ring on truncated series: every law holds
+    exactly, with the truncation of each side the minimum over its
+    operands."""
+
+    @given(a=series(), b=series())
+    @settings(max_examples=80, deadline=None)
+    def test_commutativity(self, a, b):
+        assert a + b == b + a
+        assert a * b == b * a
+
+    @given(a=series(), b=series(), c=series())
+    @settings(max_examples=80, deadline=None)
+    def test_associativity(self, a, b, c):
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+
+    @given(a=series(), b=series(), c=series())
+    @settings(max_examples=80, deadline=None)
+    def test_distributivity(self, a, b, c):
+        left = a * (b + c)
+        assert left == a * b + a * c
+        assert (b + c) * a == b * a + c * a
+        assert left.truncation == min(a.truncation, b.truncation, c.truncation)
+
+    @given(a=series(unit=True))
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_round_trips(self, a):
+        inv = a.inverse()
+        assert a * inv == QSeries.one(a.truncation)
+        assert inv.inverse() == a
+
+
 class TestInverse:
     def test_geometric(self):
         a = S({0: 1, 1: -1}, 4)
-        assert qs_inv_unit(a) == S({0: 1, 1: 1, 2: 1, 3: 1}, 4)
+        assert a.inverse() == S({0: 1, 1: 1, 2: 1, 3: 1}, 4)
 
     def test_one(self):
-        assert qs_inv_unit(QSeries.one(5)) == QSeries.one(5)
+        assert QSeries.one(5).inverse() == QSeries.one(5)
 
     def test_long_division(self):
         a = S({0: 1, 2: -1, 3: -1}, 5)
-        assert qs_inv_unit(a) == S({0: 1, 2: 1, 3: 1, 4: 1}, 5)
+        assert a.inverse() == S({0: 1, 2: 1, 3: 1, 4: 1}, 5)
 
     def test_zero_constant_term_raises(self):
         with pytest.raises(ZeroConstantTerm):
-            qs_inv_unit(S({1: 1}, 4))
+            S({1: 1}, 4).inverse()
 
     def test_inverse_randomized(self):
         rng = random.Random(7)
         for _ in range(40):
             a = random_series(rng, 5, unit=True)
-            assert qs_mul(a, qs_inv_unit(a)) == QSeries.one(5)
+            assert a * a.inverse() == QSeries.one(5)
 
     def test_divide_by_shifted_unit(self):
         num = S({1: 2, 2: 2}, 6)
