@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 
 from . import characters, fusion_identify, lattice_fock, w1inf_symbols
 from .errors import BadParams, UnknownCheck
-from .report import Report, make_report
+from .report import PASS_TRUNCATED, Report, make_report
 
 
 def _truncation_default(fallback: int) -> int:
@@ -107,6 +107,7 @@ def _singular_vector(k: int, seed: int, truncation: int) -> Report:
         {"k": k, "truncation": truncation, "seed": seed},
         entries,
         identity="uniqueness and singularity of the weight-3 coset primary",
+        truncated=PASS_TRUNCATED in (r1.status, r2.status),
     )
 
 
@@ -294,6 +295,12 @@ def main(argv=None) -> int:
     try:
         args = vars(_build_parser().parse_args(argv))
         command, fmt, out = args.pop("command"), args.pop("format"), args.pop("out")
+        if out:
+            # fail before any check runs; an existing file is left as it is
+            try:
+                open(out, "a").close()
+            except OSError as exc:
+                raise BadParams(f"cannot write --out {out}: {exc.strerror}") from exc
         reports = run_all(**args) if command == "all" else [run_check(command, args)]
     except BadParams as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -54,9 +54,6 @@ class WLabel:
         if not (0 <= self.a <= self.b < self.k):
             raise BadLabel(f"non-canonical W label ({self.a},{self.b}) at k={self.k}")
 
-    def is_current(self) -> bool:
-        return self.a == self.b
-
     def __str__(self):
         return f"W[{self.a},{self.b}]"
 
@@ -166,9 +163,6 @@ class Bijection:
 
     def pairs(self) -> list[tuple[ParaLabel, WLabel]]:
         return sorted(self.mapping.items())
-
-    def __getitem__(self, label: ParaLabel) -> WLabel:
-        return self.mapping[label]
 
     def preserves_topweights(self) -> bool:
         return all(

@@ -19,8 +19,9 @@ the gcd of the numerators prime to ``den``, and every memoised coefficient
 table is one dict of integer numerators with its denominator.  The hot loops
 add and multiply plain ints; `StateVector.terms`, ``coefficient`` and
 ``canonical_text`` present the same values as ``Fraction``s, and the public
-constructor takes ints or ``Fraction``s.  Eliminations (`_Echelon`,
-`nullspace`, `rank`) are fraction-free on primitive integer rows.
+constructor takes ints or ``Fraction``s.  One fraction-free elimination,
+`_insert`, reduces primitive integer rows against pivots on their least
+key; the layer bases of `generated_subspace`, `rank` and `nullspace` use it.
 
 A global weight truncation bounds every stored state; creation results
 beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
@@ -66,6 +67,14 @@ def _canonical(num: dict, den: int) -> tuple[dict, int]:
             num = {s: c // g for s, c in num.items()}
             den //= g
     return num, den
+
+
+def _integral(d: dict) -> tuple[dict, int]:
+    """The int or Fraction values of d as nonzero int numerators over their
+    least common denominator; for reduced values the gcd of the numerators
+    is prime to it."""
+    den = lcm(*(x.denominator for x in d.values()))
+    return {s: x.numerator * (den // x.denominator) for s, x in d.items() if x}, den
 
 
 def _add_into(acc: dict, den: int, c: int, num: dict, d: int) -> int:
@@ -228,12 +237,9 @@ class StateVector:
             items = terms.items() if isinstance(terms, dict) else terms
             for s, c in items:
                 acc[s] = acc.get(s, 0) + _rat(c)
-        den = lcm(*(c.denominator for c in acc.values()))
         self.lattice = lattice
         self.truncation = _rat(truncation)
-        self.num, self.den = _canonical(
-            {s: c.numerator * (den // c.denominator) for s, c in acc.items()}, den
-        )
+        self.num, self.den = _integral(acc)
         self.truncated = bool(truncated)
         self._terms = None
 
@@ -838,6 +844,7 @@ def intertwiner_leading_check(k: int, truncation=3) -> Report:
         {"k": k, "truncation": T},
         entries,
         identity="leading coefficients of the coset-shift intertwiner",
+        truncated=got0.truncated or got1.truncated or want1.truncated,
     )
 
 
@@ -846,9 +853,9 @@ def intertwiner_leading_check(k: int, truncation=3) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _cancel(r: dict, row: dict, key) -> tuple[dict, int]:
-    """(b r - a row, b) for the coprime a, b with a/b = r[key]/row[key], so
-    that key drops out; row[key] > 0, so b > 0.  r is consumed."""
+def _cancel(r: dict, row: dict, key) -> dict:
+    """b r - a row for the coprime a, b with a/b = r[key]/row[key], so that
+    key drops out; row[key] > 0, so b > 0.  r is consumed."""
     a, b = r[key], row[key]
     g = gcd(a, b)
     if g != 1:
@@ -862,7 +869,7 @@ def _cancel(r: dict, row: dict, key) -> tuple[dict, int]:
             r[s] = y
         else:
             del r[s]
-    return r, b
+    return r
 
 
 def _primitive(r: dict, lead) -> dict:
@@ -874,46 +881,20 @@ def _primitive(r: dict, lead) -> dict:
     return r if g == 1 else {s: x // g for s, x in r.items()}
 
 
-class _Echelon:
-    """Leading-term-reduced spanning set with canonical state-order pivots.
-
-    Each row is a StateVector whose numerators form a primitive integer row
-    with a positive lead, and whose denominator is that lead: the monic row,
-    which the fraction-free reduction uses through its numerators."""
-
-    __slots__ = ("rows", "pivots")
-
-    def __init__(self):
-        self.rows: list[StateVector] = []
-        self.pivots: dict[FockState, int] = {}
-
-    def _reduce(self, num: dict) -> tuple[dict, int]:
-        """(r, s): r = s (num - a combination of rows) has no pivot as its
-        lead, for an int s > 0."""
-        terms = dict(num)
-        scale = 1
-        while terms:
-            lead = max(terms)
-            idx = self.pivots.get(lead)
-            if idx is None:
-                break
-            terms, b = _cancel(terms, self.rows[idx].num, lead)
-            scale *= b
-        return terms, scale
-
-    def reduce(self, v: StateVector) -> StateVector:
-        terms, scale = self._reduce(v.num)
-        return v._with(terms, v.den * scale)
-
-    def insert(self, v: StateVector) -> bool:
-        terms, _ = self._reduce(v.num)
-        if not terms:
-            return False
-        lead = max(terms)
-        num = _primitive(terms, lead)
-        self.pivots[lead] = len(self.rows)
-        self.rows.append(v._with(num, num[lead]))
-        return True
+def _insert(ech: dict, r: dict) -> dict:
+    """Fraction-free elimination step: reduce the sparse int row r against
+    the echelon ech (pivot -> primitive row whose least key is that pivot,
+    positive there), pivoting on the least key, and store what is left,
+    made primitive, under its least key.  Returns the stored row, or an
+    empty dict when r lies in the span of ech.  r is consumed."""
+    while r:
+        pc = min(r)
+        prow = ech.get(pc)
+        if prow is None:
+            r = ech[pc] = _primitive(r, pc)
+            break
+        r = _cancel(r, prow, pc)
+    return r
 
 
 @dataclass
@@ -969,14 +950,9 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
         raise ValueError("need at least one generator")
     if any(g.weights() != {1} for g in generators):
         raise ValueError("generators must be weight-one vectors")
-    span, brackets = _Echelon(), _Echelon()
-    for a in generators:
-        span.insert(a)
-        for b in generators:
-            brackets.insert(mode_apply(a, 0, b))
-    if len(brackets.rows) != len(span.rows) or any(
-        not span.reduce(r).is_zero() for r in brackets.rows
-    ):
+    gens = [g.num for g in generators]
+    brackets = [mode_apply(a, 0, b).num for a in generators for b in generators]
+    if not rank(gens) == rank(brackets) == rank(gens + brackets):
         raise ValueError(
             "the 0-mode brackets of the generators do not span the generators, "
             "so their (-1)-modes do not generate every lowering mode"
@@ -986,11 +962,15 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
     if seeds is None:
         seeds = [StateVector.vacuum(lat, T)]
     seeds = [s._with(s.num, s.den, truncation=T) for s in seeds]
-    layers: dict[Fraction, _Echelon] = {}
+    # per weight: the echelon of the layer and its rows as monic vectors
+    echelons: dict[Fraction, dict] = {}
+    layers: dict[Fraction, list[StateVector]] = {}
     truncated = False
 
-    def layer(w) -> _Echelon:
-        return layers.setdefault(w, _Echelon())
+    def insert(w, v: StateVector) -> None:
+        r = _insert(echelons.setdefault(w, {}), dict(v.num))
+        if r:
+            layers.setdefault(w, []).append(v._with(r, r[min(r)]))
 
     seed_weights = set()
     for s in seeds:
@@ -999,26 +979,19 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
             raise ValueError("seed vectors must be weight-homogeneous")
         w = ws.pop()
         seed_weights.add(w)
-        layer(w).insert(s)
+        insert(w, s)
     w0 = min(seed_weights)
     if any((w - w0).denominator != 1 for w in seed_weights):
         raise ValueError("seed weights must differ by integers")
     steps = int(T - w0)
     for d in range(1, steps + 1):
         w = w0 + d
-        tgt = layer(w)
-        for v in layer(w - 1).rows:
+        for v in layers.get(w - 1, ()):
             for g in generators:
                 cand = mode_apply(g, -1, v)
                 truncated = truncated or cand.truncated
-                if not cand.is_zero():
-                    tgt.insert(cand)
-    return GradedBasis(
-        lattice=lat,
-        truncation=T,
-        layers={w: ech.rows for w, ech in layers.items() if ech.rows},
-        truncated=truncated,
-    )
+                insert(w, cand)
+    return GradedBasis(lattice=lat, truncation=T, layers=layers, truncated=truncated)
 
 
 def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
@@ -1059,29 +1032,13 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
     return basis
 
 
-def _row_echelon(rows) -> dict[int, dict[int, int]]:
-    """Fraction-free forward elimination of sparse rows (column -> int or
-    Fraction): pivot column -> primitive integer row whose smallest column is
-    that pivot, with a positive pivot entry."""
-    ech: dict[int, dict[int, int]] = {}
-    for row in rows:
-        den = lcm(*(x.denominator for x in row.values()))
-        r = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
-        while r:
-            pc = min(r)
-            r = _primitive(r, pc)
-            prow = ech.get(pc)
-            if prow is None:
-                ech[pc] = r
-                break
-            r, _ = _cancel(r, prow, pc)
-    return ech
-
-
 def rank(rows) -> int:
     """Rank of the sparse system rows . x = 0 (entries int or Fraction), by
     forward elimination alone."""
-    return len(_row_echelon(rows))
+    ech: dict = {}
+    for row in rows:
+        _insert(ech, _integral(row)[0])
+    return len(ech)
 
 
 def nullspace(rows: list[dict], ncols: int) -> list[dict]:
@@ -1090,13 +1047,15 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     f with x_f = 1: the reduced row echelon basis with canonical
     (smallest-column) pivots.  Elimination runs on integer rows; fractions
     appear only in the returned vectors."""
-    ech = _row_echelon(rows)
+    ech: dict[int, dict[int, int]] = {}
+    for row in rows:
+        _insert(ech, _integral(row)[0])
     # back-substitution, last pivot first: clear every other pivot column
     red: dict[int, dict[int, int]] = {}
     for pc in sorted(ech, reverse=True):
         r = ech[pc]
         for c in [c for c in r if c != pc and c in red]:
-            r, _ = _cancel(r, red[c], c)
+            r = _cancel(r, red[c], c)
         red[pc] = _primitive(r, pc)
     # column f of pivot row pc holds -x_pc * r[pc] for the free f
     cols: dict[int, dict[int, Fraction]] = {}

@@ -86,6 +86,14 @@ class TestMain:
         rec = json.loads(path.read_text().strip())
         assert rec["check"] == "w1inf-generation" and rec["status"] == "pass"
 
+    @pytest.mark.parametrize("value", ["1", "2"])
+    def test_truncated_part_keeps_the_composite_truncated(self, value, monkeypatch, capsys):
+        # W3 is truncated to zero here and singular only trivially, so the
+        # composite report may not claim a plain pass
+        monkeypatch.setenv("PARAFERM_TRUNCATION", value)
+        assert main(["singular-vector", "--k", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "pass-up-to-truncation"
+
     def test_seed_recorded(self, capsys):
         main(["singular-vector", "--k", "3", "--seed", "7"])
         rec = json.loads(capsys.readouterr().out.strip())
@@ -231,6 +239,8 @@ BAD_INPUT = [
     "ope --k x",
     "ope",
     "no-such-check",
+    "ope --k 3 --out /nonexistent/x.json",
+    "ope --k 3 --out .",
 ]
 
 

@@ -180,7 +180,7 @@ class TestIdentify:
 
     def test_k3_seed_value(self):
         b1 = next(b for b in identify(3) if b.form == "form1")
-        assert b1[para_normalize(3, 1, 0)] == w_label(3, 0, 2)
+        assert b1.mapping[para_normalize(3, 1, 0)] == w_label(3, 0, 2)
 
     def test_form2_is_theta_conjugate_of_form1(self):
         for k in range(3, 9):
@@ -201,8 +201,8 @@ class TestIdentify:
                 u = 1 if b.form == "form1" else k - 1
                 for p in range(k):
                     for lab in enumerate_simples(k):
-                        lhs = b[simple_current_act(p, lab)]
-                        rhs = simple_current_act((u * p) % k, b[lab])
+                        lhs = b.mapping[simple_current_act(p, lab)]
+                        rhs = simple_current_act((u * p) % k, b.mapping[lab])
                         assert lhs == rhs
 
     def test_brute_force_oracle_agreement(self):

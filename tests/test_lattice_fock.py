@@ -1,6 +1,7 @@
 """Fock-space mode operators, generators, conformal vectors, kernels."""
 
 import ast
+import functools
 import gc
 import pickle
 import random
@@ -25,7 +26,6 @@ from paraferm.errors import NonIntegralPairing
 from paraferm.lattice_fock import (
     FockState,
     StateVector,
-    _Echelon,
     affine_module_basis,
     central_charge_of,
     commutant_dims,
@@ -133,6 +133,13 @@ class TestExpApply:
         for k in (3, 4, 5):
             r = intertwiner_leading_check(k)
             assert r.status == "pass", r.to_json()
+
+    def test_intertwiner_below_weight_one_is_truncated(self):
+        # gamma(-1)1 has weight 1: below it both sides of the z^(1-2/k)
+        # identity are dropped to zero, which proves nothing
+        for k in (2, 3, 4):
+            r = intertwiner_leading_check(k, Q(1, 2))
+            assert r.status == "pass-up-to-truncation", r.to_json()
 
     def test_intertwiner_modes_explicitly(self):
         # the z-exponent -m-1 of the mode m runs -5/3, -2/3, 1/3, 4/3 here
@@ -378,10 +385,12 @@ class TestGeneratedSubspace:
                 assert affine_module_basis(k, i, 3).dims() == want, (k, i)
 
     def test_generators_must_close_under_zero_mode_brackets(self):
-        # H(0)H = 0: the (-1)-mode of H alone misses H(-2)
-        H, _, _ = sl2_generators(3, 2)
-        with pytest.raises(ValueError):
-            generated_subspace([H], 2)
+        # [H]: H(0)H = 0, so the (-1)-mode of H alone misses H(-2); [H, E]:
+        # the brackets span only E; [E, F]: the bracket E(0)F = H leaves the span
+        H, E, F = sl2_generators(3, 2)
+        for gens in ([H], [H, E], [E, F]):
+            with pytest.raises(ValueError):
+                generated_subspace(gens, 2)
 
     def test_lki_top_levels(self):
         # the i-th module has an (i+1)-dimensional top level
@@ -542,6 +551,11 @@ _SAMPLES = given(
 )
 
 
+@functools.cache
+def _weight3_layer() -> list[StateVector]:
+    return generated_subspace(list(sl2_generators(2, 3)), 3).layers[Q(3)]
+
+
 class TestStateVectorInvariants:
     """Internally built vectors keep the public constructor's invariants, and
     mode application is linear in its argument."""
@@ -558,8 +572,12 @@ class TestStateVectorInvariants:
     @settings(max_examples=40, deadline=None)
     def test_results_hold_only_nonzero_fractions(self, seed, m, c):
         a, u, v = self._vectors(seed, 3)
-        ech = _Echelon()
-        ech.insert(u)
+        # the rows of a basis layer: primitive integer rows over their
+        # numerator at the least state, the pivot of the elimination
+        rows = _weight3_layer()
+        assert len(rows) == 15
+        for r in rows:
+            assert r.den == r.num[min(r.num)]
         results = [
             mode_apply(a, m, u),
             heisenberg_apply(self.LAT.gamma(), m, u),
@@ -567,8 +585,7 @@ class TestStateVectorInvariants:
             u + v,
             u + u.scale(-1),
             u.scale(c),
-            ech.reduce(v),
-            ech.reduce(u + v),
+            *rows,
         ]
         for r in results:
             assert _normal(r), r.terms
