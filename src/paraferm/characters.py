@@ -95,21 +95,6 @@ class StringFunction:
             raise ValueError("empty string function")
         return lead[0]
 
-    def to_obj(self) -> dict:
-        top = self.top_weight
-        coeffs = []
-        e = top
-        while e < self.series.truncation:
-            coeffs.append(int(self.series.coefficient(e)))
-            e += 1
-        return {
-            "k": self.k,
-            "i": self.i,
-            "j": self.j,
-            "top_weight": [top.numerator, top.denominator],
-            "coefficients": coeffs,
-        }
-
 
 def string_function(k: int, i: int, j: int, T, _char: ZQSeries | None = None) -> StringFunction:
     """Extract the (i, j) string: sum the z-slices over the charge class

@@ -17,10 +17,6 @@ class BadLabel(ParafermError):
     """Module label outside the admissible range."""
 
 
-class BadMode(ParafermError):
-    """Mode index outside the admissible range for a symbol product."""
-
-
 class NonIntegralPairing(ParafermError):
     """Vertex operator mode applied across sectors with inconsistent
     fractional pairing, so single mode components are ill-defined."""

@@ -658,11 +658,8 @@ def sl2_generators(k: int, truncation=DEFAULT_TRUNCATION):
     T = _rat(truncation)
     vac = StateVector.vacuum(lat, T)
     H = heisenberg_apply(lat.gamma(), -1, vac)
-    E = StateVector(lat, T)
-    F = StateVector(lat, T)
-    for p in range(k):
-        E = E + StateVector.exponential(lat, _basis_coords(lat, p), T)
-        F = F + StateVector.exponential(lat, lat.negate(_basis_coords(lat, p)), T)
+    E = StateVector(lat, T, {FockState(_basis_coords(lat, p), ()): 1 for p in range(k)})
+    F = StateVector(lat, T, {FockState(lat.negate(s.point), ()): 1 for s in E.num})
     return H, E, F
 
 
@@ -723,14 +720,32 @@ def central_charge_of(omega: StateVector) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _identities(cases) -> tuple[list, bool]:
+    """Report entries for the vector identities got == want of the (name,
+    got, want) cases, and whether any vector compared was truncated.  A
+    failing entry's witness shows both sides."""
+    entries = []
+    truncated = False
+    for name, got, want in cases:
+        truncated = truncated or got.truncated or want.truncated
+        sides = None
+        if got != want:
+            sides = {"got": got.canonical_text(), "want": want.canonical_text()}
+        entries.append((name, sides is None, sides))
+    return entries, truncated
+
+
 def ope_check(k: int, truncation=4) -> Report:
     """The defining bracket relations of the level-k generators: all twelve
-    products A_0 B, A_1 B for A, B in {H, E, F}."""
-    T = _rat(truncation)
+    products A_0 B, A_1 B for A, B in {H, E, F}.  A truncation below 1
+    would drop H = gamma(-1)1 but not E and F, which are built directly, and
+    fail falsely, so it is raised to 1.  At T >= 1 no term is dropped: the
+    0- and 1-modes of weight-one fields never raise weight."""
+    T = _rat(max(truncation, 1))
     H, E, F = sl2_generators(k, T)
     vac = StateVector.vacuum(H.lattice, T)
     zero = StateVector(H.lattice, T)
-    identities = [
+    entries, truncated = _identities([
         ("H0H=0", mode_apply(H, 0, H), zero),
         ("H1H=2k*1", mode_apply(H, 1, H), vac.scale(2 * k)),
         ("H0E=2E", mode_apply(H, 0, E), E.scale(2)),
@@ -743,13 +758,7 @@ def ope_check(k: int, truncation=4) -> Report:
         ("E1E=0", mode_apply(E, 1, E), zero),
         ("F0F=0", mode_apply(F, 0, F), zero),
         ("F1F=0", mode_apply(F, 1, F), zero),
-    ]
-    entries = []
-    truncated = False
-    for name, got, want in identities:
-        ok = got == want
-        truncated = truncated or got.truncated
-        entries.append((name, ok, None if ok else {"got": got.canonical_text()}))
+    ])
     return make_report(
         "ope",
         {"k": k, "truncation": T},
@@ -761,17 +770,11 @@ def ope_check(k: int, truncation=4) -> Report:
 
 def singular_vector_check(w: StateVector, omega: StateVector) -> Report:
     """Whether w is annihilated by the raising Virasoro modes of omega."""
-    entries = []
-    trivial = w.is_zero()
-    truncated = w.truncated or omega.truncated
-    for n in (1, 2):
-        got = virasoro_mode(omega, n, w)
-        truncated = truncated or got.truncated
-        ok = got.is_zero()
-        entries.append(
-            (f"L({n})w=0", ok, None if ok else {"got": got.canonical_text()})
-        )
-    if trivial:
+    zero = StateVector(w.lattice, w.truncation)
+    entries, truncated = _identities(
+        (f"L({n})w=0", virasoro_mode(omega, n, w), zero) for n in (1, 2)
+    )
+    if w.is_zero():
         entries.append(("nonzero-vector", True, {"note": "trivially singular: w = 0"}))
     return make_report(
         "singular-vector",
@@ -786,31 +789,28 @@ def ek_power_check(k: int, truncation=None) -> Report:
     """(E_(-1))^k 1 is nonzero of gamma(0)-eigenvalue 2k and is killed by the
     positive Heisenberg modes; the (k+1)-st power vanishes (the realization
     is the simple quotient).  A truncation below k + 2 cannot hold the
-    weight-(k+1) power and is raised to k + 2."""
+    weight-(k+1) power and is raised to k + 2.  At T >= k + 2 no term is
+    dropped: every vector compared has weight at most k + 1."""
     T = _rat(k + 2 if truncation is None else max(truncation, k + 2))
     H, E, F = sl2_generators(k, T)
     lat = E.lattice
     v = StateVector.vacuum(lat, T)
     for _ in range(k):
         v = mode_apply(E, -1, v)
-    v1 = mode_apply(E, -1, v)
     zero = StateVector(lat, T)
     nonzero = not v.is_zero()
-    entries = [("(E-1)^k 1 != 0", nonzero, None if nonzero else {"got": "0"})]
-    for name, got, want in [
+    entries, truncated = _identities([
         ("H0 (E-1)^k 1 = 2k (E-1)^k 1", mode_apply(H, 0, v), v.scale(2 * k)),
         ("H1 (E-1)^k 1 = 0", mode_apply(H, 1, v), zero),
         ("H2 (E-1)^k 1 = 0", mode_apply(H, 2, v), zero),
-        ("(E-1)^(k+1) 1 = 0", v1, zero),
-    ]:
-        ok = got == want
-        entries.append((name, ok, None if ok else {"got": got.canonical_text()}))
+        ("(E-1)^(k+1) 1 = 0", mode_apply(E, -1, v), zero),
+    ])
     return make_report(
         "ek-power",
         {"k": k, "truncation": T},
-        entries,
+        [("(E-1)^k 1 != 0", nonzero, None if nonzero else {"got": "0"})] + entries,
         identity="highest power of E(-1) on the vacuum and its Heisenberg eigenvalue",
-        truncated=v1.truncated,
+        truncated=truncated,
     )
 
 
@@ -823,28 +823,21 @@ def intertwiner_leading_check(k: int, truncation=3) -> Report:
     v = StateVector.exponential(lat, (-2,), T)
     # the mode m sits at z^(-m-1): m = 2/k - 1 at z^(-2/k), one less at z^(1-2/k)
     m0 = Fraction(2, k) - 1
-    got0 = exp_mode_apply((2,), m0, v)
-    got1 = exp_mode_apply((2,), m0 - 1, v)
     vac = StateVector.vacuum(lat, T)
-    want1 = heisenberg_apply(lat.gamma(), -1, vac).scale(Fraction(1, k))
-    entries = [
-        (
-            "coefficient of z^(-2/k) is the vacuum",
-            got0 == vac,
-            None if got0 == vac else {"got": got0.canonical_text()},
-        ),
+    entries, truncated = _identities([
+        ("coefficient of z^(-2/k) is the vacuum", exp_mode_apply((2,), m0, v), vac),
         (
             "coefficient of z^(1-2/k) is (1/k) gamma(-1)1",
-            got1 == want1,
-            None if got1 == want1 else {"got": got1.canonical_text()},
+            exp_mode_apply((2,), m0 - 1, v),
+            heisenberg_apply(lat.gamma(), -1, vac).scale(Fraction(1, k)),
         ),
-    ]
+    ])
     return make_report(
         "intertwiner-leading",
         {"k": k, "truncation": T},
         entries,
         identity="leading coefficients of the coset-shift intertwiner",
-        truncated=got0.truncated or got1.truncated or want1.truncated,
+        truncated=truncated,
     )
 
 
@@ -923,15 +916,6 @@ class GradedBasis:
                 key = (w - self.aff_offset, v.charge())
                 out[key] = out.get(key, 0) + 1
         return out
-
-    def to_obj(self) -> dict:
-        """JSON-ready graded-dimension table."""
-        return {
-            "truncation": str(self.truncation),
-            "aff_offset": str(self.aff_offset),
-            "dims": {str(w): d for w, d in self.dims().items()},
-            "truncated": self.truncated,
-        }
 
 
 def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
@@ -1140,15 +1124,12 @@ def kernel_dims(kernel: dict) -> dict[Fraction, int]:
     return {w: len(v) for w, v in sorted(kernel.items())}
 
 
-def singular_space_dimension(k: int, weight: int = 3, basis: GradedBasis | None = None) -> int:
+def singular_space_dimension(k: int) -> int:
     """Dimension of the space of Virasoro singular vectors of the coset
-    conformal vector inside the given weight slice of the commutant."""
-    if basis is None:
-        basis = affine_module_basis(k, 0, weight)
-    omega = _omegas(k, *sl2_generators(k, max(basis.truncation, 3)))["omega_para"]
-    vecs = commutant_kernel(basis, 0).get(_rat(weight), [])
-    if not vecs:
-        return 0
+    conformal vector inside the weight-3 slice of the commutant, the weight
+    of W3."""
+    omega = _omegas(k, *sl2_generators(k, 3))["omega_para"]
+    vecs = commutant_kernel(affine_module_basis(k, 0, 3), 0).get(3, [])
     constraints: dict[tuple, dict[int, Fraction]] = {}
     for t, v in enumerate(vecs):
         for n in (1, 2):
@@ -1168,9 +1149,12 @@ def random_state_vector(
 ) -> StateVector:
     """Small pseudo-random vector in the even (lattice-point) sector, with
     weights at most max_weight (leaving creation headroom below the
-    truncation when max_weight < truncation)."""
+    truncation when max_weight < truncation).  A negative max_weight, which
+    no lattice point meets, raises ValueError."""
     T = _rat(truncation)
     W = T if max_weight is None else _rat(max_weight)
+    if W < 0:
+        raise ValueError(f"need max_weight >= 0, got {W}")
     terms = {}
     for _ in range(nterms):
         while True:
@@ -1190,14 +1174,15 @@ def random_state_vector(
 
 def virasoro_bracket_check(k: int, truncation=5, seed=0) -> Report:
     """[L(m), L(n)] = (m-n) L(m+n) + delta_(m+n,0) (m^3-m)/12 c on sampled
-    vectors, for each of the three conformal vectors."""
+    vectors, for each of the three conformal vectors.  The samples have
+    weight at most T - 2 (T < 2 raises ValueError), so no term is dropped:
+    L(n) with n >= -2 raises weight by at most 2."""
     T = _rat(truncation)
     vecs = conformal_vectors(k, T)
     rng = random.Random(seed)
     lat = rank_lattice(k)
     samples = [random_state_vector(lat, T, rng, max_weight=T - 2) for _ in range(2)]
-    entries = []
-    truncated = False
+    cases = []
     for name in ("omega_h", "omega_aff", "omega_para"):
         om = vecs[name]
         c = central_charge_of(om)
@@ -1209,15 +1194,8 @@ def virasoro_bracket_check(k: int, truncation=5, seed=0) -> Report:
                 rhs = virasoro_mode(om, m + n, v).scale(m - n)
                 if m + n == 0:
                     rhs = rhs + v.scale(Fraction((m**3 - m) * c.numerator, 12 * c.denominator))
-                ok = lhs == rhs
-                truncated = truncated or lhs.truncated or rhs.truncated
-                entries.append(
-                    (
-                        f"[{name}] [L({m}),L({n})] on sample {idx}",
-                        ok,
-                        None if ok else {"lhs": lhs.canonical_text(), "rhs": rhs.canonical_text()},
-                    )
-                )
+                cases.append((f"[{name}] [L({m}),L({n})] on sample {idx}", lhs, rhs))
+    entries, truncated = _identities(cases)
     return make_report(
         "virasoro-bracket",
         {"k": k, "truncation": T, "seed": seed},

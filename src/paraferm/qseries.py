@@ -21,7 +21,6 @@ exact.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import comb, isqrt, lcm
 
@@ -205,32 +204,6 @@ class QSeries:
         e0, _ = lead
         return self.shift(-e0) * other.shift(-e0).inverse()
 
-    # -- serialization -----------------------------------------------------
-
-    def to_obj(self) -> dict:
-        """Canonical JSON-ready form; round-trips bit-exactly."""
-        return {
-            "truncation": [self.truncation.numerator, self.truncation.denominator],
-            "terms": [
-                [e.numerator, e.denominator, str(c)]
-                for e, c in sorted(self.terms.items())
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "QSeries":
-        T = Fraction(obj["truncation"][0], obj["truncation"][1])
-        return cls(
-            {Fraction(n, d): Fraction(c) for n, d, c in obj["terms"]}, T
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "QSeries":
-        return cls.from_obj(json.loads(text))
-
 
 # -- character building blocks ----------------------------------------------
 
@@ -338,10 +311,6 @@ class ZQSeries:
     def zero(cls, truncation) -> "ZQSeries":
         return cls({}, truncation)
 
-    @classmethod
-    def one(cls, truncation) -> "ZQSeries":
-        return cls({(0, Fraction(0)): Fraction(1)}, truncation)
-
     def coefficient(self, z: int, e) -> Fraction:
         return self.terms.get((z, _rat(e)), Fraction(0))
 
@@ -352,24 +321,6 @@ class ZQSeries:
 
     def __hash__(self):
         return hash((self.truncation, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other: "ZQSeries") -> "ZQSeries":
-        T = min(self.truncation, other.truncation)
-        acc = dict(self.terms)
-        for key, c in other.terms.items():
-            acc[key] = acc.get(key, 0) + c
-        return ZQSeries(acc, T)
-
-    def __mul__(self, other: "ZQSeries") -> "ZQSeries":
-        T = min(self.truncation, other.truncation)
-        acc: dict[tuple[int, Fraction], Fraction] = {}
-        for (z1, e1), c1 in self.terms.items():
-            for (z2, e2), c2 in other.terms.items():
-                e = e1 + e2
-                if e < T:
-                    key = (z1 + z2, e)
-                    acc[key] = acc.get(key, 0) + c1 * c2
-        return ZQSeries(acc, T)
 
     def mul_geometric_inverse(self, zexp: int, qexp) -> "ZQSeries":
         """Multiply by (1 - z^zexp q^qexp)^(-1) with qexp > 0."""

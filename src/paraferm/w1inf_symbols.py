@@ -12,10 +12,6 @@ role in generation questions, so it is dropped here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .errors import BadMode
-
 
 def falling_factorial(n: int, a: int) -> int:
     """[n]_a = n(n-1)...(n-a+1); [n]_0 = 1."""
@@ -27,66 +23,9 @@ def falling_factorial(n: int, a: int) -> int:
     return out
 
 
-class SymbolElement:
-    """Finite rational linear combination of the symbols J^m, m >= 0."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc: dict[int, Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for m, c in items:
-            c = Fraction(c)
-            if not c:
-                continue
-            if m < 0:
-                raise ValueError("symbol index must be non-negative")
-            s = acc.get(m, 0) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-        self.terms = acc
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolElement):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
-
-    def __add__(self, other: "SymbolElement") -> "SymbolElement":
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            acc[m] = acc.get(m, 0) + c
-        return SymbolElement(acc)
-
-    def scale(self, c) -> "SymbolElement":
-        c = Fraction(c)
-        return SymbolElement({m: c * v for m, v in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*J^{m}" for m, c in sorted(self.terms.items()))
-
-
 def symbol_product_coefficient(m: int, r: int, n: int) -> int:
     """Coefficient of J^(m+n-r) in the r-th product of J^m with J^n."""
     return falling_factorial(n, r) - (-1) ** r * falling_factorial(m, r)
-
-
-def symbol_product(m: int, r: int, n: int) -> SymbolElement:
-    """r-th product J^m_r J^n at symbol level: a single term (or zero)."""
-    if m < 0 or n < 0 or r < 0:
-        raise BadMode("indices must be non-negative")
-    if r > m + n:
-        raise BadMode(f"mode r={r} exceeds m+n={m + n}")
-    return SymbolElement({m + n - r: symbol_product_coefficient(m, r, n)})
 
 
 def generation_closure(seeds, bound: int) -> set[int]:

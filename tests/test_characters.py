@@ -111,10 +111,10 @@ class TestStringFunctions:
             assert a.agrees_with(b)
 
     def test_serialization_table(self):
-        obj = string_function(3, 1, 0, 4).to_obj()
-        assert obj["k"] == 3 and obj["i"] == 1 and obj["j"] == 0
-        assert obj["top_weight"] == [1, 15]
-        assert all(isinstance(c, int) for c in obj["coefficients"])
+        st = string_function(3, 1, 0, 4)
+        assert st.k == 3 and st.i == 1 and st.j == 0
+        assert st.top_weight == Fraction(1, 15)
+        assert all(c.denominator == 1 for c in st.series.terms.values())
 
 
 class TestDecomposition:

@@ -280,6 +280,10 @@ def test_readme_commands_match_the_table():
         del args["format"], args["out"]
         cli._resolve(name, _TABLE[name], args)
     assert {argv[0] for argv in commands} == set(CHECKS) | {"all"}
+    # `paraferm --help` prints the module docstring, whose table rows start
+    # with the check name; continuation rows start with a flag
+    rows = [line.split()[0] for line in cli.__doc__.splitlines() if line.startswith("    ")]
+    assert {row for row in rows if not row.startswith("--")} == set(CHECKS) | {"all"}
 
 
 def test_fock_reports_match_the_benchmark_reference():

@@ -260,6 +260,13 @@ class TestSl2Generators:
             r = ope_check(k)
             assert r.status == "pass", r.to_json()
 
+    def test_ope_below_truncation_one_is_raised_not_failed(self):
+        # H = gamma(-1)1 has weight 1; a lower truncation would drop it
+        for k in (2, 3, 4):
+            r = ope_check(k, Q(1, 2))
+            assert r.status == "pass", r.to_json()
+            assert r.params["truncation"] == 1
+
     def test_specific_products(self):
         H, E, F = sl2_generators(3, 4)
         vac = StateVector.vacuum(H.lattice, 4)
@@ -304,6 +311,12 @@ class TestConformalVectors:
             r = virasoro_bracket_check(k, truncation=5, seed=3)
             assert r.status == "pass", r.to_json()
 
+    def test_no_room_for_samples_is_an_error(self):
+        with pytest.raises(ValueError):
+            random_state_vector(rank_lattice(3), 1, random.Random(0), max_weight=-1)
+        with pytest.raises(ValueError):
+            virasoro_bracket_check(3, truncation=1)
+
     def test_omega_para_modes_commute_with_heisenberg(self):
         k = 3
         lat = rank_lattice(k)
@@ -335,6 +348,10 @@ class TestSingularVector:
         cv = conformal_vectors(3, 4)
         r = singular_vector_check(cv["omega_para"], cv["omega_para"])
         assert r.status == "fail"
+        failing = [d for d in r.details if not d["ok"]]
+        assert failing
+        for d in failing:
+            assert set(d["witness"]) == {"got", "want"}
 
     def test_zero_vector_trivially_singular(self):
         cv = conformal_vectors(3, 4)
@@ -514,9 +531,8 @@ class TestGoldenDumps:
 
     def test_graded_dims_table(self):
         b = affine_module_basis(3, 0, 2)
-        obj = b.to_obj()
-        assert obj["dims"] == {"0": 1, "1": 3, "2": 9}
-        assert obj["truncated"] is False
+        assert b.dims() == {0: 1, 1: 3, 2: 9}
+        assert b.truncated is False
 
 
 def _normal(v: StateVector) -> bool:

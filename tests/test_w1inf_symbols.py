@@ -1,14 +1,9 @@
 """Symbol bracket coefficients and generation closure."""
 
-import pytest
-
-from paraferm.errors import BadMode
 from paraferm.w1inf_symbols import (
-    SymbolElement,
     derivation_chains,
     falling_factorial,
     generation_closure,
-    symbol_product,
     symbol_product_coefficient,
 )
 
@@ -28,24 +23,21 @@ class TestFallingFactorial:
 class TestSymbolProduct:
     def test_first_product_rule(self):
         # r = 1 products give (m+n) J^(m+n-1)
-        assert symbol_product(2, 1, 2) == SymbolElement({3: 4})
+        assert symbol_product_coefficient(2, 1, 2) == 4
         for m in range(6):
             for n in range(6):
                 if m + n == 0:
                     continue
-                assert symbol_product(m, 1, n) == SymbolElement({m + n - 1: m + n})
+                assert symbol_product_coefficient(m, 1, n) == m + n
 
     def test_zeroth_product_vanishes(self):
         for m in range(5):
             for n in range(5):
-                assert symbol_product(m, 0, n).is_zero()
+                assert symbol_product_coefficient(m, 0, n) == 0
 
     def test_explicit_value(self):
-        assert symbol_product(3, 2, 1) == SymbolElement({2: -6})
-
-    def test_bad_mode(self):
-        with pytest.raises(BadMode):
-            symbol_product(1, 4, 2)
+        # J^3_2 J^1 = -6 J^2
+        assert symbol_product_coefficient(3, 2, 1) == -6
 
     def test_skew_compatibility(self):
         # coefficient(m,r,n) = -(-1)^r coefficient(n,r,m)
