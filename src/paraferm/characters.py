@@ -24,12 +24,12 @@ of the whole suite.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 
 from . import lattice_fock
 from .errors import BadLabel, IdentityFailed, RouteDisagreement
 from .fusion_identify import topweight_para
-from .qseries import QSeries, ZQSeries, lattice_coset_char
+from .qseries import QSeries, ZQSeries, _grid_product, lattice_coset_char
 from .report import Report, make_report
 
 
@@ -51,11 +51,13 @@ def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
     Trel = T - h
     if Trel <= 0:
         return ZQSeries.zero(T)
-    terms: dict[tuple[int, Fraction], Fraction] = {}
+    # relative to h every exponent is an integer e = 0..E
+    E = ceil(Trel) - 1
+    rows: dict[int, list[int]] = {}
     nbound = isqrt(int(Trel)) + 2
     for n in range(-nbound - 1, nbound + 2):
         dep = n * (i + 1) + n * n * (k + 2)
-        if dep >= Trel:
+        if dep > E:
             continue
         a = i + 2 * n * (k + 2)
         # (z^a - z^(-a-2)) / (1 - z^-2) is the symmetric block of span a
@@ -64,16 +66,10 @@ def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
         else:
             sign, span = -1, -a - 2
         for t in range(span + 1):
-            key = (span - 2 * t, Fraction(dep))
-            terms[key] = terms.get(key, 0) + sign
-    num = ZQSeries(terms, Trel)
-    n = 1
-    while n < Trel:
-        num = num.mul_geometric_inverse(0, n)
-        num = num.mul_geometric_inverse(2, n)
-        num = num.mul_geometric_inverse(-2, n)
-        n += 1
-    return num.shift_q(h)
+            rows.setdefault(span - 2 * t, [0] * (E + 1))[dep] += sign
+    _grid_product(rows, [(a, n) for n in range(1, E + 1) for a in (0, 2, -2)], E)
+    exps = [h + e for e in range(E + 1)]
+    return ZQSeries({(z, exps[e]): c for z, row in rows.items() for e, c in enumerate(row) if c}, T)
 
 
 class StringFunction:
@@ -144,9 +140,10 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
         Fraction(min(s, 2 * k - s) ** 2, 4 * k) for s in range((i % 2), 2 * k, 2)
     )
     Tint = T + pad
-    lhs = affine_sl2_char(k, i, Tint).specialize_z1().truncate(T)
+    ch = affine_sl2_char(k, i, Tint)
+    lhs = ch.specialize_z1().truncate(T)
     if strings is None:
-        strings = all_string_functions(k, i, Tint)
+        strings = [string_function(k, i, j, Tint, _char=ch) for j in range(k)]
     rhs = QSeries.zero(Tint)
     for st in strings:
         s = (i - 2 * st.j) % (2 * k)

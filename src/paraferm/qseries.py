@@ -22,7 +22,7 @@ exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt, lcm
+from math import ceil, isqrt, lcm
 
 from .errors import BadResidue, ZeroConstantTerm
 
@@ -51,7 +51,8 @@ class QSeries:
             c = _rat(c)
             if not c:
                 continue
-            s = acc.get(e, 0) + c
+            s = acc.get(e)
+            s = c if s is None else s + c
             if s:
                 acc[e] = s
             else:
@@ -208,14 +209,25 @@ class QSeries:
 # -- character building blocks ----------------------------------------------
 
 
-def _geometric_inverse_factor(exponent: Fraction, power: int, T: Fraction) -> QSeries:
-    """(1 - q^exponent)^(-power) truncated at T, exponent > 0, power >= 0."""
-    terms = {}
-    j = 0
-    while j * exponent < T:
-        terms[j * exponent] = comb(j + power - 1, power - 1) if power else (j == 0)
-        j += 1
-    return QSeries(terms, T)
+def _grid_product(rows: dict[int, list[int]], factors, E: int) -> dict[int, list[int]]:
+    """Multiply sum rows[z][e] z^z q^e (integers e = 0..E) in place by the
+    product of (1 - z^a q^n)^(-1) over (a, n) in factors, n >= 1.
+
+    One ascending sweep per factor: rows are walked in the direction of a,
+    so row z - a already holds the product when row z reads it.
+    """
+    for a, n in factors:
+        lo, hi = min(rows), max(rows)
+        reach = abs(a) * (E // n)
+        for z in range(lo, hi + reach + 1) if a >= 0 else range(hi, lo - reach - 1, -1):
+            src = rows.get(z - a)
+            # a row that shifts out of the grid adds nothing: make no new row
+            if src is None or not any(src[: E + 1 - n]):
+                continue
+            row = rows.setdefault(z, [0] * (E + 1))
+            for e in range(n, E + 1):
+                row[e] += src[e - n]
+    return rows
 
 
 def heisenberg_char(rank: int, T) -> QSeries:
@@ -223,12 +235,9 @@ def heisenberg_char(rank: int, T) -> QSeries:
     if rank < 0:
         raise ValueError("rank must be a non-negative integer")
     T = _rat(T)
-    out = QSeries.one(T)
-    n = 1
-    while n < T:
-        out = out * _geometric_inverse_factor(Fraction(n), rank, T)
-        n += 1
-    return out
+    E = ceil(T) - 1
+    factors = [(0, n) for n in range(1, E + 1) for _ in range(rank)]
+    return QSeries(enumerate(_grid_product({0: [1] + [0] * E}, factors, E)[0]), T)
 
 
 def coset_theta(k: int, s: int, T) -> QSeries:
@@ -267,12 +276,9 @@ def free_w_char(k: int, T) -> QSeries:
     if k < 2:
         raise ValueError("need k >= 2")
     T = _rat(T)
-    out = QSeries.one(T)
-    d = 2
-    while d < T:
-        out = out * _geometric_inverse_factor(Fraction(d), min(d, k) - 1, T)
-        d += 1
-    return out
+    E = ceil(T) - 1
+    factors = [(0, d) for d in range(2, E + 1) for _ in range(min(d, k) - 1)]
+    return QSeries(enumerate(_grid_product({0: [1] + [0] * E}, factors, E)[0]), T)
 
 
 # -- two-variable series ------------------------------------------------------
@@ -292,6 +298,8 @@ class ZQSeries:
         acc: dict[tuple[int, Fraction], Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (z, e), c in items:
+            if z != int(z):
+                raise ValueError(f"charge {z!r} is not an integer")
             e = _rat(e)
             if e >= T:
                 continue
@@ -299,7 +307,8 @@ class ZQSeries:
             if not c:
                 continue
             key = (int(z), e)
-            s = acc.get(key, 0) + c
+            s = acc.get(key)
+            s = c if s is None else s + c
             if s:
                 acc[key] = s
             else:

@@ -1,7 +1,7 @@
 """Independent brute-force oracles shared by the test modules.
 
-Everything here recomputes expected values by direct enumeration, never
-through the code paths under test.
+Everything here recomputes expected values by direct enumeration or by a
+separate construction, never through the code paths under test.
 """
 
 from fractions import Fraction
@@ -24,6 +24,7 @@ from paraferm.lattice_fock import (
     mode_apply,
     sl2_generators,
 )
+from paraferm.qseries import ZQSeries
 
 Q = Fraction
 
@@ -78,6 +79,36 @@ def free_generation_count(n: int, k: int) -> int:
         return total
 
     return count(n, 0)
+
+
+def affine_char_cascade(k: int, i: int, T) -> ZQSeries:
+    """The affine Weyl alternating sum divided by the denominator one
+    geometric factor at a time through ``ZQSeries.mul_geometric_inverse``,
+    with Fraction exponents throughout (no integer grid)."""
+    T = Q(T)
+    h = Q(i * (i + 2), 4 * (k + 2))
+    Trel = T - h
+    if Trel <= 0:
+        return ZQSeries.zero(T)
+    terms: dict[tuple[int, Fraction], Fraction] = {}
+    nbound = isqrt(int(Trel)) + 2
+    for n in range(-nbound - 1, nbound + 2):
+        dep = n * (i + 1) + n * n * (k + 2)
+        if dep >= Trel:
+            continue
+        a = i + 2 * n * (k + 2)
+        sign, span = (1, a) if a >= 0 else (-1, -a - 2)
+        for t in range(span + 1):
+            key = (span - 2 * t, Q(dep))
+            terms[key] = terms.get(key, 0) + sign
+    num = ZQSeries(terms, Trel)
+    n = 1
+    while n < Trel:
+        num = num.mul_geometric_inverse(0, n)
+        num = num.mul_geometric_inverse(2, n)
+        num = num.mul_geometric_inverse(-2, n)
+        n += 1
+    return num.shift_q(h)
 
 
 def brute_force_identifications(k: int) -> list[dict]:

@@ -14,6 +14,7 @@ from paraferm.characters import (
     string_function,
     w_minimal_central_charge,
 )
+from oracles import affine_char_cascade
 from oracles import colored_partitions_table as colored_partitions
 from paraferm.errors import BadLabel, RouteDisagreement
 from paraferm.fusion_identify import topweight_para
@@ -56,6 +57,19 @@ class TestAffineChar:
             affine_sl2_char(3, 4, 3)
         with pytest.raises(BadLabel):
             affine_sl2_char(3, -1, 3)
+
+    def test_equals_the_geometric_cascade(self):
+        # the integer grid against one mul_geometric_inverse per factor, on
+        # integral and rational truncations, some of them at or below h
+        for k in range(1, 7):
+            for i in range(k + 1):
+                h = affine_top_weight(k, i)
+                for T in (Q(0), h, h + Q(1, 7), Q(7, 3), Q(10), Q(23, 2)):
+                    ch = affine_sl2_char(k, i, T)
+                    assert ch == affine_char_cascade(k, i, T), (k, i, T)
+                    for (z, e), c in ch.terms.items():
+                        assert type(z) is int and type(e) is Fraction
+                        assert type(c) is Fraction and c and c.denominator == 1
 
     def test_matches_fock_realization_by_charge(self):
         # cross-module oracle: two-variable coefficients against the graded,

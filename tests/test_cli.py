@@ -286,13 +286,11 @@ def test_readme_commands_match_the_table():
     assert {row for row in rows if not row.startswith("--")} == set(CHECKS) | {"all"}
 
 
-def test_fock_reports_match_the_benchmark_reference():
-    """The Fock-route reports are byte-identical to the ones recorded in
-    perfbench/reference.json (read here, never written)."""
+def _differ_from_the_benchmark_reference(commands):
+    """The commands whose report bytes differ from perfbench/reference.json
+    (read here, never written) in length or SHA-256."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
     reference = json.loads(path.read_text())
-    commands = [f"string-dual-route --k 3 --i {i} --max-weight 4" for i in range(4)]
-    commands.append("singular-vector --k 3 --seed 0")
     differ = []
     for command in commands:
         buf = io.StringIO()
@@ -302,4 +300,22 @@ def test_fock_reports_match_the_benchmark_reference():
         want = reference[command]
         if (len(data), hashlib.sha256(data).hexdigest()) != (want["bytes"], want["sha256"]):
             differ.append(command)
-    assert not differ
+    return differ
+
+
+def test_fock_reports_match_the_benchmark_reference():
+    """The Fock-route reports are byte-identical to the ones recorded in
+    perfbench/reference.json."""
+    commands = [f"string-dual-route --k 3 --i {i} --max-weight 4" for i in range(4)]
+    commands.append("singular-vector --k 3 --seed 0")
+    assert not _differ_from_the_benchmark_reference(commands)
+
+
+def test_character_reports_match_the_benchmark_reference():
+    """The character-route reports that compute series (lki-decomposition:
+    affine characters, string functions, lattice-coset blocks) and the
+    symbol generation are byte-identical to the ones recorded in
+    perfbench/reference.json."""
+    commands = [f"lki-decomposition --k {k} --max-weight 10" for k in range(3, 7)]
+    commands.append("w1inf-generation --max 100")
+    assert not _differ_from_the_benchmark_reference(commands)

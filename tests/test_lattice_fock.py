@@ -21,7 +21,9 @@ from oracles import (
     theta_involution,
 )
 from oracles import colored_partitions_table as colored_partitions
+import paraferm.characters
 import paraferm.lattice_fock
+import paraferm.qseries
 from paraferm.errors import NonIntegralPairing
 from paraferm.lattice_fock import (
     FockState,
@@ -631,31 +633,46 @@ class TestStateVectorInvariants:
 class TestRouteIndependence:
     """The Fock route computes the coset dimensions on its own: lattice_fock
     takes nothing from the character route or the label arithmetic, and is
-    exact (no float literal, no float() call)."""
+    exact (no float literal, no float() call).  The character route is
+    exact too, and its series layer takes nothing from the Fock route."""
 
     OTHER_ROUTES = {"characters", "qseries", "fusion_identify"}
 
-    def _tree(self):
-        with open(paraferm.lattice_fock.__file__) as fh:
+    def _tree(self, module):
+        with open(module.__file__) as fh:
             return ast.parse(fh.read())
 
-    def test_imports_nothing_from_the_other_routes(self):
+    def _imported(self, module):
         imported = set()
-        for node in ast.walk(self._tree()):
+        for node in ast.walk(self._tree(module)):
             if isinstance(node, ast.Import):
                 imported |= {a.name.split(".")[-1] for a in node.names}
             elif isinstance(node, ast.ImportFrom):
                 imported |= set((node.module or "").split("."))
                 imported |= {a.name for a in node.names}
-        assert not imported & self.OTHER_ROUTES
+        return imported
 
-    def test_no_floats(self):
-        for node in ast.walk(self._tree()):
+    def _assert_no_floats(self, module):
+        for node in ast.walk(self._tree(module)):
             assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), (
-                node.lineno
+                module.__name__,
+                node.lineno,
             )
             assert not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "float"
-            ), node.lineno
+            ), (module.__name__, node.lineno)
+
+    def test_imports_nothing_from_the_other_routes(self):
+        assert not self._imported(paraferm.lattice_fock) & self.OTHER_ROUTES
+
+    def test_no_floats(self):
+        self._assert_no_floats(paraferm.lattice_fock)
+
+    def test_character_route_has_no_floats(self):
+        self._assert_no_floats(paraferm.qseries)
+        self._assert_no_floats(paraferm.characters)
+
+    def test_qseries_imports_nothing_from_lattice_fock(self):
+        assert "lattice_fock" not in self._imported(paraferm.qseries)

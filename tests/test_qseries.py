@@ -185,10 +185,14 @@ class TestHeisenberg:
         assert heisenberg_char(2, 3).coefficient(2) == colored_partition_count(2, 2)
 
     def test_colored_counts_randomized(self):
-        for rank in (1, 2, 3):
-            ch = heisenberg_char(rank, 7)
-            for n in range(7):
-                assert ch.coefficient(n) == colored_partition_count(n, rank)
+        # truncations up to 15, rational ones included: the integer grid
+        # stops at the largest integer below T
+        for T in (Q(1, 2), 7, Q(41, 4), 15):
+            for rank in (1, 2, 3):
+                ch = heisenberg_char(rank, T)
+                assert ch.truncation == T
+                want = {Q(n): colored_partition_count(n, rank) for n in range(15) if n < T}
+                assert ch.terms == want
 
 
 class TestCosetTheta:
@@ -249,10 +253,12 @@ class TestFreeWChar:
         assert free_w_char(2, 4) == S({0: 1, 2: 1, 3: 1}, 4)
 
     def test_against_enumeration(self):
-        for k in (2, 3, 4, 5):
-            ch = free_w_char(k, 8)
-            for n in range(8):
-                assert ch.coefficient(n) == free_generation_count(n, k)
+        for T in (Q(1, 2), 8, Q(41, 4), 15):
+            for k in (2, 3, 4, 5):
+                ch = free_w_char(k, T)
+                assert ch.truncation == T
+                want = {Q(n): free_generation_count(n, k) for n in range(15) if n < T}
+                assert ch.terms == {e: c for e, c in want.items() if c}
 
     def test_new_generator_enters_at_weight_k(self):
         for k in (3, 4, 5, 6):
@@ -279,6 +285,15 @@ class TestZQSeries:
         assert g.coefficient(2, 1) == 1
         assert g.coefficient(4, 2) == 1
         assert g.coefficient(6, 3) == 1
+
+    def test_non_integral_charge_raises(self):
+        for z in (Q(3, 2), 1.7, "1"):
+            with pytest.raises(ValueError):
+                ZQSeries({(z, 0): 1}, 3)
+        # even where the term itself would be dropped
+        with pytest.raises(ValueError):
+            ZQSeries({(Q(1, 2), 5): 1}, 3)
+        assert ZQSeries({(Q(4, 2), 1): 1}, 3).terms == {(2, Q(1)): Q(1)}
 
     def test_charge_slice_sum(self):
         a = ZQSeries({(0, 0): 1, (6, 3): 2, (2, 1): 5}, 4)
