@@ -14,11 +14,15 @@ graded so that z tracks the Cartan eigenvalue and q the absolute conformal
 weight (after the overall shift by q^h).  Each numerator term divided by
 (1 - z^-2) is a finite symmetric z-block, so the division is exact.
 
-String functions are extracted by summing the z-slices over one charge
-class mod 2k and dividing by the corresponding lattice-coset character;
-their coefficients must agree with the kernel dimensions computed in the
-Fock realization (`string_dual_route_check`), which is the central oracle
-of the whole suite.
+String functions are extracted from one charge slice (Kac-Peterson): the
+z^m slice of ch_i is c^i_(m mod 2k) q^(m^2/4k) / prod_{n>=1} (1-q^n), so
+the slice at the least |m| of the string's class, divided by the charge-m
+Heisenberg (Fock) character, is the string.  The decomposition check then
+compares the whole character with the sum over the strings of (string) x
+(lattice-coset character), which reads every other slice of the class.
+The string coefficients must also agree with the kernel dimensions computed
+in the Fock realization (`string_dual_route_check`), which is the central
+oracle of the whole suite.
 """
 
 from __future__ import annotations
@@ -29,12 +33,8 @@ from math import ceil, isqrt
 from . import lattice_fock
 from .errors import BadLabel, IdentityFailed, RouteDisagreement
 from .fusion_identify import topweight_para
-from .qseries import QSeries, ZQSeries, _grid_product, lattice_coset_char
+from .qseries import QSeries, ZQSeries, _grid_product, _rat, heisenberg_char, lattice_coset_char
 from .report import Report, make_report
-
-
-def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def affine_top_weight(k: int, i: int) -> Fraction:
@@ -92,17 +92,22 @@ class StringFunction:
         return lead[0]
 
 
+def _min_charge_rep(k: int, i: int, j: int) -> int:
+    """The charge m of least |m| in the class i-2j mod 2k (m = k, not -k)."""
+    s = (i - 2 * j) % (2 * k)
+    return s if s <= k else s - 2 * k
+
+
 def string_function(k: int, i: int, j: int, T, _char: ZQSeries | None = None) -> StringFunction:
-    """Extract the (i, j) string: sum the z-slices over the charge class
-    i-2j mod 2k and divide off the lattice-coset character."""
+    """Extract the (i, j) string from one charge slice: with m the least
+    charge of the class i-2j mod 2k, divide the z^m slice of ch_i by the
+    charge-m Fock character q^(m^2/4k) / prod_{n>=1} (1-q^n)."""
     if not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
     T = _rat(T)
     ch = _char if _char is not None else affine_sl2_char(k, i, T)
-    s = (i - 2 * j) % (2 * k)
-    sliced = ch.charge_slice_sum(s, 2 * k)
-    divisor = lattice_coset_char(k, s, T)
-    quotient = sliced.divide(divisor)
+    m = _min_charge_rep(k, i, j)
+    quotient = ch.charge_slice(m).divide(heisenberg_char(1, T).shift(Fraction(m * m, 4 * k)))
     for e, c in quotient.terms.items():
         if c.denominator != 1 or c < 0:
             raise IdentityFailed(
@@ -136,9 +141,7 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
     enough that every product is reliable below max_weight.
     """
     T = _rat(max_weight)
-    pad = max(
-        Fraction(min(s, 2 * k - s) ** 2, 4 * k) for s in range((i % 2), 2 * k, 2)
-    )
+    pad = max(Fraction(_min_charge_rep(k, i, j) ** 2, 4 * k) for j in range(k))
     Tint = T + pad
     ch = affine_sl2_char(k, i, Tint)
     lhs = ch.specialize_z1().truncate(T)
@@ -180,11 +183,6 @@ def decomposition_check_lk0(k: int, max_weight, strings=None) -> Report:
 # ---------------------------------------------------------------------------
 # dual route: string functions vs Fock-realization kernels
 # ---------------------------------------------------------------------------
-
-
-def _min_charge_rep(k: int, i: int, j: int) -> int:
-    s = (i - 2 * j) % (2 * k)
-    return s if s <= k else s - 2 * k
 
 
 def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None, strict=True) -> Report:

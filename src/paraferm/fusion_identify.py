@@ -41,6 +41,22 @@ class ParaLabel:
     def __str__(self):
         return f"M[{self.i},{self.j}]"
 
+    @property
+    def topweight(self) -> Fraction:
+        """P(i,j)/2k(k+2)."""
+        k, i, j = self.k, self.i, self.j
+        p = k * (i - 2 * j) - (i - 2 * j) ** 2 + 2 * k * (i - j + 1) * j
+        return Fraction(p, 2 * k * (k + 2))
+
+    def twist(self) -> ParaLabel:
+        """Order-two twist (i,j) -> (i, i-j)."""
+        return para_normalize(self.k, self.i, self.i - self.j)
+
+    def current(self, p: int) -> ParaLabel:
+        """Fusion with the p-th simple current: (i,j) -> (i, j+p)."""
+        _check_current(self.k, p)
+        return para_normalize(self.k, self.i, self.j + p)
+
 
 @dataclass(frozen=True, order=True)
 class WLabel:
@@ -56,6 +72,27 @@ class WLabel:
 
     def __str__(self):
         return f"W[{self.a},{self.b}]"
+
+    @property
+    def topweight(self) -> Fraction:
+        """Evaluated on the canonical order (smaller residue in the quadratic slot)."""
+        k, a, b = self.k, self.a, self.b
+        num = -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
+        return Fraction(num, 2 * k * (k + 2))
+
+    def twist(self) -> WLabel:
+        """Order-two twist {a,b} -> {-a,-b}."""
+        return w_label(self.k, -self.a, -self.b)
+
+    def current(self, p: int) -> WLabel:
+        """Fusion with the p-th simple current: {a,b} -> {a+p, b+p}."""
+        _check_current(self.k, p)
+        return w_label(self.k, self.a + p, self.b + p)
+
+
+def _check_current(k: int, p: int) -> None:
+    if not 0 <= p < k:
+        raise BadLabel(f"current index {p} out of range 0..{k - 1}")
 
 
 def para_normalize(k: int, i: int, j: int) -> ParaLabel:
@@ -76,56 +113,12 @@ def w_label(k: int, a: int, b: int) -> WLabel:
     return WLabel(k, a, b)
 
 
-def para_p_value(k: int, i: int, j: int) -> int:
-    """P(i,j) on the canonical representative; 2k(k+2) times the top weight."""
-    lab = para_normalize(k, i, j)
-    i, j = lab.i, lab.j
-    return k * (i - 2 * j) - (i - 2 * j) ** 2 + 2 * k * (i - j + 1) * j
-
-
 def topweight_para(k: int, i: int, j: int) -> Fraction:
-    return Fraction(para_p_value(k, i, j), 2 * k * (k + 2))
+    return para_normalize(k, i, j).topweight
 
 
 def topweight_w(k: int, a: int, b: int) -> Fraction:
-    """Top weight of the W-side label, evaluated on the canonical order
-    (smaller residue in the quadratic slot)."""
-    lab = w_label(k, a, b)
-    a, b = lab.a, lab.b
-    num = -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
-    return Fraction(num, 2 * k * (k + 2))
-
-
-def label_topweight(label) -> Fraction:
-    if isinstance(label, ParaLabel):
-        return topweight_para(label.k, label.i, label.j)
-    if isinstance(label, WLabel):
-        return topweight_w(label.k, label.a, label.b)
-    raise BadLabel(f"not a module label: {label!r}")
-
-
-def theta_act(label):
-    """Order-two twist: (i,j) -> (i, i-j) on the coset side,
-    {a,b} -> {-a,-b} on the W side."""
-    if isinstance(label, ParaLabel):
-        return para_normalize(label.k, label.i, (label.i - label.j) % label.k)
-    if isinstance(label, WLabel):
-        return w_label(label.k, -label.a, -label.b)
-    raise BadLabel(f"not a module label: {label!r}")
-
-
-def simple_current_act(p: int, label):
-    """Fusion with the p-th simple current: (i,j) -> (i, j+p) on the coset
-    side, {a,b} -> {a+p, b+p} on the W side."""
-    if isinstance(label, ParaLabel):
-        if not 0 <= p < label.k:
-            raise BadLabel(f"current index {p} out of range 0..{label.k - 1}")
-        return para_normalize(label.k, label.i, (label.j + p) % label.k)
-    if isinstance(label, WLabel):
-        if not 0 <= p < label.k:
-            raise BadLabel(f"current index {p} out of range 0..{label.k - 1}")
-        return w_label(label.k, label.a + p, label.b + p)
-    raise BadLabel(f"not a module label: {label!r}")
+    return w_label(k, a, b).topweight
 
 
 def para_current(k: int, j: int) -> ParaLabel:
@@ -165,9 +158,7 @@ class Bijection:
         return sorted(self.mapping.items())
 
     def preserves_topweights(self) -> bool:
-        return all(
-            label_topweight(p) == label_topweight(w) for p, w in self.mapping.items()
-        )
+        return all(p.topweight == w.topweight for p, w in self.mapping.items())
 
     def to_obj(self) -> dict:
         return {
@@ -203,7 +194,7 @@ def _stage_candidates(k: int, p: int) -> list[WLabel]:
     target = Fraction(p * (k - p), 2 * k * (k + 2))
     cands = []
     for lab in (w_label(k, 0, (k - p) % k), w_label(k, 0, p)):
-        if lab not in cands and topweight_w(k, lab.a, lab.b) == target:
+        if lab not in cands and lab.topweight == target:
             cands.append(lab)
     return cands
 
@@ -218,12 +209,11 @@ def _obstruction_integral(k: int, p: int, sigma: int, cand: WLabel) -> bool:
     current shift of the candidate; within one simple module all weight
     differences are integers.
     """
-    fused = simple_current_act(sigma % k, cand)
     diff = (
         _coset_topweight(k, p - 2)
-        + label_topweight(fused)
+        + cand.current(sigma % k).topweight
         - _coset_topweight(k, p)
-        - label_topweight(cand)
+        - cand.topweight
     )
     return diff.denominator == 1
 
@@ -261,11 +251,7 @@ def identify(k: int) -> list[Bijection]:
             seed_image = survivors[0]
             for j in range(k):
                 para = para_normalize(k, p, j)
-                image = seed_image
-                if j:
-                    image = w_label(
-                        k, seed_image.a + sigma * j, seed_image.b + sigma * j
-                    )
+                image = seed_image.current((sigma * j) % k)
                 prev = mapping.get(para)
                 if prev is not None and prev != image:
                     raise NoIdentification(
@@ -285,9 +271,7 @@ def topweight_match_check(k: int) -> Report:
     bad = []
     for i in range(k + 1):
         for j in range(k):
-            para = topweight_para(k, i, j)
-            img = w_label(k, j, j - i)
-            if para != topweight_w(k, img.a, img.b):
+            if para_normalize(k, i, j).topweight != w_label(k, j, j - i).topweight:
                 bad.append({"i": i, "j": j})
     n = len(enumerate_simples(k))
     witness = None if not bad else {"mismatches": bad}

@@ -46,7 +46,12 @@ DEFAULT_TRUNCATION = 8
 
 
 def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as an exact Fraction; a float is refused rather than rounded."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"inexact value {x!r}: pass an int or a Fraction")
+    return Fraction(x)
 
 
 def _exact(x):

@@ -28,7 +28,12 @@ from .errors import BadResidue, ZeroConstantTerm
 
 
 def _rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x as an exact Fraction; a float is refused rather than rounded."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"inexact value {x!r}: pass an int or a Fraction")
+    return Fraction(x)
 
 
 class QSeries:
@@ -298,8 +303,8 @@ class ZQSeries:
         acc: dict[tuple[int, Fraction], Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for (z, e), c in items:
-            if z != int(z):
-                raise ValueError(f"charge {z!r} is not an integer")
+            if isinstance(z, float) or z != int(z):
+                raise ValueError(f"charge {z!r} is not an exact integer")
             e = _rat(e)
             if e >= T:
                 continue
@@ -366,13 +371,9 @@ class ZQSeries:
             acc[e] = acc.get(e, 0) + c
         return QSeries(acc, self.truncation)
 
-    def charge_slice_sum(self, residue: int, modulus: int) -> QSeries:
-        """Sum of the z^m slices over all m congruent to residue mod modulus."""
-        acc: dict[Fraction, Fraction] = {}
-        for (z, e), c in self.terms.items():
-            if (z - residue) % modulus == 0:
-                acc[e] = acc.get(e, 0) + c
-        return QSeries(acc, self.truncation)
+    def charge_slice(self, m: int) -> QSeries:
+        """The z^m slice: the coefficient of z^m, a series in q."""
+        return QSeries({e: c for (z, e), c in self.terms.items() if z == m}, self.truncation)
 
     def q_slice(self, e) -> dict[int, Fraction]:
         """z-polynomial at a fixed q-exponent."""

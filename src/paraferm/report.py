@@ -4,22 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 PASS = "pass"
 FAIL = "fail"
 PASS_TRUNCATED = "pass-up-to-truncation"
-
-
-def _plain(value):
-    """Recursively convert to JSON-serializable data, keeping rationals exact."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
 
 
 @dataclass
@@ -44,14 +32,15 @@ class Report:
     def to_obj(self) -> dict:
         return {
             "check": self.check,
-            "params": _plain(self.params),
+            "params": self.params,
             "status": self.status,
             "identity": self.identity,
-            "details": _plain(self.details),
+            "details": self.details,
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"))
+        """Canonical JSON; rationals (any non-JSON value) as their exact str."""
+        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"), default=str)
 
 
 def make_report(check, params, entries, identity="", truncated=False) -> Report:

@@ -11,7 +11,6 @@ from math import comb, isqrt
 from paraferm.fusion_identify import (
     enumerate_simples,
     enumerate_w_simples,
-    label_topweight,
     para_current,
     para_normalize,
     w_current,
@@ -119,13 +118,13 @@ def brute_force_identifications(k: int) -> list[dict]:
     ws = enumerate_w_simples(k)
     w_by_weight: dict[Fraction, list] = {}
     for w in ws:
-        w_by_weight.setdefault(label_topweight(w), []).append(w)
+        w_by_weight.setdefault(w.topweight, []).append(w)
 
     units = [u for u in range(1, k) if Q(u * (k - u), k) == Q(k - 1, k)]
     found = []
     stages = list(range(1, k // 2 + 1))
     stage_cands = {
-        p: w_by_weight.get(label_topweight(para_normalize(k, p, 0)), [])
+        p: w_by_weight.get(para_normalize(k, p, 0).topweight, [])
         for p in stages
     }
     for u in units:
@@ -150,7 +149,7 @@ def brute_force_identifications(k: int) -> list[dict]:
             if len(set(mapping.values())) != len(paras):
                 continue
             if any(
-                label_topweight(p) != label_topweight(w) for p, w in mapping.items()
+                p.topweight != w.topweight for p, w in mapping.items()
             ):
                 continue
             if mapping not in found:

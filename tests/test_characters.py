@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import paraferm.characters
 from paraferm.characters import (
     affine_sl2_char,
     affine_top_weight,
@@ -19,7 +20,7 @@ from oracles import colored_partitions_table as colored_partitions
 from paraferm.errors import BadLabel, RouteDisagreement
 from paraferm.fusion_identify import topweight_para
 from paraferm.lattice_fock import affine_module_basis
-from paraferm.qseries import QSeries
+from paraferm.qseries import QSeries, ZQSeries
 
 Q = Fraction
 
@@ -161,6 +162,30 @@ class TestDecomposition:
         r = decomposition_check_lk0(k, 6, strings=strings)
         assert r.status == "fail"
         assert r.details[0]["witness"]["first_failing_exponent"] == Q(2)
+
+    def test_moving_a_unit_within_a_charge_class_fails(self, monkeypatch):
+        # z^1 and z^7 lie in one charge class mod 2k = 6; a unit moved
+        # between them keeps the z = 1 specialisation but not the z^1 slice
+        # the string is read from
+        k, i = 3, 1
+        real = paraferm.characters.affine_sl2_char
+        e = affine_top_weight(k, i) + 6
+
+        def moved(k, i, T):
+            ch = real(k, i, T)
+            terms = dict(ch.terms)
+            terms[(1, e)] -= 1
+            terms[(7, e)] = terms.get((7, e), 0) + 1
+            return ZQSeries(terms, ch.truncation)
+
+        monkeypatch.setattr(paraferm.characters, "affine_sl2_char", moved)
+        r = decomposition_check_lki(k, i, 10)
+        assert r.status == "fail"
+        assert r.details[0]["witness"] == {
+            "first_failing_exponent": Q(123, 20),
+            "lhs": 266,
+            "rhs": 265,
+        }
 
 
 class TestDualRoute:

@@ -312,10 +312,12 @@ def test_fock_reports_match_the_benchmark_reference():
 
 
 def test_character_reports_match_the_benchmark_reference():
-    """The character-route reports that compute series (lki-decomposition:
-    affine characters, string functions, lattice-coset blocks) and the
-    symbol generation are byte-identical to the ones recorded in
-    perfbench/reference.json."""
+    """The character-route reports (lki-decomposition: affine characters,
+    string functions, lattice-coset blocks; identify and top-weight-match:
+    label arithmetic; the symbol generation) are byte-identical to the ones
+    recorded in perfbench/reference.json."""
     commands = [f"lki-decomposition --k {k} --max-weight 10" for k in range(3, 7)]
+    commands += [f"identify --k {k}" for k in range(3, 41)]
+    commands.append("top-weight-match --k 40")
     commands.append("w1inf-generation --max 100")
     assert not _differ_from_the_benchmark_reference(commands)

@@ -13,8 +13,6 @@ from paraferm.fusion_identify import (
     identify,
     para_current,
     para_normalize,
-    simple_current_act,
-    theta_act,
     topweight_para,
     topweight_w,
     w_current,
@@ -92,26 +90,32 @@ class TestTopWeights:
 
 class TestGroupActions:
     def test_theta_fixed_point(self):
-        assert theta_act(para_normalize(3, 2, 1)) == para_normalize(3, 2, 1)
+        assert para_normalize(3, 2, 1).twist() == para_normalize(3, 2, 1)
 
     def test_theta_swaps_currents(self):
-        assert theta_act(para_normalize(3, 0, 1)) == para_normalize(3, 0, 2)
+        assert para_normalize(3, 0, 1).twist() == para_normalize(3, 0, 2)
 
     def test_theta_involution(self):
         for k in range(3, 9):
             for lab in enumerate_simples(k):
-                assert theta_act(theta_act(lab)) == lab
+                assert lab.twist().twist() == lab
             for lab in enumerate_w_simples(k):
-                assert theta_act(theta_act(lab)) == lab
+                assert lab.twist().twist() == lab
 
     def test_current_fusion_on_currents(self):
-        assert simple_current_act(1, para_current(3, 2)) == para_current(3, 0)
-        assert simple_current_act(1, w_current(3, 2)) == w_current(3, 0)
+        assert para_current(3, 2).current(1) == para_current(3, 0)
+        assert w_current(3, 2).current(1) == w_current(3, 0)
+
+    def test_current_index_out_of_range(self):
+        for lab in (para_current(3, 1), w_current(3, 1)):
+            for p in (-1, 3):
+                with pytest.raises(BadLabel):
+                    lab.current(p)
 
     def test_identity_current(self):
         for k in (3, 5):
             for lab in enumerate_simples(k):
-                assert simple_current_act(0, lab) == lab
+                assert lab.current(0) == lab
 
     def test_theta_conjugates_currents(self):
         # theta . (fuse with p-th current) . theta = fuse with (k-p)-th
@@ -119,11 +123,11 @@ class TestGroupActions:
             for p in range(k):
                 q = (k - p) % k
                 for lab in enumerate_simples(k):
-                    lhs = theta_act(simple_current_act(p, theta_act(lab)))
-                    assert lhs == simple_current_act(q, lab)
+                    lhs = lab.twist().current(p).twist()
+                    assert lhs == lab.current(q)
                 for lab in enumerate_w_simples(k):
-                    lhs = theta_act(simple_current_act(p, theta_act(lab)))
-                    assert lhs == simple_current_act(q, lab)
+                    lhs = lab.twist().current(p).twist()
+                    assert lhs == lab.current(q)
 
 
 class TestEnumerateSimples:
@@ -187,8 +191,8 @@ class TestIdentify:
             by_form = {b.form: b.mapping for b in identify(k)}
             f1, f2 = by_form["form1"], by_form["form2"]
             for lab in enumerate_simples(k):
-                assert f2[lab] == f1[theta_act(lab)]
-                assert f2[lab] == theta_act(f1[lab])
+                assert f2[lab] == f1[lab.twist()]
+                assert f2[lab] == f1[lab].twist()
 
     def test_both_preserve_topweights(self):
         for k in range(3, 9):
@@ -201,8 +205,8 @@ class TestIdentify:
                 u = 1 if b.form == "form1" else k - 1
                 for p in range(k):
                     for lab in enumerate_simples(k):
-                        lhs = b.mapping[simple_current_act(p, lab)]
-                        rhs = simple_current_act((u * p) % k, b.mapping[lab])
+                        lhs = b.mapping[lab.current(p)]
+                        rhs = b.mapping[lab].current((u * p) % k)
                         assert lhs == rhs
 
     def test_brute_force_oracle_agreement(self):

@@ -622,6 +622,17 @@ class TestStateVectorInvariants:
             assert back == v and hash(back) == hash(v)
             assert back.canonical_text() == v.canonical_text()
 
+    def test_float_is_refused(self):
+        vac = StateVector.vacuum(self.LAT, 3)
+        (state,) = vac.num
+        for build in (
+            lambda: StateVector(self.LAT, 3, {state: 0.5}),
+            lambda: StateVector(self.LAT, 3.0, {state: 1}),
+            lambda: mode_apply(vac, 1.0, vac),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
     @_SAMPLES
     @settings(max_examples=40, deadline=None)
     def test_mode_apply_is_linear(self, seed, m, c):

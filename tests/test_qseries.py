@@ -74,6 +74,12 @@ class TestArithmetic:
         a = S({0: 2, Q(1, 3): 1, 2: -4}, 5)
         assert a * QSeries.one(5) == a
 
+    def test_float_is_refused(self):
+        # never rounded to a binary fraction such as 3602879701896397/2^55
+        for terms, T in (({0.1: 1}, 3), ({0: 0.5}, 3), ({0: 1}, 3.0)):
+            with pytest.raises(TypeError):
+                QSeries(terms, T)
+
     def test_truncation_is_min(self):
         a = S({0: 1}, 3)
         b = S({0: 1}, 7)
@@ -287,7 +293,7 @@ class TestZQSeries:
         assert g.coefficient(6, 3) == 1
 
     def test_non_integral_charge_raises(self):
-        for z in (Q(3, 2), 1.7, "1"):
+        for z in (Q(3, 2), 1.7, 1.0, "1"):
             with pytest.raises(ValueError):
                 ZQSeries({(z, 0): 1}, 3)
         # even where the term itself would be dropped
@@ -295,7 +301,13 @@ class TestZQSeries:
             ZQSeries({(Q(1, 2), 5): 1}, 3)
         assert ZQSeries({(Q(4, 2), 1): 1}, 3).terms == {(2, Q(1)): Q(1)}
 
-    def test_charge_slice_sum(self):
+    def test_float_is_refused(self):
+        for terms, T in (({(1, 0.5): 1}, 3), ({(1, 0): 0.5}, 3), ({(1, 0): 1}, 3.0)):
+            with pytest.raises(TypeError):
+                ZQSeries(terms, T)
+
+    def test_charge_slice(self):
         a = ZQSeries({(0, 0): 1, (6, 3): 2, (2, 1): 5}, 4)
-        sl = a.charge_slice_sum(0, 6)
-        assert sl == S({0: 1, 3: 2}, 4)
+        assert a.charge_slice(0) + a.charge_slice(6) == S({0: 1, 3: 2}, 4)
+        assert a.charge_slice(2) == S({1: 5}, 4)
+        assert a.charge_slice(4) == S({}, 4)
