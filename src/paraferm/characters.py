@@ -16,10 +16,11 @@ weight (after the overall shift by q^h).  Each numerator term divided by
 
 String functions are extracted from one charge slice (Kac-Peterson): the
 z^m slice of ch_i is c^i_(m mod 2k) q^(m^2/4k) / prod_{n>=1} (1-q^n), so
-the slice at the least |m| of the string's class, divided by the charge-m
-Heisenberg (Fock) character, is the string.  The decomposition check then
-compares the whole character with the sum over the strings of (string) x
-(lattice-coset character), which reads every other slice of the class.
+the slice at the least |m| of the string's class, times q^(-m^2/4k) and
+Euler's function prod_{n>=1} (1-q^n), is the string: a plain QSeries.  The
+decomposition check then compares the whole character with the sum over
+the strings of (string) x (lattice-coset character), which reads every
+other slice of the class.
 The string coefficients must also agree with the kernel dimensions computed
 in the Fock realization (`string_dual_route_check`), which is the central
 oracle of the whole suite.
@@ -31,9 +32,9 @@ from fractions import Fraction
 from math import ceil, isqrt
 
 from . import lattice_fock
-from .errors import BadLabel, IdentityFailed, RouteDisagreement
+from .errors import BadLabel, IdentityFailed
 from .fusion_identify import topweight_para
-from .qseries import QSeries, ZQSeries, _grid_product, _rat, heisenberg_char, lattice_coset_char
+from .qseries import QSeries, ZQSeries, _grid_product, _rat, euler_function, lattice_coset_char
 from .report import Report, make_report
 
 
@@ -72,57 +73,36 @@ def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
     return ZQSeries({(z, exps[e]): c for z, row in rows.items() for e, c in enumerate(row) if c}, T)
 
 
-class StringFunction:
-    """Graded multiplicity series of one charge string inside an affine
-    module: the character of the coset module labelled (i, j mod k)."""
-
-    __slots__ = ("k", "i", "j", "series")
-
-    def __init__(self, k: int, i: int, j: int, series: QSeries):
-        self.k = k
-        self.i = i
-        self.j = j % k
-        self.series = series
-
-    @property
-    def top_weight(self) -> Fraction:
-        lead = self.series.leading()
-        if lead is None:
-            raise ValueError("empty string function")
-        return lead[0]
-
-
 def _min_charge_rep(k: int, i: int, j: int) -> int:
     """The charge m of least |m| in the class i-2j mod 2k (m = k, not -k)."""
     s = (i - 2 * j) % (2 * k)
     return s if s <= k else s - 2 * k
 
 
-def string_function(k: int, i: int, j: int, T, _char: ZQSeries | None = None) -> StringFunction:
-    """Extract the (i, j) string from one charge slice: with m the least
-    charge of the class i-2j mod 2k, divide the z^m slice of ch_i by the
-    charge-m Fock character q^(m^2/4k) / prod_{n>=1} (1-q^n)."""
+def string_function(k: int, i: int, j: int, T, _char: ZQSeries | None = None) -> QSeries:
+    """The (i, j) string, the character of the coset module labelled
+    (i, j mod k), read from one charge slice: with m the least charge of the
+    class i-2j mod 2k, the z^m slice of ch_i times q^(-m^2/4k) and Euler's
+    function prod_{n>=1} (1-q^n).  It is reliable below min(ch.T - m^2/4k, T)."""
     if not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
     T = _rat(T)
     ch = _char if _char is not None else affine_sl2_char(k, i, T)
     m = _min_charge_rep(k, i, j)
-    quotient = ch.charge_slice(m).divide(heisenberg_char(1, T).shift(Fraction(m * m, 4 * k)))
-    for e, c in quotient.terms.items():
-        if c.denominator != 1 or c < 0:
-            raise IdentityFailed(
-                f"string extraction (k={k}, i={i}, j={j}) produced a "
-                f"non-dimension coefficient {c} at exponent {e}"
-            )
-    lead = quotient.leading()
+    string = ch.charge_slice(m).shift(Fraction(-m * m, 4 * k)) * euler_function(T)
+    for e, c in string.terms.items():
+        if c < 0:
+            raise IdentityFailed(f"string (k={k}, i={i}, j={j}) has coefficient {c} < 0 at {e}")
+    lead = string.leading()
     if lead is not None and lead[1] != 1:
         raise IdentityFailed(
             f"string (k={k}, i={i}, j={j}) has leading coefficient {lead[1]} != 1"
         )
-    return StringFunction(k, i, j, quotient)
+    return string
 
 
-def all_string_functions(k: int, i: int, T) -> list[StringFunction]:
+def all_string_functions(k: int, i: int, T) -> list[QSeries]:
+    """The k strings of module i, indexed by j."""
     ch = affine_sl2_char(k, i, _rat(T))
     return [string_function(k, i, j, _rat(T), _char=ch) for j in range(k)]
 
@@ -136,7 +116,7 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
     """Exact equality of graded dimensions: the full module character equals
     the sum over j of (coset character) x (string function), charges folded.
 
-    Strings may be supplied explicitly (e.g. mutated, or recomputed from the
+    Strings, a list indexed by j, may be supplied (e.g. mutated, or from the
     Fock route); by default they are extracted at internal truncation high
     enough that every product is reliable below max_weight.
     """
@@ -148,9 +128,8 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
     if strings is None:
         strings = [string_function(k, i, j, Tint, _char=ch) for j in range(k)]
     rhs = QSeries.zero(Tint)
-    for st in strings:
-        s = (i - 2 * st.j) % (2 * k)
-        rhs = rhs + lattice_coset_char(k, s, Tint) * st.series
+    for j, string in enumerate(strings):
+        rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), Tint) * string
     rhs = rhs.truncate(T)
     bad = lhs.first_disagreement(rhs)
     entries = []
@@ -185,13 +164,13 @@ def decomposition_check_lk0(k: int, max_weight, strings=None) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None, strict=True) -> Report:
+def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) -> Report:
     """Compare the string-function coefficients with the kernel dimensions of
     the Fock realization, exactly, on every weight both routes cover.
 
     With j omitted, all k strings of the sector are checked against one
-    shared realization.  A disagreement is an implementation bug and raises
-    RouteDisagreement unless ``strict`` is false.
+    shared realization.  A disagreement is an implementation bug; its entry
+    fails with the mismatching weights as witness.
     """
     if not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
@@ -206,17 +185,16 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None, st
     basis = lattice_fock.affine_module_basis(k, i, T + max_heis + delta)
     ch = affine_sl2_char(k, i, T + max_heis + 1)
     entries = []
-    all_mism = []
     for jj in js:
         lam = lams[jj]
         top_est = topweight_para(k, i, jj)
         kdims = lattice_fock.commutant_dims(basis, lam)
-        st = string_function(k, i, jj, T + max_heis + 1, _char=ch)
-        cover = min(st.series.truncation, T)
+        string = string_function(k, i, jj, T + max_heis + 1, _char=ch)
+        cover = min(string.truncation, T)
         mism = []
         w = top_est
         while w < cover:
-            want = int(st.series.coefficient(w))
+            want = int(string.coefficient(w))
             got = kdims.get(w, 0)
             if want != got:
                 mism.append({"weight": w, "string": want, "kernel": got})
@@ -231,18 +209,13 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None, st
                 None if not mism else {"mismatches": mism},
             )
         )
-        all_mism.extend(mism)
-    report = make_report(
+    return make_report(
         "string-dual-route",
         {"k": k, "i": i, "j": "all" if j is None else j, "max_weight": T},
         entries,
         identity="two independent computations of the coset graded dimensions",
+        truncated=basis.truncated,
     )
-    if strict and not report.passed:
-        raise RouteDisagreement(
-            f"string/kernel mismatch at (k={k}, i={i}): {all_mism}"
-        )
-    return report
 
 
 def w_minimal_central_charge(k: int, p: int | None = None, q: int | None = None) -> Fraction:

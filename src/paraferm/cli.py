@@ -30,6 +30,7 @@ PARAFERM_TRUNCATION (a positive integer) overrides the truncation fallbacks;
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -163,9 +164,7 @@ CHECKS = {
     "string-dual-route": Check(
         "string functions vs Fock kernel dimensions",
         # looked up per call, so a wrapper installed on the module attribute sees it
-        lambda k, i, j, max_weight: characters.string_dual_route_check(
-            k, i, max_weight, j=j, strict=False
-        ),
+        lambda k, i, j, max_weight: characters.string_dual_route_check(k, i, max_weight, j=j),
         {"k": _level(2), "i": Param(0, 0, default=0), "j": Param(0, -1), "max_weight": Param(1)},
         lambda k: 6 if k <= 3 else 4,
     ),
@@ -249,6 +248,7 @@ class _Parser(argparse.ArgumentParser):
         raise BadParams(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="paraferm", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)

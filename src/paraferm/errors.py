@@ -26,11 +26,6 @@ class IdentityFailed(ParafermError):
     """An exact identity check failed; the message names the identity."""
 
 
-class RouteDisagreement(ParafermError):
-    """The two independent computations of the same graded dimensions
-    disagree.  This always signals an implementation bug."""
-
-
 class AmbiguousIdentification(ParafermError):
     """The label-identification search found more candidates than the
     two admissible ones."""

@@ -594,10 +594,12 @@ def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVec
 
     the two halves of the normally-ordered product of the n-th derivative
     field of b_p with the field of a'.  Bare exponentials bottom out in
-    `exp_mode_apply`.
+    `exp_mode_apply`, except the vacuum, whose field is the identity.
     """
     if not astate.modes:
-        return exp_mode_apply(astate.point, m, v)
+        if any(astate.point):
+            return exp_mode_apply(astate.point, m, v)
+        return v if m == -1 else v._with({}, 1)
     p, n = astate.modes[0]
     rest = FockState(astate.point, astate.modes[1:])
     wrest = wa - n

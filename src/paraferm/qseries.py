@@ -6,10 +6,10 @@ stored exponent is < T, and arithmetic never pretends to know more.  The
 truncation of a sum or product is the minimum of the operand truncations.
 
 The module also provides the standard character building blocks: the
-Heisenberg (free boson) character, the theta series of a rescaled rank-one
-coset, their product (the character of a lattice coset module), and the
-character of a vertex algebra freely generated by one field in each weight
-2..k.
+Heisenberg (free boson) character and its inverse, Euler's function, the
+theta series of a rescaled rank-one coset, their product (the character of
+a lattice coset module), and the character of a vertex algebra freely
+generated by one field in each weight 2..k.
 
 :class:`ZQSeries` is the two-variable variant graded by an integer charge
 exponent in z and a rational conformal weight in q; it carries the
@@ -243,6 +243,18 @@ def heisenberg_char(rank: int, T) -> QSeries:
     E = ceil(T) - 1
     factors = [(0, n) for n in range(1, E + 1) for _ in range(rank)]
     return QSeries(enumerate(_grid_product({0: [1] + [0] * E}, factors, E)[0]), T)
+
+
+def euler_function(T) -> QSeries:
+    """Euler's function prod_{n>=1} (1-q^n) = 1/heisenberg_char(1, T), by the
+    pentagonal number theorem: sum_{n in Z} (-1)^n q^(n(3n-1)/2)."""
+    T = _rat(T)
+    terms, n = {}, 0
+    # n and -n give the pentagonal numbers n(3n-1)/2 and n(3n+1)/2, one sign
+    while n * (3 * n - 1) // 2 < T:
+        terms[n * (3 * n - 1) // 2] = terms[n * (3 * n + 1) // 2] = -1 if n % 2 else 1
+        n += 1
+    return QSeries(terms, T)
 
 
 def coset_theta(k: int, s: int, T) -> QSeries:

@@ -1,10 +1,12 @@
 """Affine characters, string functions, decomposition identities."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import paraferm.characters
+import paraferm.lattice_fock
 from paraferm.characters import (
     affine_sl2_char,
     affine_top_weight,
@@ -17,7 +19,7 @@ from paraferm.characters import (
 )
 from oracles import affine_char_cascade
 from oracles import colored_partitions_table as colored_partitions
-from paraferm.errors import BadLabel, RouteDisagreement
+from paraferm.errors import BadLabel
 from paraferm.fusion_identify import topweight_para
 from paraferm.lattice_fock import affine_module_basis
 from paraferm.qseries import QSeries, ZQSeries
@@ -90,7 +92,7 @@ class TestAffineChar:
 class TestStringFunctions:
     def test_vacuum_string_k3(self):
         st = string_function(3, 0, 0, 7)
-        assert {int(e): int(c) for e, c in st.series.terms.items()} == {
+        assert {int(e): int(c) for e, c in st.terms.items()} == {
             0: 1,
             2: 1,
             3: 2,
@@ -100,36 +102,35 @@ class TestStringFunctions:
         }
 
     def test_leading_terms(self):
-        assert string_function(3, 0, 1, 5).top_weight == Q(2, 3)
-        assert string_function(3, 1, 0, 5).top_weight == Q(1, 15)
+        assert string_function(3, 0, 1, 5).leading()[0] == Q(2, 3)
+        assert string_function(3, 1, 0, 5).leading()[0] == Q(1, 15)
 
     def test_top_weights_match_label_formula(self):
         for k in (3, 4):
             for i in range(k + 1):
-                for st in all_string_functions(k, i, 4):
-                    assert st.top_weight == topweight_para(k, i, st.j), (k, i, st.j)
-                    assert st.series.leading()[1] == 1
+                for j, st in enumerate(all_string_functions(k, i, 4)):
+                    assert st.leading()[0] == topweight_para(k, i, j), (k, i, j)
+                    assert st.leading()[1] == 1
 
     def test_equivalent_labels_have_equal_strings(self):
         # (i, j) and (k-i, j-i) label isomorphic modules
         for k in (3, 4):
             for i in range(k + 1):
                 for j in range(k):
-                    a = string_function(k, i, j, 5).series
-                    b = string_function(k, k - i, j - i, 5).series
+                    a = string_function(k, i, j, 5)
+                    b = string_function(k, k - i, j - i, 5)
                     assert a.agrees_with(b), (k, i, j)
 
     def test_top_row_equals_vacuum_row(self):
         for j in range(3):
-            a = string_function(3, 3, j, 5).series
-            b = string_function(3, 0, j, 5).series
+            a = string_function(3, 3, j, 5)
+            b = string_function(3, 0, j, 5)
             assert a.agrees_with(b)
 
     def test_serialization_table(self):
         st = string_function(3, 1, 0, 4)
-        assert st.k == 3 and st.i == 1 and st.j == 0
-        assert st.top_weight == Fraction(1, 15)
-        assert all(c.denominator == 1 for c in st.series.terms.values())
+        assert st.leading()[0] == Fraction(1, 15)
+        assert all(c.denominator == 1 for c in st.terms.values())
 
 
 class TestDecomposition:
@@ -147,7 +148,8 @@ class TestDecomposition:
         # removing the j=1 summand leaves a defect at coset-top + string-top
         # = 1/k + (k-1)/k = 1
         k = 3
-        strings = [st for st in all_string_functions(k, 0, 7) if st.j != 1]
+        strings = all_string_functions(k, 0, 7)
+        strings[1] = QSeries.zero(strings[1].truncation)
         r = decomposition_check_lk0(k, 6, strings=strings)
         assert r.status == "fail"
         witness = r.details[0]["witness"]
@@ -156,9 +158,7 @@ class TestDecomposition:
     def test_mutated_coefficient_fails(self):
         k = 3
         strings = all_string_functions(k, 0, 7)
-        bad = QSeries(dict(strings[0].series.terms), strings[0].series.truncation)
-        bad = bad + QSeries.monomial(2, 1, bad.truncation)
-        strings[0].series = bad
+        strings[0] = strings[0] + QSeries.monomial(2, 1, strings[0].truncation)
         r = decomposition_check_lk0(k, 6, strings=strings)
         assert r.status == "fail"
         assert r.details[0]["witness"]["first_failing_exponent"] == Q(2)
@@ -212,28 +212,30 @@ class TestDualRoute:
             with pytest.raises(BadLabel):
                 string_dual_route_check(3, i, 3)
 
-    def test_disagreement_raises(self):
-        # sabotage: compare the (3,1) sector strings against the (3,2) kernel
-        # dimensions by asking for an impossible label mix through the
-        # non-strict path, then check the strict path raises on a real
-        # mismatch built from a mutated series
-        from paraferm import characters as chars
-
-        orig = chars.string_function
+    def test_disagreement_fails_with_mismatches(self, monkeypatch):
+        # sabotage: one unit added to the string one weight above its top
+        # must fail the entry, with that weight as the mismatch witness
+        real = paraferm.characters.string_function
 
         def broken(k, i, j, T, _char=None):
-            st = orig(k, i, j, T, _char=_char)
-            st.series = st.series + QSeries.monomial(st.top_weight + 1, 1, st.series.truncation)
-            return st
+            st = real(k, i, j, T, _char=_char)
+            return st + QSeries.monomial(st.leading()[0] + 1, 1, st.truncation)
 
-        chars.string_function = broken
-        try:
-            with pytest.raises(RouteDisagreement):
-                chars.string_dual_route_check(3, 0, 3, j=0)
-            r = chars.string_dual_route_check(3, 0, 3, j=0, strict=False)
-            assert r.status == "fail"
-        finally:
-            chars.string_function = orig
+        monkeypatch.setattr(paraferm.characters, "string_function", broken)
+        r = string_dual_route_check(3, 0, 3, j=0)
+        assert r.status == "fail"
+        assert r.details[0]["witness"]["mismatches"] == [
+            {"weight": Q(1), "string": 1, "kernel": 0}
+        ]
+
+    def test_truncated_basis_passes_only_up_to_truncation(self, monkeypatch):
+        real = paraferm.lattice_fock.affine_module_basis
+        monkeypatch.setattr(
+            paraferm.lattice_fock,
+            "affine_module_basis",
+            lambda k, i, w: dataclasses.replace(real(k, i, w), truncated=True),
+        )
+        assert string_dual_route_check(3, 0, 3).status == "pass-up-to-truncation"
 
 
 class TestWCentralCharge:

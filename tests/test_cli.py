@@ -307,7 +307,8 @@ def test_fock_reports_match_the_benchmark_reference():
     """The Fock-route reports are byte-identical to the ones recorded in
     perfbench/reference.json."""
     commands = [f"string-dual-route --k 3 --i {i} --max-weight 4" for i in range(4)]
-    commands.append("singular-vector --k 3 --seed 0")
+    commands += [f"singular-vector --k {k} --seed {s}" for k in (3, 4) for s in range(4)]
+    commands.append("all --kmax 3 --max-weight 5")
     assert not _differ_from_the_benchmark_reference(commands)
 
 

@@ -277,6 +277,16 @@ class TestSl2Generators:
         H4, _, _ = sl2_generators(4, 4)
         assert mode_apply(H4, 1, H4) == StateVector.vacuum(H4.lattice, 4).scale(8)
 
+    def test_vacuum_field_is_the_identity(self):
+        # 1(m) v = delta_{m,-1} v, and no mode drops anything
+        _, E, _ = sl2_generators(3, 1)
+        vac = StateVector.vacuum(E.lattice, 1)
+        got = mode_apply(vac, -1, E)
+        assert got == E and not got.truncated
+        for m in (-3, -2, 0, 1):
+            got = mode_apply(vac, m, E)
+            assert got.is_zero() and not got.truncated, m
+
     def test_theta_swaps_generators(self):
         H, E, F = sl2_generators(3, 4)
         assert theta_involution(H) == H.scale(-1)

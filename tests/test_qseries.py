@@ -13,6 +13,7 @@ from paraferm.qseries import (
     QSeries,
     ZQSeries,
     coset_theta,
+    euler_function,
     free_w_char,
     heisenberg_char,
     lattice_coset_char,
@@ -199,6 +200,16 @@ class TestHeisenberg:
                 assert ch.truncation == T
                 want = {Q(n): colored_partition_count(n, rank) for n in range(15) if n < T}
                 assert ch.terms == want
+
+
+class TestEulerFunction:
+    def test_inverts_the_heisenberg_character(self):
+        # the pentagonal sum against its oracle, the inverted partition series
+        assert euler_function(13) == S({0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}, 13)
+        for T in (Q(1, 2), 1, 7, Q(21, 2), 40):
+            ch = heisenberg_char(1, T)
+            assert euler_function(T) == ch.inverse(), T
+            assert euler_function(T) * ch == QSeries.one(T), T
 
 
 class TestCosetTheta:
