@@ -1,7 +1,7 @@
 """Weight-truncated exact realization of lattice vertex algebras.
 
 The ambient space is the Fock space of a rank-r lattice with an orthogonal
-basis b_1..b_r of prescribed square norms; states are lattice exponentials
+basis b_1..b_r of norm den; states are lattice exponentials
 e^beta dressed with creation modes b_p(-n).  Two instances are used:
 
 * the rank-k lattice with <b_p,b_q> = 2 delta_pq, whose points are stored
@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from collections import Counter
 from fractions import Fraction
 from functools import wraps
 from math import comb, floor, gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .errors import NonIntegralPairing
@@ -112,28 +113,25 @@ def _lincomb(pieces) -> tuple[dict, int]:
 
 @dataclass(frozen=True)
 class Lattice:
-    """Orthogonal lattice basis b_1..b_r with <b_p,b_p> = gram[p].
+    """Orthogonal lattice basis b_1..b_rank with <b_p,b_p> = den.
 
     Point coordinates are integers counting units of b_p/den, so the lattice
     itself consists of the points with all coordinates divisible by den.
+    As den is also the norm of each b_p, they are dual-lattice coordinates:
+    <a, b_p> = a[p] and <a, b> = a.b / den.
     """
 
-    gram: tuple[int, ...]
+    rank: int
     den: int
     # memo tables of the mode computations on this lattice, see _per_lattice
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __reduce__(self):
         # pickle the lattice without its tables
-        return (Lattice, (self.gram, self.den))
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
+        return (Lattice, (self.rank, self.den))
 
     def pairing(self, a: tuple[int, ...], b: tuple[int, ...]) -> Fraction:
-        num = sum(x * y * g for x, y, g in zip(a, b, self.gram))
-        return Fraction(num, self.den * self.den)
+        return Fraction(_dot(a, b), self.den)
 
     def norm(self, a: tuple[int, ...]) -> Fraction:
         return self.pairing(a, a)
@@ -157,12 +155,12 @@ class Lattice:
 
 def rank_lattice(k: int) -> Lattice:
     """Rank-k lattice with all basis norms 2, half-unit coordinates."""
-    return Lattice(gram=(2,) * k, den=2)
+    return Lattice(rank=k, den=2)
 
 
 def gamma_lattice(k: int) -> Lattice:
     """Rank-one lattice spanned by a norm-2k vector, coordinates in 1/2k units."""
-    return Lattice(gram=(2 * k,), den=2 * k)
+    return Lattice(rank=1, den=2 * k)
 
 
 class FockState(NamedTuple):
@@ -198,10 +196,14 @@ def _point_weight(lat: Lattice, point) -> Fraction:
     return lat.point_weight(point)
 
 
+def _dot(a, b) -> int:
+    return sum(map(mul, a, b))
+
+
 @_per_lattice
 def _pairing(lat: Lattice, beta, point) -> int:
-    """Numerator of <beta, point> over the table's denominator den^2."""
-    return sum(x * y * g for x, y, g in zip(beta, point, lat.gram))
+    """Numerator of <beta, point> over den."""
+    return _dot(beta, point)
 
 
 _mode_n = itemgetter(1)
@@ -217,8 +219,8 @@ def state_weight(lat: Lattice, s: FockState) -> Fraction:
 
 def _floor_minus_weight(lat: Lattice, c: Fraction, point) -> int:
     """floor(c - weight(point)), in integers: twice a point weight is its
-    self-pairing numerator over den^2."""
-    q = 2 * lat.den * lat.den
+    self-pairing numerator over den."""
+    q = 2 * lat.den
     return (c.numerator * q - _pairing(lat, point, point) * c.denominator) // (c.denominator * q)
 
 
@@ -276,8 +278,8 @@ class StateVector:
 
     def max_weight(self) -> Fraction:
         lat = self.lattice
-        # twice the weight of a state, over q = 2 den^2
-        q = 2 * lat.den * lat.den
+        # twice the weight of a state, over q = 2 den
+        q = 2 * lat.den
         top = max(
             (_pairing(lat, s.point, s.point) + q * _mode_weight(s) for s in self.num), default=0
         )
@@ -290,7 +292,7 @@ class StateVector:
         vals = {_pairing(lat, gamma, point) for point in {s.point for s in self.num}}
         if len(vals) != 1:
             raise ValueError("vector does not have a single charge")
-        return Fraction(vals.pop(), lat.den * lat.den)
+        return Fraction(vals.pop(), lat.den)
 
     def coefficient(self, state: FockState) -> Fraction:
         return Fraction(self.num.get(state, 0), self.den)
@@ -375,16 +377,15 @@ def _insert_mode(modes: tuple, p: int, n: int) -> tuple:
     return tuple(out)
 
 
-def _contractions(modes: tuple, bp):
-    """For each distinct b_p(-n) in the sorted mode tuple with bp[p], the
-    numerator of <beta, b_p>, nonzero: the tuple with one copy removed, n,
-    and the factor n bp[p] times its multiplicity with which beta(n)
-    removes it."""
+def _contractions(modes: tuple, beta):
+    """For each distinct b_p(-n) in the sorted mode tuple with <beta, b_p> =
+    beta[p] nonzero: the tuple with one copy removed, n, and the factor
+    n beta[p] times its multiplicity with which beta(n) removes it."""
     prev = None
     for idx, pm in enumerate(modes):
         # sorted, so a repeated pair directly follows its first copy
-        if pm != prev and bp[pm[0]]:
-            yield modes[:idx] + modes[idx + 1:], pm[1], modes.count(pm) * pm[1] * bp[pm[0]]
+        if pm != prev and beta[pm[0]]:
+            yield modes[:idx] + modes[idx + 1:], pm[1], modes.count(pm) * pm[1] * beta[pm[0]]
         prev = pm
 
 
@@ -397,17 +398,17 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
     """
     lat = v.lattice
     beta = tuple(beta)
-    # <beta, b_p> = beta[p] gram[p] / den and <beta, point> = pairing / den^2
+    # <beta, b_p> = beta[p], <beta, point> = pairing / den and beta =
+    # sum_p beta[p] b_p / den
     if n > 0:
-        bp = [x * g for x, g in zip(beta, lat.gram)]
-        return v._with(_annihilations(bp, v.num).get(n, {}), v.den * lat.den)
+        return v._with(_annihilations(beta, v.num).get(n, {}), v.den)
     acc: dict[FockState, int] = {}
     if n == 0:
         for s, c in v.num.items():
             pair = _pairing(lat, beta, s.point)
             if pair:
                 acc[s] = c * pair
-        return v._with(acc, v.den * lat.den * lat.den)
+        return v._with(acc, v.den * lat.den)
     step = -n
     flagged = v.truncated
     # mode weight a result may carry at each point: state_weight + step <= T
@@ -426,13 +427,13 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
     return v._with(acc, v.den * lat.den, flagged)
 
 
-def _annihilations(bp, num: dict) -> dict[int, dict]:
+def _annihilations(beta, num: dict) -> dict[int, dict]:
     """n -> numerators of beta(n) num for every n >= 1 with a contraction,
-    in one pass over num; beta is given by the numerators bp[p] of its
-    pairings <beta, b_p> (their denominator is the caller's)."""
+    in one pass over num; the pairings <beta, b_p> are integers, so the
+    denominator is the caller's."""
     out: dict[int, dict] = {}
     for s, c in num.items():
-        for rest, n, f in _contractions(s.modes, bp):
+        for rest, n, f in _contractions(s.modes, beta):
             acc = out.get(n)
             if acc is None:
                 acc = out[n] = {}
@@ -444,32 +445,6 @@ def _annihilations(bp, num: dict) -> dict[int, dict]:
 # ---------------------------------------------------------------------------
 # lattice vertex operators Y(e^beta, z)
 # ---------------------------------------------------------------------------
-
-
-def _annihilation_layers(lat, beta, modes: tuple) -> list[tuple[dict, int]]:
-    """Annihilation half of the exponential field on one mode tuple: layer b
-    collects the z^(-b) part as (surviving modes -> numerator, denominator).
-
-    T_0 = id, T_b = -(1/b) sum_{t=1..b} beta(t) T_(b-t).  Independent of the
-    lattice point.  Not memoised: `_exp_component` memoises what it builds
-    from the layers, and keeping the layers too would cost more memory than
-    rebuilding them for each net degree costs time.
-    """
-    bp = [x * g for x, g in zip(beta, lat.gram)]
-    mw = sum(map(_mode_n, modes))
-    layers = [({modes: 1}, 1)]
-    for b in range(1, mw + 1):
-        pieces = []
-        for t in range(1, b + 1):
-            num, den = layers[b - t]
-            acc: dict[tuple, int] = {}
-            for mds, c in num.items():
-                for rest, n, f in _contractions(mds, bp):
-                    if n == t:
-                        acc[rest] = acc.get(rest, 0) + c * f
-            pieces.append((-1, acc, den * lat.den * b))
-        layers.append(_lincomb(pieces))
-    return layers
 
 
 @_per_lattice
@@ -498,28 +473,37 @@ def _merge_modes(a: tuple, b: tuple) -> tuple:
 @_per_lattice
 def _exp_component(lat, beta, modes: tuple, d: int) -> tuple[dict, int]:
     """Net-degree-d part of the normally ordered exponential expansion on one
-    mode tuple, sum over b of S_(b+d) T_b merged, as (modes -> numerator,
-    denominator); every entry has mode weight (weight of `modes`) + d."""
+    mode tuple, as (modes -> numerator, denominator); every entry has mode
+    weight (weight of `modes`) + d.
+
+    The annihilation half E^+(-beta, z) fixes e^alpha and sends each b_p(-n)
+    to b_p(-n) - beta[p] z^(-n), so on r copies of b_p(-n) it is the sum over
+    s of C(r, s) (-beta[p])^s z^(-ns) times r - s copies: in integers, one
+    kept mode tuple per choice of s for each distinct (p, n).  The z^(-b)
+    part of that is merged with the creation half S_(b+d).
+    """
+    kept = [(0, (), 1)]
+    for (p, n), r in Counter(modes).items():
+        c = -beta[p]
+        kept = [
+            (b + n * s, mds + ((p, n),) * (r - s), x * comb(r, s) * c**s)
+            for s in range(r + 1 if c else 1)
+            for b, mds, x in kept
+        ]
     pieces = []
-    for b, (tnum, tden) in enumerate(_annihilation_layers(lat, beta, modes)):
+    for b, tmds, x in kept:
         a = b + d
-        if a < 0 or not tnum:
-            continue
-        cnum, cden = _creation_poly(lat, beta, a)
-        acc: dict[tuple, int] = {}
-        for tmds, tc in tnum.items():
-            for cmds, cc in cnum.items():
-                key = _merge_modes(tmds, cmds)
-                acc[key] = acc.get(key, 0) + tc * cc
-        pieces.append((1, acc, tden * cden))
+        if a >= 0:
+            cnum, cden = _creation_poly(lat, beta, a)
+            pieces.append((x, {_merge_modes(tmds, cmds): cc for cmds, cc in cnum.items()}, cden))
     return _lincomb(pieces)
 
 
 def _point_pairings(lat, beta, v: StateVector) -> dict[tuple, int]:
-    """Numerators of <beta, point> over den^2 for each distinct lattice point
+    """Numerators of <beta, point> over den for each distinct lattice point
     of v; raises unless the pairings agree mod 1."""
     pairs = {point: _pairing(lat, beta, point) for point in {s.point for s in v.num}}
-    if len({x % (lat.den * lat.den) for x in pairs.values()}) > 1:
+    if len({x % lat.den for x in pairs.values()}) > 1:
         raise NonIntegralPairing(
             "mode components of the exponential field are ill-defined: "
             "the pairing with the sector is not constant mod 1"
@@ -539,10 +523,10 @@ def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
     # per lattice point: the mode weight a result may carry under the
     # truncation, floor(T - wt(point) - wt(beta) + m + 1), the net degree
     # d = -m - 1 - <beta, point> (None if fractional) and the shifted point,
-    # in integers: the pairing is a numerator over den^2
+    # in integers: the pairing is a numerator over den
     top = v.truncation - _point_weight(lat, beta) + m + 1
     base = -m - 1
-    bn, bd = base.numerator * lat.den * lat.den, base.denominator * lat.den * lat.den
+    bn, bd = base.numerator * lat.den, base.denominator * lat.den
     per_point = {}
     for point, pair in _point_pairings(lat, beta, v).items():
         room = _floor_minus_weight(lat, top, point)
@@ -584,8 +568,9 @@ def _binom_general(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
-def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVector:
-    """Apply the m-th mode of the field of one Fock state to v.
+def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector, wv) -> StateVector:
+    """Apply the m-th mode of the field of one Fock state of weight wa to v,
+    given an upper bound wv on the weights of v.
 
     Peels one creation mode per level: for a = b_p(-n) a', the m-th mode is
 
@@ -604,26 +589,25 @@ def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector) -> StateVec
     rest = FockState(astate.point, astate.modes[1:])
     wrest = wa - n
     bcoords = _basis_coords(lat, p)
-    # <b_p, b_q> = gram[p] delta_pq is an integer
-    bp = [lat.gram[p] if q == p else 0 for q in range(lat.rank)]
     acc: dict[FockState, int] = {}
     den = 1
     flagged = v.truncated
-    # annihilation half: b_p(j), j >= 0, hits v first
-    hits = _annihilations(bp, v.num)
+    # annihilation half: b_p(j), j >= 0, hits v first and lowers every
+    # weight by j
+    hits = _annihilations(bcoords, v.num)
     for j in (0, *hits):
         w = v._with(hits[j], v.den) if j else heisenberg_apply(bcoords, 0, v)
         if w.is_zero():
             continue
-        inner = _state_mode_apply(lat, rest, wrest, m - n - j, w)
+        inner = _state_mode_apply(lat, rest, wrest, m - n - j, w, wv - j)
         flagged = flagged or inner.truncated
         den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
-    # creation half: b_p(j) for -n >= j >= 1 - n - floor(wt(v) + wt(a') - m),
+    # creation half: b_p(j) for -n >= j >= 1 - n - floor(wv + wt(a') - m),
     # applied last; a lower j leaves a'_(m-n-j) v below the vacuum
-    for j in range(-n, -n - floor(v.max_weight() + wrest - m), -1):
+    for j in range(-n, -n - floor(wv + wrest - m), -1):
         coeff = _binom_general(-j - 1, n - 1)
         if coeff:
-            inner = _state_mode_apply(lat, rest, wrest, m - n - j, v)
+            inner = _state_mode_apply(lat, rest, wrest, m - n - j, v, wv)
             if not inner.is_zero() or inner.truncated:
                 inner = heisenberg_apply(bcoords, j, inner)
                 flagged = flagged or inner.truncated
@@ -644,8 +628,9 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     acc: dict[FockState, int] = {}
     den = 1
     flagged = a.truncated or v.truncated
+    wv = v.max_weight()
     for s, c in a.num.items():
-        piece = _state_mode_apply(lat, s, state_weight(lat, s), m, v)
+        piece = _state_mode_apply(lat, s, state_weight(lat, s), m, v, wv)
         flagged = flagged or piece.truncated
         den = _add_into(acc, den, c, piece.num, a.den * piece.den)
     return v._with(acc, den, flagged, min(a.truncation, v.truncation))
@@ -1067,8 +1052,6 @@ def _commutant_systems(basis: GradedBasis, charge: int):
     lat = basis.lattice
     gamma = lat.gamma()
     heis = Fraction(charge * charge, 2 * lat.norm(gamma))
-    # numerators of <gamma, b_p>; their common denominator drops out
-    bp = [x * g for x, g in zip(gamma, lat.gram)]
     for w, rows in sorted(basis.layers.items()):
         cands = [v for v in rows if v.charge() == charge]
         if not cands:
@@ -1076,7 +1059,7 @@ def _commutant_systems(basis: GradedBasis, charge: int):
         constraints: dict[tuple, dict[int, int]] = {}
         for t, v in enumerate(cands):
             # gamma(m) acts only through the modes b_p(-m) present
-            for m, img in _annihilations(bp, v.num).items():
+            for m, img in _annihilations(gamma, v.num).items():
                 for s, c in img.items():
                     if c:
                         constraints.setdefault((m, s), {})[t] = c

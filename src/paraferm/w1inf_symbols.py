@@ -38,8 +38,11 @@ def generation_closure(seeds, bound: int) -> set[int]:
 
 
 def derivation_chains(seeds, bound: int) -> dict[int, tuple[int, int, int]]:
-    """One witness product (m, r, n) per reachable non-seed index."""
+    """One witness product (m, r, n) per reachable non-seed index, for
+    non-negative seed indices."""
     seeds = set(seeds)
+    if any(m < 0 for m in seeds):
+        raise ValueError("seed indices must be non-negative")
     reached = set(seeds)
     witness: dict[int, tuple[int, int, int]] = {}
     frontier = set(seeds)
@@ -48,13 +51,17 @@ def derivation_chains(seeds, bound: int) -> dict[int, tuple[int, int, int]]:
         for m in frontier:
             for n in sorted(reached):
                 for a, b in ((m, n), (n, m)):
-                    for r in range(0, a + b + 1):
+                    # t = a + b - r stays within the bound from r = lo on,
+                    # and [a]_r = [b]_r = 0 beyond r = max(a, b)
+                    lo = max(0, a + b - bound)
+                    fa, fb = falling_factorial(a, lo), falling_factorial(b, lo)
+                    for r in range(lo, max(a, b) + 1):
                         t = a + b - r
-                        if t > bound or t in reached or t in new:
-                            continue
-                        if symbol_product_coefficient(a, r, b):
+                        if t not in reached and t not in new and fb - (-1) ** r * fa:
                             new.add(t)
                             witness[t] = (a, r, b)
+                        fa *= a - r
+                        fb *= b - r
         reached |= new
         frontier = new
     return witness

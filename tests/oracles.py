@@ -214,7 +214,7 @@ def sector_graded_dims(lat, sector, max_weight) -> dict[Fraction, int]:
     points = [()]
     for r in sector:
         new = []
-        bound = isqrt(int(2 * T * lat.den * lat.den / min(lat.gram))) + lat.den
+        bound = isqrt(int(2 * T * lat.den)) + lat.den
         for prefix in points:
             c = r % lat.den - lat.den * (bound // lat.den + 1)
             while c <= bound:

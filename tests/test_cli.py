@@ -286,10 +286,13 @@ def test_readme_commands_match_the_table():
     assert {row for row in rows if not row.startswith("--")} == set(CHECKS) | {"all"}
 
 
-def _differ_from_the_benchmark_reference(commands):
-    """The commands whose report bytes differ from perfbench/reference.json
-    (read here, never written) in length or SHA-256."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+_BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def _differ_from_the_benchmark_reference(commands, path=_BENCHMARK_REFERENCE):
+    """The commands whose report bytes differ from the ones recorded in path
+    (read here, never written), by default perfbench/reference.json, in
+    length or SHA-256."""
     reference = json.loads(path.read_text())
     differ = []
     for command in commands:
@@ -322,3 +325,19 @@ def test_character_reports_match_the_benchmark_reference():
     commands.append("top-weight-match --k 40")
     commands.append("w1inf-generation --max 100")
     assert not _differ_from_the_benchmark_reference(commands)
+
+
+def test_fock_reports_the_benchmark_skips_match_the_golden_file():
+    """The Fock-route reports the benchmark does not run (the bracket
+    relations and E-power for k = 2..5, the gamma-lattice intertwiner for
+    k = 1..6, the k = 4 dual route, the k = 5 singular vector and the k <= 4
+    suite) are byte-identical to the ones recorded in
+    tests/golden_reports.json."""
+    commands = [f"ope --k {k}" for k in range(2, 6)]
+    commands += [f"ek-power --k {k}" for k in range(2, 6)]
+    commands += [f"intertwiner-leading --k {k}" for k in range(1, 7)]
+    commands += [f"string-dual-route --k 4 --i {i} --max-weight 4" for i in range(3)]
+    commands += ["singular-vector --k 5", "all --kmax 4"]
+    path = Path(__file__).resolve().parent / "golden_reports.json"
+    assert set(json.loads(path.read_text())) == set(commands)
+    assert not _differ_from_the_benchmark_reference(commands, path)

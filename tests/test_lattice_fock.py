@@ -168,6 +168,32 @@ class TestExpApply:
         got = exp_mode_apply(b1, 1, v)  # mode m with -m-1 = -2
         assert got == StateVector.vacuum(lat, 4)
 
+    def test_heisenberg_bracket_with_exponential_modes(self):
+        # [h(n), (e^beta)_m] = <h, beta> (e^beta)_(m+n), on states carrying
+        # modes, one of them repeated, so the annihilation half of the field
+        # meets every multiplicity.  The samples have weight at most 6 and
+        # both sides raise it by at most 4, so T = 10 drops nothing
+        lat = rank_lattice(3)
+        rng = random.Random(5)
+        repeated = StateVector(lat, 10, {FockState((-2, 0, 2), ((0, 1), (0, 1), (2, 2))): 1})
+        vecs = [repeated] + [
+            random_state_vector(lat, 10, rng, nterms=3, max_weight=3) for _ in range(2)
+        ]
+        roots = [(2, 0, 0), (0, -2, 0), (0, 0, 2)]
+        hs = [(2, 0, 0), (0, 2, 0), lat.gamma(), (1, -1, 1)]
+        for v in vecs:
+            for beta in roots:
+                for h in hs:
+                    pair = lat.pairing(h, beta)
+                    for n in range(-2, 3):
+                        for m in range(-2, 2):
+                            lhs = heisenberg_apply(h, n, exp_mode_apply(beta, m, v)) - exp_mode_apply(
+                                beta, m, heisenberg_apply(h, n, v)
+                            )
+                            rhs = exp_mode_apply(beta, m + n, v).scale(pair)
+                            assert not (lhs.truncated or rhs.truncated)
+                            assert lhs == rhs, (v, beta, h, n, m)
+
     def test_non_integral_pairing_raises(self):
         lat = gamma_lattice(3)
         mixed = StateVector(
@@ -198,7 +224,7 @@ class TestLatticeMemo:
         assert lat.memo != twin.memo
         assert lat == twin
         assert hash(lat) == hash(twin)
-        assert repr(lat) == repr(twin) == "Lattice(gram=(2, 2, 2), den=2)"
+        assert repr(lat) == repr(twin) == "Lattice(rank=3, den=2)"
 
     def test_tables_are_freed_with_the_lattice(self):
         lat = rank_lattice(3)

@@ -1,5 +1,7 @@
 """Symbol bracket coefficients and generation closure."""
 
+import pytest
+
 from paraferm.w1inf_symbols import (
     derivation_chains,
     falling_factorial,
@@ -79,3 +81,9 @@ class TestGenerationClosure:
         for t, (m, r, n) in wit.items():
             assert m + n - r == t
             assert symbol_product_coefficient(m, r, n) != 0
+
+    def test_negative_seed_is_refused(self):
+        # the product loop stops at r = max(m, n), past which both falling
+        # factorials vanish only for non-negative indices
+        with pytest.raises(ValueError):
+            derivation_chains({-1, 2}, 5)
