@@ -23,6 +23,13 @@ constructor takes ints or ``Fraction``s.  One fraction-free elimination,
 `_insert`, reduces primitive integer rows against pivots on their least
 key; the layer bases of `generated_subspace`, `rank` and `nullspace` use it.
 
+The field of a composite vector is applied by prefix groups: `mode_apply`
+keys each state b_p(-n) rest by (n, rest) and folds a key's coefficients
+into one pairing vector beta, so the group costs one normally-ordered
+product beta(-n) with the field of rest.  The recursion peels one
+Heisenberg mode per level and carries one integer bound,
+F = floor(wt(v) + wt(field) - m), instead of rational weights.
+
 A global weight truncation bounds every stored state; creation results
 beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
 is a flag, never an exception), so a check consuming flagged vectors can
@@ -568,51 +575,66 @@ def _binom_general(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
-def _state_mode_apply(lat, astate: FockState, wa, m, v: StateVector, wv) -> StateVector:
-    """Apply the m-th mode of the field of one Fock state of weight wa to v,
-    given an upper bound wv on the weights of v.
+def _state_mode_apply(
+    lat, beta, n: int, rest: FockState, m, v: StateVector, F: int
+) -> StateVector:
+    """Apply the m-th mode of the field of beta(-n) rest to v, for beta in
+    lattice coordinates; F = floor(wv + wt(beta(-n) rest) - m) is an integer
+    bound, wv an upper bound on the weights of v.
 
-    Peels one creation mode per level: for a = b_p(-n) a', the m-th mode is
+    The m-th mode is
 
-        sum_{j<=-n} C(-j-1, n-1) b_p(j) a'_(m-n-j)
-      + sum_{j>=0}  C(-j-1, n-1) a'_(m-n-j) b_p(j),
+        sum_{j<=-n} C(-j-1, n-1) beta(j) rest_(m-n-j)
+      + sum_{j>=0}  C(-j-1, n-1) rest_(m-n-j) beta(j),
 
     the two halves of the normally-ordered product of the n-th derivative
-    field of b_p with the field of a'.  Bare exponentials bottom out in
-    `exp_mode_apply`, except the vacuum, whose field is the identity.
+    field of beta with the field of rest.  rest_(m') w has weight below
+    F' = floor(wt(w) + wt(rest) - m'), so an annihilation child (w =
+    beta(j) v, m' = m - n - j) keeps the bound F, a creation child (w = v)
+    has F + j, and a creation j <= -F leaves rest_(m') v below the vacuum.
+    The field of rest peels one b_p(-n') per level, see `_rest_mode_apply`.
     """
-    if not astate.modes:
-        if any(astate.point):
-            return exp_mode_apply(astate.point, m, v)
-        return v if m == -1 else v._with({}, 1)
-    p, n = astate.modes[0]
-    rest = FockState(astate.point, astate.modes[1:])
-    wrest = wa - n
-    bcoords = _basis_coords(lat, p)
     acc: dict[FockState, int] = {}
     den = 1
     flagged = v.truncated
-    # annihilation half: b_p(j), j >= 0, hits v first and lowers every
+    # annihilation half: beta(j), j >= 0, hits v first and lowers every
     # weight by j
-    hits = _annihilations(bcoords, v.num)
+    hits = _annihilations(beta, v.num)
     for j in (0, *hits):
-        w = v._with(hits[j], v.den) if j else heisenberg_apply(bcoords, 0, v)
+        w = v._with(hits[j], v.den) if j else heisenberg_apply(beta, 0, v)
         if w.is_zero():
             continue
-        inner = _state_mode_apply(lat, rest, wrest, m - n - j, w, wv - j)
+        inner = _rest_mode_apply(lat, rest, m - n - j, w, F)
         flagged = flagged or inner.truncated
         den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
-    # creation half: b_p(j) for -n >= j >= 1 - n - floor(wv + wt(a') - m),
-    # applied last; a lower j leaves a'_(m-n-j) v below the vacuum
-    for j in range(-n, -n - floor(wv + wrest - m), -1):
-        coeff = _binom_general(-j - 1, n - 1)
-        if coeff:
-            inner = _state_mode_apply(lat, rest, wrest, m - n - j, v, wv)
-            if not inner.is_zero() or inner.truncated:
-                inner = heisenberg_apply(bcoords, j, inner)
-                flagged = flagged or inner.truncated
-                den = _add_into(acc, den, coeff, inner.num, inner.den)
+    # creation half: beta(j) for -n >= j > -F, applied last
+    for j in range(-n, -F, -1):
+        inner = _rest_mode_apply(lat, rest, m - n - j, v, F + j)
+        if not inner.is_zero() or inner.truncated:
+            inner = heisenberg_apply(beta, j, inner)
+            flagged = flagged or inner.truncated
+            den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
     return v._with(acc, den, flagged)
+
+
+def _rest_mode_apply(lat, rest: FockState, m, v: StateVector, F: int) -> StateVector:
+    """The m-th mode of the field of one Fock state applied to v, F as in
+    `_state_mode_apply`: its first mode b_p(-n) is peeled off, and a bare
+    state is the base case."""
+    if rest.modes:
+        p, n = rest.modes[0]
+        return _state_mode_apply(
+            lat, _basis_coords(lat, p), n, FockState(rest.point, rest.modes[1:]), m, v, F
+        )
+    return _bare_mode_apply(rest.point, m, v)
+
+
+def _bare_mode_apply(point, m, v: StateVector) -> StateVector:
+    """The m-th mode of the field of e^point: `exp_mode_apply`, except the
+    vacuum, whose field is the identity."""
+    if any(point):
+        return exp_mode_apply(point, m, v)
+    return v if m == -1 else v._with({}, 1)
 
 
 def _basis_coords(lat: Lattice, p: int) -> tuple[int, ...]:
@@ -620,17 +642,43 @@ def _basis_coords(lat: Lattice, p: int) -> tuple[int, ...]:
 
 
 def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
-    """m-th mode of the field of a applied to v, extended linearly in a."""
+    """m-th mode of the field of a applied to v, extended linearly in a.
+
+    The states of a are applied by prefix groups: every state b_p(-n) rest
+    (b_p(-n) its first mode) is keyed by (n, rest), and the numerators c_p
+    of a key make one pairing vector beta = sum_p c_p b_p (coordinate
+    c_p den at p), so the group costs one `_state_mode_apply` of beta(-n)
+    rest.  H = gamma(-1)1 is one group, the quadratic part of a conformal
+    vector one per rest b_q(-1).  Bare exponentials and the vacuum go
+    straight to the base case.  Each group's bound F is computed once, here.
+    """
     if a.lattice != v.lattice:
         raise ValueError("operator and argument live over different lattices")
     lat = v.lattice
     m = _exact(m)
+    groups: dict[tuple[int, FockState], list[int]] = {}
+    bare = []
+    for s, c in a.num.items():
+        if not s.modes:
+            bare.append((s.point, c))
+            continue
+        p, n = s.modes[0]
+        key = (n, FockState(s.point, s.modes[1:]))
+        beta = groups.get(key)
+        if beta is None:
+            beta = groups[key] = [0] * lat.rank
+        beta[p] = c * lat.den
     acc: dict[FockState, int] = {}
     den = 1
     flagged = a.truncated or v.truncated
-    wv = v.max_weight()
-    for s, c in a.num.items():
-        piece = _state_mode_apply(lat, s, state_weight(lat, s), m, v, wv)
+    pieces = [(c, _bare_mode_apply(point, m, v)) for point, c in bare]
+    if groups:
+        top = v.max_weight() - m
+        for (n, rest), beta in groups.items():
+            # F = floor(wv + wt(beta(-n) rest) - m), mode weights are integers
+            F = floor(top + _point_weight(lat, rest.point)) + n + _mode_weight(rest)
+            pieces.append((1, _state_mode_apply(lat, tuple(beta), n, rest, m, v, F)))
+    for c, piece in pieces:
         flagged = flagged or piece.truncated
         den = _add_into(acc, den, c, piece.num, a.den * piece.den)
     return v._with(acc, den, flagged, min(a.truncation, v.truncation))
@@ -1176,12 +1224,12 @@ def virasoro_bracket_check(k: int, truncation=5, seed=0) -> Report:
     for name in ("omega_h", "omega_aff", "omega_para"):
         om = vecs[name]
         c = central_charge_of(om)
+        # L(n)v for n = -2..2, each built once per sample
+        images = [{n: virasoro_mode(om, n, v) for n in range(-2, 3)} for v in samples]
         for m, n in ((1, -1), (2, -2)):
-            for idx, v in enumerate(samples):
-                lhs = virasoro_mode(om, m, virasoro_mode(om, n, v)) - virasoro_mode(
-                    om, n, virasoro_mode(om, m, v)
-                )
-                rhs = virasoro_mode(om, m + n, v).scale(m - n)
+            for idx, (v, L) in enumerate(zip(samples, images)):
+                lhs = virasoro_mode(om, m, L[n]) - virasoro_mode(om, n, L[m])
+                rhs = L[m + n].scale(m - n)
                 if m + n == 0:
                     rhs = rhs + v.scale(Fraction((m**3 - m) * c.numerator, 12 * c.denominator))
                 cases.append((f"[{name}] [L({m}),L({n})] on sample {idx}", lhs, rhs))

@@ -12,6 +12,8 @@ role in generation questions, so it is dropped here.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 
 def falling_factorial(n: int, a: int) -> int:
     """[n]_a = n(n-1)...(n-a+1); [n]_0 = 1."""
@@ -45,6 +47,8 @@ def derivation_chains(seeds, bound: int) -> dict[int, tuple[int, int, int]]:
         raise ValueError("seed indices must be non-negative")
     reached = set(seeds)
     witness: dict[int, tuple[int, int, int]] = {}
+    # the targets within the bound not yet reached, ascending
+    missing = [t for t in range(bound + 1) if t not in reached]
     frontier = set(seeds)
     while frontier:
         new = set()
@@ -52,14 +56,19 @@ def derivation_chains(seeds, bound: int) -> dict[int, tuple[int, int, int]]:
             for n in sorted(reached):
                 for a, b in ((m, n), (n, m)):
                     # t = a + b - r stays within the bound from r = lo on,
-                    # and [a]_r = [b]_r = 0 beyond r = max(a, b)
+                    # and [a]_r = [b]_r = 0 beyond r = max(a, b): the
+                    # targets fill [min(a, b), a + b - lo]
                     lo = max(0, a + b - bound)
+                    i = bisect_left(missing, min(a, b))
+                    if i == len(missing) or missing[i] > a + b - lo:
+                        continue
                     fa, fb = falling_factorial(a, lo), falling_factorial(b, lo)
                     for r in range(lo, max(a, b) + 1):
                         t = a + b - r
                         if t not in reached and t not in new and fb - (-1) ** r * fa:
                             new.add(t)
                             witness[t] = (a, r, b)
+                            del missing[bisect_left(missing, t)]
                         fa *= a - r
                         fb *= b - r
         reached |= new

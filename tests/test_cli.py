@@ -330,14 +330,14 @@ def test_character_reports_match_the_benchmark_reference():
 def test_fock_reports_the_benchmark_skips_match_the_golden_file():
     """The Fock-route reports the benchmark does not run (the bracket
     relations and E-power for k = 2..5, the gamma-lattice intertwiner for
-    k = 1..6, the k = 4 dual route, the k = 5 singular vector and the k <= 4
-    suite) are byte-identical to the ones recorded in
-    tests/golden_reports.json."""
+    k = 1..6, the k = 4 dual route in every sector, the k = 5 and k = 6
+    singular vector and the k <= 4 suite) are byte-identical to the ones
+    recorded in tests/golden_reports.json."""
     commands = [f"ope --k {k}" for k in range(2, 6)]
     commands += [f"ek-power --k {k}" for k in range(2, 6)]
     commands += [f"intertwiner-leading --k {k}" for k in range(1, 7)]
-    commands += [f"string-dual-route --k 4 --i {i} --max-weight 4" for i in range(3)]
-    commands += ["singular-vector --k 5", "all --kmax 4"]
+    commands += [f"string-dual-route --k 4 --i {i} --max-weight 4" for i in range(5)]
+    commands += ["singular-vector --k 5", "singular-vector --k 6", "all --kmax 4"]
     path = Path(__file__).resolve().parent / "golden_reports.json"
     assert set(json.loads(path.read_text())) == set(commands)
     assert not _differ_from_the_benchmark_reference(commands, path)

@@ -677,6 +677,100 @@ class TestStateVectorInvariants:
         assert mode_apply(a, m, v.scale(c)) == mode_apply(a, m, v).scale(c)
 
 
+def _per_state_sum(a: StateVector, m, v: StateVector) -> StateVector:
+    """sum_s c_s s_m v over the states s of a with their coefficients c_s:
+    the field applied one state at a time."""
+    total = StateVector(v.lattice, v.truncation)
+    for s, c in a.terms.items():
+        total = total + mode_apply(StateVector(a.lattice, a.truncation, {s: 1}), m, v).scale(c)
+    return total
+
+
+def _shifted(v: StateVector, parity) -> StateVector:
+    """v with every lattice point moved by the half-unit vector parity: a
+    vector of the dual sector whose odd coordinates are those of parity."""
+    lat = v.lattice
+    return StateVector(
+        lat,
+        v.truncation,
+        {FockState(lat.add(s.point, parity), s.modes): c for s, c in v.terms.items()},
+    )
+
+
+@st.composite
+def _shared_rest_fields(draw, lat):
+    """A vector on lat whose states come in groups b_p(-n) rest over a few
+    shared rests (any point, even or odd), plus some bare exponentials."""
+    coeff = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    point = st.tuples(*[st.integers(-2, 2)] * lat.rank)
+    mode = st.tuples(st.integers(0, lat.rank - 1), st.integers(1, 2))
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        rest = FockState(draw(point), tuple(sorted(draw(st.lists(mode, max_size=2)))))
+        n = draw(st.integers(1, 2))
+        for p in draw(st.sets(st.integers(0, lat.rank - 1), min_size=1)):
+            terms[FockState(rest.point, tuple(sorted(rest.modes + ((p, n),))))] = draw(coeff)
+        if draw(st.booleans()):
+            terms[FockState(rest.point, ())] = draw(coeff)
+    return StateVector(lat, 4, terms)
+
+
+class TestPrefixGrouping:
+    """mode_apply applies the states of a field in groups b_p(-n) rest that
+    share a rest.  The value is the sum of the single-state applications;
+    the truncated flag can only be clearer, where single-state pieces cancel
+    exactly."""
+
+    def _assert_grouping_is_exact(self, a, m, v):
+        got = mode_apply(a, m, v)
+        want = _per_state_sum(a, m, v)
+        assert got == want, (m, got.canonical_text(), want.canonical_text())
+        assert want.truncated or not got.truncated, m
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_composite_fields(self, k):
+        T = 4
+        fields = conformal_vectors(k, T)
+        H = sl2_generators(k, T)[0]
+        lat = H.lattice
+        rng = random.Random(k)
+        even = random_state_vector(lat, T, rng, nterms=3, max_weight=2)
+        dual = _shifted(random_state_vector(lat, T, rng, nterms=3, max_weight=1), (1,) * k)
+        for a in (fields["omega_aff"], fields["omega_para"], fields["W3"], H):
+            for v in (even, dual):
+                for m in (-1, 0, 1, 2, 3, Q(1, 2)):
+                    self._assert_grouping_is_exact(a, m, v)
+
+    @given(
+        a=_shared_rest_fields(rank_lattice(2)),
+        seed=st.integers(0, 2**32),
+        parity=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        twice_m=st.integers(-4, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_shared_rest_fields(self, a, seed, parity, twice_m):
+        rng = random.Random(seed)
+        v = _shifted(random_state_vector(a.lattice, 4, rng, nterms=3, max_weight=2), parity)
+        self._assert_grouping_is_exact(a, Q(twice_m, 2), v)
+
+    def test_h_field_is_the_gamma_mode(self):
+        # the field of H = gamma(-1)1 is gamma(z); one group carries it
+        for k in (3, 4):
+            H = sl2_generators(k, 3)[0]
+            lat = H.lattice
+            rng = random.Random(k)
+            for v in (
+                StateVector.vacuum(lat, 3),
+                StateVector.exponential(lat, (1,) + (0,) * (k - 1), 3),
+                random_state_vector(lat, 3, rng, nterms=3),
+                _shifted(random_state_vector(lat, 3, rng, nterms=3, max_weight=2), (1,) * k),
+            ):
+                for m in range(-3, 4):
+                    got = mode_apply(H, m, v)
+                    want = heisenberg_apply(lat.gamma(), m, v)
+                    assert got == want and got.truncated == want.truncated, (k, m)
+
+
 class TestRouteIndependence:
     """The Fock route computes the coset dimensions on its own: lattice_fock
     takes nothing from the character route or the label arithmetic, and is
