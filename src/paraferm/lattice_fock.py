@@ -26,9 +26,12 @@ key; the layer bases of `generated_subspace`, `rank` and `nullspace` use it.
 The field of a composite vector is applied by prefix groups: `mode_apply`
 keys each state b_p(-n) rest by (n, rest) and folds a key's coefficients
 into one pairing vector beta, so the group costs one normally-ordered
-product beta(-n) with the field of rest.  The recursion peels one
-Heisenberg mode per level and carries one integer bound,
-F = floor(wt(v) + wt(field) - m), instead of rational weights.
+product beta(-n) with the field of rest.  One recursion,
+`_prefix_mode_apply`, peels one Heisenberg mode per level and carries one
+integer bound, F = floor(wt(v) + wt(field) - m), instead of rational
+weights.  It ends at the lattice exponential (`exp_mode_apply`, the
+identity for the vacuum) or, when the last mode sits on the vacuum, at the
+derivative field of beta(-n)1, one Heisenberg mode.
 
 A global weight truncation bounds every stored state; creation results
 beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
@@ -575,25 +578,39 @@ def _binom_general(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
-def _state_mode_apply(
-    lat, beta, n: int, rest: FockState, m, v: StateVector, F: int
-) -> StateVector:
-    """Apply the m-th mode of the field of beta(-n) rest to v, for beta in
-    lattice coordinates; F = floor(wv + wt(beta(-n) rest) - m) is an integer
-    bound, wv an upper bound on the weights of v.
+def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVector:
+    """Apply the m-th mode of the field of beta_1(-n_1) ... beta_r(-n_r) e^point
+    to v, prefix = ((beta_1, n_1), ...) with each beta in lattice coordinates;
+    F = floor(wv + wt(field) - m) is an integer bound, wv an upper bound on
+    the weights of v (unread for an empty prefix).
 
-    The m-th mode is
+    An empty prefix is the field of e^point, `exp_mode_apply`, or the
+    identity when point is 0.  Otherwise the m-th mode is
 
         sum_{j<=-n} C(-j-1, n-1) beta(j) rest_(m-n-j)
       + sum_{j>=0}  C(-j-1, n-1) rest_(m-n-j) beta(j),
 
     the two halves of the normally-ordered product of the n-th derivative
-    field of beta with the field of rest.  rest_(m') w has weight below
-    F' = floor(wt(w) + wt(rest) - m'), so an annihilation child (w =
-    beta(j) v, m' = m - n - j) keeps the bound F, a creation child (w = v)
-    has F + j, and a creation j <= -F leaves rest_(m') v below the vacuum.
-    The field of rest peels one b_p(-n') per level, see `_rest_mode_apply`.
+    field of beta = beta_1, n = n_1, with the field of rest, the state
+    without its first mode.  rest_(m') w has weight below F' = floor(wt(w) +
+    wt(rest) - m'), so an annihilation child (w = beta(j) v, m' = m - n - j)
+    keeps the bound F, a creation child (w = v) has F + j, and a creation
+    j <= -F leaves rest_(m') v below the vacuum.  When rest is the vacuum,
+    rest_(m') is the identity at m' = -1 and zero elsewhere, so the field is
+    the derivative field alone and only j = m - n + 1 survives: one
+    Heisenberg mode, none for fractional m.  It always lies in the range of
+    the loops, since j <= -F would need wv < 0.
     """
+    if not prefix:
+        if any(point):
+            return exp_mode_apply(point, m, v)
+        return v if m == -1 else v._with({}, 1)
+    (beta, n), rest = prefix[0], prefix[1:]
+    if not rest and not any(point):
+        j = m - n + 1
+        c = 0 if isinstance(j, Fraction) else _binom_general(-j - 1, n - 1)
+        # C vanishes for -n < j < 0, the gap between the two halves
+        return heisenberg_apply(beta, j, v).scale(c) if c else v._with({}, 1)
     acc: dict[FockState, int] = {}
     den = 1
     flagged = v.truncated
@@ -604,37 +621,17 @@ def _state_mode_apply(
         w = v._with(hits[j], v.den) if j else heisenberg_apply(beta, 0, v)
         if w.is_zero():
             continue
-        inner = _rest_mode_apply(lat, rest, m - n - j, w, F)
+        inner = _prefix_mode_apply(rest, point, m - n - j, w, F)
         flagged = flagged or inner.truncated
         den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
     # creation half: beta(j) for -n >= j > -F, applied last
     for j in range(-n, -F, -1):
-        inner = _rest_mode_apply(lat, rest, m - n - j, v, F + j)
+        inner = _prefix_mode_apply(rest, point, m - n - j, v, F + j)
         if not inner.is_zero() or inner.truncated:
             inner = heisenberg_apply(beta, j, inner)
             flagged = flagged or inner.truncated
             den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
     return v._with(acc, den, flagged)
-
-
-def _rest_mode_apply(lat, rest: FockState, m, v: StateVector, F: int) -> StateVector:
-    """The m-th mode of the field of one Fock state applied to v, F as in
-    `_state_mode_apply`: its first mode b_p(-n) is peeled off, and a bare
-    state is the base case."""
-    if rest.modes:
-        p, n = rest.modes[0]
-        return _state_mode_apply(
-            lat, _basis_coords(lat, p), n, FockState(rest.point, rest.modes[1:]), m, v, F
-        )
-    return _bare_mode_apply(rest.point, m, v)
-
-
-def _bare_mode_apply(point, m, v: StateVector) -> StateVector:
-    """The m-th mode of the field of e^point: `exp_mode_apply`, except the
-    vacuum, whose field is the identity."""
-    if any(point):
-        return exp_mode_apply(point, m, v)
-    return v if m == -1 else v._with({}, 1)
 
 
 def _basis_coords(lat: Lattice, p: int) -> tuple[int, ...]:
@@ -647,10 +644,10 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     The states of a are applied by prefix groups: every state b_p(-n) rest
     (b_p(-n) its first mode) is keyed by (n, rest), and the numerators c_p
     of a key make one pairing vector beta = sum_p c_p b_p (coordinate
-    c_p den at p), so the group costs one `_state_mode_apply` of beta(-n)
+    c_p den at p), so the group costs one `_prefix_mode_apply` of beta(-n)
     rest.  H = gamma(-1)1 is one group, the quadratic part of a conformal
-    vector one per rest b_q(-1).  Bare exponentials and the vacuum go
-    straight to the base case.  Each group's bound F is computed once, here.
+    vector one per rest b_q(-1).  Bare exponentials and the vacuum are
+    empty prefixes.  Each group's bound F is computed once, here.
     """
     if a.lattice != v.lattice:
         raise ValueError("operator and argument live over different lattices")
@@ -671,13 +668,14 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     acc: dict[FockState, int] = {}
     den = 1
     flagged = a.truncated or v.truncated
-    pieces = [(c, _bare_mode_apply(point, m, v)) for point, c in bare]
+    pieces = [(c, _prefix_mode_apply((), point, m, v, None)) for point, c in bare]
     if groups:
         top = v.max_weight() - m
         for (n, rest), beta in groups.items():
             # F = floor(wv + wt(beta(-n) rest) - m), mode weights are integers
             F = floor(top + _point_weight(lat, rest.point)) + n + _mode_weight(rest)
-            pieces.append((1, _state_mode_apply(lat, tuple(beta), n, rest, m, v, F)))
+            prefix = ((tuple(beta), n),) + tuple((_basis_coords(lat, p), q) for p, q in rest.modes)
+            pieces.append((1, _prefix_mode_apply(prefix, rest.point, m, v, F)))
     for c, piece in pieces:
         flagged = flagged or piece.truncated
         den = _add_into(acc, den, c, piece.num, a.den * piece.den)
@@ -1028,12 +1026,15 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
     T = _rat(max_weight)
     if T < Fraction(i, 4):
         raise ValueError(f"truncation {T} lies below the top level i/4 = {Fraction(i, 4)}")
-    H, E, F = sl2_generators(k, T)
+    # H, E, F, the top level and omega_aff live at T3, so H = gamma(-1)1
+    # survives T < 1; generated_subspace cuts at T
+    T3 = max(T, Fraction(3))
+    H, E, F = sl2_generators(k, T3)
     lat = H.lattice
     if i == 0:
-        seeds = [StateVector.vacuum(lat, T)]
+        seeds = [StateVector.vacuum(lat, T3)]
     else:
-        top = StateVector.exponential(lat, tuple(1 if p < i else 0 for p in range(k)), T)
+        top = StateVector.exponential(lat, tuple(1 if p < i else 0 for p in range(k)), T3)
         seeds = [top]
         cur = top
         for _ in range(i):
@@ -1044,10 +1045,8 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
         if not mode_apply(F, 0, cur).is_zero():
             raise AssertionError("top level did not close")
     basis = generated_subspace([H, E, F], T, seeds=seeds)
-    T3 = max(T, Fraction(3))
-    omega_aff = _omega_aff(k, *sl2_generators(k, T3))
     top = seeds[0]
-    l0 = mode_apply(omega_aff, 1, top._with(top.num, top.den, truncation=T3))
+    l0 = mode_apply(_omega_aff(k, H, E, F), 1, top)
     (s0, c0), = top.terms.items()
     aff_weight = l0.coefficient(s0) / c0
     basis.aff_offset = state_weight(lat, s0) - aff_weight

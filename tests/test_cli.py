@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -292,13 +293,19 @@ _BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "refe
 def _differ_from_the_benchmark_reference(commands, path=_BENCHMARK_REFERENCE):
     """The commands whose report bytes differ from the ones recorded in path
     (read here, never written), by default perfbench/reference.json, in
-    length or SHA-256."""
+    length or SHA-256.  A command's leading NAME=value tokens are set in the
+    environment for its call only."""
     reference = json.loads(path.read_text())
     differ = []
     for command in commands:
+        argv = command.split()
+        env = {}
+        while "=" in argv[0]:
+            name, value = argv.pop(0).split("=", 1)
+            env[name] = value
         buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert main(command.split()) == 0, command
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(buf):
+            assert main(argv) == 0, command
         data = buf.getvalue().encode()
         want = reference[command]
         if (len(data), hashlib.sha256(data).hexdigest()) != (want["bytes"], want["sha256"]):
@@ -331,13 +338,17 @@ def test_fock_reports_the_benchmark_skips_match_the_golden_file():
     """The Fock-route reports the benchmark does not run (the bracket
     relations and E-power for k = 2..5, the gamma-lattice intertwiner for
     k = 1..6, the k = 4 dual route in every sector, the k = 5 and k = 6
-    singular vector and the k <= 4 suite) are byte-identical to the ones
-    recorded in tests/golden_reports.json."""
+    singular vector, the k <= 4 suite, and the k = 3, 4 singular vector at
+    truncations 1 and 2, whose verdict is pass-up-to-truncation) are
+    byte-identical to the ones recorded in tests/golden_reports.json."""
     commands = [f"ope --k {k}" for k in range(2, 6)]
     commands += [f"ek-power --k {k}" for k in range(2, 6)]
     commands += [f"intertwiner-leading --k {k}" for k in range(1, 7)]
     commands += [f"string-dual-route --k 4 --i {i} --max-weight 4" for i in range(5)]
     commands += ["singular-vector --k 5", "singular-vector --k 6", "all --kmax 4"]
+    commands += [
+        f"PARAFERM_TRUNCATION={t} singular-vector --k {k}" for k in (3, 4) for t in (1, 2)
+    ]
     path = Path(__file__).resolve().parent / "golden_reports.json"
     assert set(json.loads(path.read_text())) == set(commands)
     assert not _differ_from_the_benchmark_reference(commands, path)

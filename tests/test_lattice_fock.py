@@ -7,7 +7,7 @@ import pickle
 import random
 import weakref
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -448,14 +448,18 @@ class TestGeneratedSubspace:
                 generated_subspace(gens, 2)
 
     def test_lki_top_levels(self):
-        # the i-th module has an (i+1)-dimensional top level
-        for k, i in ((3, 1), (3, 2), (4, 2)):
-            b = affine_module_basis(k, i, Q(i, 4) + 1)
+        # the i-th module has an (i+1)-dimensional top level; a truncation
+        # i/4 <= T < 1 keeps it alone, yet H, E, F are still weight one
+        cases = [(k, i, Q(i, 4) + d) for k, i in ((3, 1), (3, 2), (4, 2)) for d in (1, 0)]
+        for k, i, T in cases + [(3, 0, Q(1, 2))]:
+            b = affine_module_basis(k, i, T)
             top = min(b.dims())
             assert b.dims()[top] == i + 1
             assert top == Q(i, 4)
             # measured conformal weight of the top level
             assert top - b.aff_offset == Q(i * (i + 2), 4 * (k + 2))
+            if T < 1:
+                assert b.dims() == {top: i + 1} and not b.truncated
 
 
 class TestCommutantKernel:
@@ -754,21 +758,36 @@ class TestPrefixGrouping:
         self._assert_grouping_is_exact(a, Q(twice_m, 2), v)
 
     def test_h_field_is_the_gamma_mode(self):
-        # the field of H = gamma(-1)1 is gamma(z); one group carries it
+        # the field of beta(-n)1 is the derivative field
+        # sum_j C(-j-1, n-1) beta(j) z^(-j-n): its m-th mode is the one
+        # Heisenberg mode j = m - n + 1, zero for fractional m, with the
+        # flags of heisenberg_apply; beta = gamma, n = 1 is H = gamma(-1)1
+        def binom(a, b):
+            return Fraction(prod(range(a - b + 1, a + 1)), factorial(b))
+
         for k in (3, 4):
-            H = sl2_generators(k, 3)[0]
-            lat = H.lattice
+            lat = rank_lattice(k)
             rng = random.Random(k)
-            for v in (
-                StateVector.vacuum(lat, 3),
+            vac = StateVector.vacuum(lat, 3)
+            even = random_state_vector(lat, 3, rng, nterms=3)
+            dual = _shifted(random_state_vector(lat, 3, rng, nterms=3, max_weight=2), (1,) * k)
+            vectors = (
+                vac,
                 StateVector.exponential(lat, (1,) + (0,) * (k - 1), 3),
-                random_state_vector(lat, 3, rng, nterms=3),
-                _shifted(random_state_vector(lat, 3, rng, nterms=3, max_weight=2), (1,) * k),
-            ):
-                for m in range(-3, 4):
-                    got = mode_apply(H, m, v)
-                    want = heisenberg_apply(lat.gamma(), m, v)
-                    assert got == want and got.truncated == want.truncated, (k, m)
+                even,
+                dual,
+                StateVector(lat, 3, dual.terms, truncated=True),
+            )
+            for beta in (lat.gamma(), (lat.den,) + (0,) * (k - 1)):
+                for n in (1, 2, 3):
+                    field = heisenberg_apply(beta, -n, vac)
+                    for v in vectors:
+                        for m in (*range(-4, 4), Q(1, 2), Q(-3, 2)):
+                            got = mode_apply(field, m, v)
+                            j = m - n + 1
+                            c = 0 if isinstance(j, Fraction) else binom(-j - 1, n - 1)
+                            want = heisenberg_apply(beta, j, v).scale(c) if c else v.scale(0)
+                            assert got == want and got.truncated == want.truncated, (k, n, m)
 
 
 class TestRouteIndependence:
