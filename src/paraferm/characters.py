@@ -33,7 +33,7 @@ from math import ceil, isqrt
 
 from . import lattice_fock
 from .errors import BadLabel, IdentityFailed
-from .fusion_identify import topweight_para
+from .fusion_identify import para_normalize
 from .qseries import QSeries, ZQSeries, _grid_product, _rat, euler_function, lattice_coset_char
 from .report import Report, make_report
 
@@ -51,7 +51,7 @@ def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
     h = affine_top_weight(k, i)
     Trel = T - h
     if Trel <= 0:
-        return ZQSeries.zero(T)
+        return ZQSeries({}, T)
     # relative to h every exponent is an integer e = 0..E
     E = ceil(Trel) - 1
     rows: dict[int, list[int]] = {}
@@ -127,7 +127,7 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
     lhs = ch.specialize_z1().truncate(T)
     if strings is None:
         strings = [string_function(k, i, j, Tint, _char=ch) for j in range(k)]
-    rhs = QSeries.zero(Tint)
+    rhs = QSeries({}, Tint)
     for j, string in enumerate(strings):
         rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), Tint) * string
     rhs = rhs.truncate(T)
@@ -153,10 +153,6 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
         entries,
         identity="graded dimensions of the affine module equal the coset-sum",
     )
-
-
-def decomposition_check_lk0(k: int, max_weight, strings=None) -> Report:
-    return decomposition_check_lki(k, 0, max_weight, strings=strings)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +183,7 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     entries = []
     for jj in js:
         lam = lams[jj]
-        top_est = topweight_para(k, i, jj)
+        top_est = para_normalize(k, i, jj).topweight
         kdims = lattice_fock.commutant_dims(basis, lam)
         string = string_function(k, i, jj, T + max_heis + 1, _char=ch)
         cover = min(string.truncation, T)

@@ -47,7 +47,10 @@ def _truncation_default(fallback: int) -> int:
             value = int(env)
         except ValueError as exc:
             raise BadParams(f"PARAFERM_TRUNCATION must be an integer, got {env!r}") from exc
-        # Stored weights lie strictly below the truncation, so T <= 0 holds nothing.
+        # A series keeps exponents strictly below T, the Fock route states of
+        # weight <= T.  So at T <= 0 no series has a term and no Fock vector
+        # more than the vacuum, and a check would pass on nothing; the value
+        # stands in for --max-weight, which is at least 1 for the same reason.
         if value <= 0:
             raise BadParams(f"PARAFERM_TRUNCATION must be positive, got {env!r}")
         return value
@@ -154,9 +157,13 @@ CHECKS = {
                              {"k": _level(3), "seed": Param(default=0)}, lambda k: 4),
     "ek-power": Check("highest nonzero power of E(-1) on the vacuum",
                       lattice_fock.ek_power_check, {"k": _level(2)}, lambda k: k + 2),
-    "lk0-decomposition": Check("vacuum module decomposition into coset strings",
-                               characters.decomposition_check_lk0,
-                               {"k": _level(1), "max_weight": Param(1)}, lambda k: 10),
+    "lk0-decomposition": Check(
+        "vacuum module decomposition into coset strings",
+        # looked up per call, so a wrapper installed on the module attribute sees it
+        lambda k, max_weight: characters.decomposition_check_lki(k, 0, max_weight),
+        {"k": _level(1), "max_weight": Param(1)},
+        lambda k: 10,
+    ),
     "lki-decomposition": Check("every module's decomposition into coset strings",
                                _lki_decomposition,
                                {"k": _level(1), "i": Param(0, 0), "max_weight": Param(1)},

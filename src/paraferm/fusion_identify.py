@@ -113,23 +113,6 @@ def w_label(k: int, a: int, b: int) -> WLabel:
     return WLabel(k, a, b)
 
 
-def topweight_para(k: int, i: int, j: int) -> Fraction:
-    return para_normalize(k, i, j).topweight
-
-
-def topweight_w(k: int, a: int, b: int) -> Fraction:
-    return w_label(k, a, b).topweight
-
-
-def para_current(k: int, j: int) -> ParaLabel:
-    """The j-th simple current of the coset family: the class of (0, j)."""
-    return para_normalize(k, 0, j)
-
-
-def w_current(k: int, j: int) -> WLabel:
-    return w_label(k, j, j)
-
-
 def enumerate_simples(k: int) -> list[ParaLabel]:
     """The k(k+1)/2 canonical coset labels."""
     if k < 2:
@@ -154,9 +137,6 @@ class Bijection:
     form: str  # "form1" | "form2"
     mapping: dict[ParaLabel, WLabel] = field(repr=False)
 
-    def pairs(self) -> list[tuple[ParaLabel, WLabel]]:
-        return sorted(self.mapping.items())
-
     def preserves_topweights(self) -> bool:
         return all(p.topweight == w.topweight for p, w in self.mapping.items())
 
@@ -164,7 +144,7 @@ class Bijection:
         return {
             "k": self.k,
             "form": self.form,
-            "pairs": [[[p.i, p.j], [w.a, w.b]] for p, w in self.pairs()],
+            "pairs": [[[p.i, p.j], [w.a, w.b]] for p, w in sorted(self.mapping.items())],
         }
 
 
@@ -232,9 +212,9 @@ def identify(k: int) -> list[Bijection]:
     results: list[Bijection] = []
     for sigma in (1, -1):
         mapping: dict[ParaLabel, WLabel] = {}
-        # currents: stage 0
+        # currents, the classes of (0, j) and {j, j}: stage 0
         for j in range(k):
-            mapping[para_current(k, j)] = w_current(k, (sigma * j) % k)
+            mapping[para_normalize(k, 0, j)] = w_label(k, sigma * j, sigma * j)
         for p in range(1, k // 2 + 1):
             cands = _stage_candidates(k, p)
             if 2 * p < k:

@@ -210,12 +210,6 @@ def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
 
-@_per_lattice
-def _pairing(lat: Lattice, beta, point) -> int:
-    """Numerator of <beta, point> over den."""
-    return _dot(beta, point)
-
-
 _mode_n = itemgetter(1)
 
 
@@ -231,7 +225,7 @@ def _floor_minus_weight(lat: Lattice, c: Fraction, point) -> int:
     """floor(c - weight(point)), in integers: twice a point weight is its
     self-pairing numerator over den."""
     q = 2 * lat.den
-    return (c.numerator * q - _pairing(lat, point, point) * c.denominator) // (c.denominator * q)
+    return (c.numerator * q - _dot(point, point) * c.denominator) // (c.denominator * q)
 
 
 class StateVector:
@@ -287,19 +281,16 @@ class StateVector:
         return {state_weight(self.lattice, s) for s in self.num}
 
     def max_weight(self) -> Fraction:
-        lat = self.lattice
         # twice the weight of a state, over q = 2 den
-        q = 2 * lat.den
-        top = max(
-            (_pairing(lat, s.point, s.point) + q * _mode_weight(s) for s in self.num), default=0
-        )
+        q = 2 * self.lattice.den
+        top = max((_dot(s.point, s.point) + q * _mode_weight(s) for s in self.num), default=0)
         return Fraction(top, q)
 
     def charge(self) -> Fraction:
         """gamma(0)-eigenvalue; raises if the vector mixes charges."""
         lat = self.lattice
         gamma = lat.gamma()
-        vals = {_pairing(lat, gamma, point) for point in {s.point for s in self.num}}
+        vals = {_dot(gamma, point) for point in {s.point for s in self.num}}
         if len(vals) != 1:
             raise ValueError("vector does not have a single charge")
         return Fraction(vals.pop(), lat.den)
@@ -410,12 +401,18 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
     beta = tuple(beta)
     # <beta, b_p> = beta[p], <beta, point> = pairing / den and beta =
     # sum_p beta[p] b_p / den
-    if n > 0:
-        return v._with(_annihilations(beta, v.num).get(n, {}), v.den)
     acc: dict[FockState, int] = {}
+    if n > 0:
+        # only the copies of b_p(-n) contract with beta(n)
+        for s, c in v.num.items():
+            for rest, nn, f in _contractions(s.modes, beta):
+                if nn == n:
+                    key = FockState(s.point, rest)
+                    acc[key] = acc.get(key, 0) + c * f
+        return v._with(acc, v.den)
     if n == 0:
         for s, c in v.num.items():
-            pair = _pairing(lat, beta, s.point)
+            pair = _dot(beta, s.point)
             if pair:
                 acc[s] = c * pair
         return v._with(acc, v.den * lat.den)
@@ -476,10 +473,6 @@ def _creation_poly(lat, beta, a: int) -> tuple[dict, int]:
     return _lincomb(pieces)
 
 
-def _merge_modes(a: tuple, b: tuple) -> tuple:
-    return tuple(sorted(a + b))
-
-
 @_per_lattice
 def _exp_component(lat, beta, modes: tuple, d: int) -> tuple[dict, int]:
     """Net-degree-d part of the normally ordered exponential expansion on one
@@ -505,14 +498,14 @@ def _exp_component(lat, beta, modes: tuple, d: int) -> tuple[dict, int]:
         a = b + d
         if a >= 0:
             cnum, cden = _creation_poly(lat, beta, a)
-            pieces.append((x, {_merge_modes(tmds, cmds): cc for cmds, cc in cnum.items()}, cden))
+            pieces.append((x, {tuple(sorted(tmds + cmds)): cc for cmds, cc in cnum.items()}, cden))
     return _lincomb(pieces)
 
 
 def _point_pairings(lat, beta, v: StateVector) -> dict[tuple, int]:
     """Numerators of <beta, point> over den for each distinct lattice point
     of v; raises unless the pairings agree mod 1."""
-    pairs = {point: _pairing(lat, beta, point) for point in {s.point for s in v.num}}
+    pairs = {point: _dot(beta, point) for point in {s.point for s in v.num}}
     if len({x % lat.den for x in pairs.values()}) > 1:
         raise NonIntegralPairing(
             "mode components of the exponential field are ill-defined: "
@@ -1217,7 +1210,7 @@ def virasoro_bracket_check(k: int, truncation=5, seed=0) -> Report:
     T = _rat(truncation)
     vecs = conformal_vectors(k, T)
     rng = random.Random(seed)
-    lat = rank_lattice(k)
+    lat = vecs["omega_h"].lattice
     samples = [random_state_vector(lat, T, rng, max_weight=T - 2) for _ in range(2)]
     cases = []
     for name in ("omega_h", "omega_aff", "omega_para"):

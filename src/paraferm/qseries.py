@@ -65,20 +65,6 @@ class QSeries:
         self.terms = acc
         self.truncation = T
 
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def zero(cls, truncation) -> "QSeries":
-        return cls({}, truncation)
-
-    @classmethod
-    def one(cls, truncation) -> "QSeries":
-        return cls({Fraction(0): Fraction(1)}, truncation)
-
-    @classmethod
-    def monomial(cls, exponent, coefficient, truncation) -> "QSeries":
-        return cls({_rat(exponent): _rat(coefficient)}, truncation)
-
     # -- basic queries ----------------------------------------------------
 
     def coefficient(self, exponent) -> Fraction:
@@ -101,13 +87,6 @@ class QSeries:
 
     def __hash__(self):
         return hash((self.truncation, tuple(sorted(self.terms.items()))))
-
-    def agrees_with(self, other: "QSeries") -> bool:
-        """Termwise equality below the smaller of the two truncations."""
-        T = min(self.truncation, other.truncation)
-        a = {e: c for e, c in self.terms.items() if e < T}
-        b = {e: c for e, c in other.terms.items() if e < T}
-        return a == b
 
     def first_disagreement(self, other: "QSeries"):
         """Smallest exponent where the two series differ, or None."""
@@ -332,10 +311,6 @@ class ZQSeries:
                 acc.pop(key, None)
         self.terms = acc
         self.truncation = T
-
-    @classmethod
-    def zero(cls, truncation) -> "ZQSeries":
-        return cls({}, truncation)
 
     def coefficient(self, z: int, e) -> Fraction:
         return self.terms.get((z, _rat(e)), Fraction(0))

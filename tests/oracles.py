@@ -11,9 +11,7 @@ from math import comb, isqrt
 from paraferm.fusion_identify import (
     enumerate_simples,
     enumerate_w_simples,
-    para_current,
     para_normalize,
-    w_current,
     w_label,
 )
 from paraferm.lattice_fock import (
@@ -88,7 +86,7 @@ def affine_char_cascade(k: int, i: int, T) -> ZQSeries:
     h = Q(i * (i + 2), 4 * (k + 2))
     Trel = T - h
     if Trel <= 0:
-        return ZQSeries.zero(T)
+        return ZQSeries({}, T)
     terms: dict[tuple[int, Fraction], Fraction] = {}
     nbound = isqrt(int(Trel)) + 2
     for n in range(-nbound - 1, nbound + 2):
@@ -132,7 +130,7 @@ def brute_force_identifications(k: int) -> list[dict]:
             mapping = {}
             ok = True
             for j in range(k):
-                mapping[para_current(k, j)] = w_current(k, u * j)
+                mapping[para_normalize(k, 0, j)] = w_label(k, u * j, u * j)
             for p, img in zip(stages, choice):
                 for j in range(k):
                     para = para_normalize(k, p, j)

@@ -20,8 +20,7 @@ from paraferm.fusion_identify import (
     form1_map,
     form2_map,
     identify,
-    topweight_para,
-    topweight_w,
+    para_normalize,
     w_label,
 )
 from paraferm.lattice_fock import (
@@ -103,7 +102,7 @@ def test_05_topweight_matching():
         for i in range(k + 1):
             for j in range(k):
                 img = w_label(k, j, j - i)
-                ok = ok and topweight_para(k, i, j) == topweight_w(k, img.a, img.b)
+                ok = ok and para_normalize(k, i, j).topweight == img.topweight
     dt = time.perf_counter() - t0
     ok = ok and dt < 1.0
     _line(5, "top weights match under the first identification, k <= 20", ok, dt)

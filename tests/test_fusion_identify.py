@@ -11,11 +11,7 @@ from paraferm.fusion_identify import (
     form1_map,
     form2_map,
     identify,
-    para_current,
     para_normalize,
-    topweight_para,
-    topweight_w,
-    w_current,
     w_label,
 )
 
@@ -51,26 +47,26 @@ class TestNormalization:
 
 class TestTopWeights:
     def test_para_examples(self):
-        assert topweight_para(3, 1, 0) == Q(1, 15)
+        assert para_normalize(3, 1, 0).topweight == Q(1, 15)
         for k in (3, 4, 7):
-            assert topweight_para(k, k, 0) == 0
-        assert topweight_para(3, 0, 1) == Q(2, 3)
+            assert para_normalize(k, k, 0).topweight == 0
+        assert para_normalize(3, 0, 1).topweight == Q(2, 3)
 
     def test_current_topweight_formula(self):
         # class of (0, j) has top weight j(k-j)/k
         for k in range(2, 12):
             for j in range(k):
-                assert topweight_para(k, 0, j) == Q(j * (k - j), k)
+                assert para_normalize(k, 0, j).topweight == Q(j * (k - j), k)
 
     def test_w_examples(self):
-        assert topweight_w(3, 0, 2) == Q(1, 15)
+        assert w_label(3, 0, 2).topweight == Q(1, 15)
         for k in (3, 5, 9):
-            assert topweight_w(k, 0, 0) == 0
+            assert w_label(k, 0, 0).topweight == 0
 
     def test_w_diagonal_simplifies(self):
         for k in range(2, 15):
             for p in range(k):
-                assert topweight_w(k, p, p) == Q(p * (k - p), k)
+                assert w_label(k, p, p).topweight == Q(p * (k - p), k)
 
     def test_p_value_minimum_identity(self):
         # P(i,j) - i(k-i) = 2(k+2) j (i-j) >= 0, zero iff j in {0, i}
@@ -103,11 +99,11 @@ class TestGroupActions:
                 assert lab.twist().twist() == lab
 
     def test_current_fusion_on_currents(self):
-        assert para_current(3, 2).current(1) == para_current(3, 0)
-        assert w_current(3, 2).current(1) == w_current(3, 0)
+        assert para_normalize(3, 0, 2).current(1) == para_normalize(3, 0, 0)
+        assert w_label(3, 2, 2).current(1) == w_label(3, 0, 0)
 
     def test_current_index_out_of_range(self):
-        for lab in (para_current(3, 1), w_current(3, 1)):
+        for lab in (para_normalize(3, 0, 1), w_label(3, 1, 1)):
             for p in (-1, 3):
                 with pytest.raises(BadLabel):
                     lab.current(p)
@@ -151,17 +147,17 @@ class TestTopWeightMatching:
         for k in range(3, 21):
             for i in range(k + 1):
                 for j in range(k):
-                    para = topweight_para(k, i, j)
+                    para = para_normalize(k, i, j).topweight
                     w = w_label(k, j, j - i)
-                    assert para == topweight_w(k, w.a, w.b), (k, i, j)
+                    assert para == w.topweight, (k, i, j)
 
     def test_form2_preserves_topweights_all_labels(self):
         for k in range(3, 21):
             for i in range(k + 1):
                 for j in range(k):
-                    para = topweight_para(k, i, j)
+                    para = para_normalize(k, i, j).topweight
                     w = w_label(k, -j, i - j)
-                    assert para == topweight_w(k, w.a, w.b), (k, i, j)
+                    assert para == w.topweight, (k, i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import functools
 import gc
+import itertools
 import pickle
 import random
 import weakref
@@ -106,19 +107,24 @@ class TestHeisenbergApply:
             assert heisenberg_apply(lat.gamma(), 1, v) == vac.scale(2 * k)
 
     def test_heisenberg_bracket_randomized(self):
-        # [gamma(m), gamma(n)] = 2k m delta_{m+n,0}
+        # [beta(m), gamma(n)] = m <beta, gamma> delta_{m+n,0} for beta in
+        # {gamma, b_1, b_1 - b_2}, where <beta, gamma> = 2k, 2, 0
         k = 3
         lat = rank_lattice(k)
         rng = random.Random(11)
         gam = lat.gamma()
+        betas = {gam: 2 * k, (2, 0, 0): 2, (2, -2, 0): 0}
+        modes = range(-3, 4)
         for _ in range(6):
-            v = random_state_vector(lat, 6, rng, max_weight=3)
-            for m, n in ((1, -1), (2, -2), (1, -2), (2, -1), (1, 1)):
-                lhs = heisenberg_apply(gam, m, heisenberg_apply(gam, n, v)) - heisenberg_apply(
-                    gam, n, heisenberg_apply(gam, m, v)
+            # weight 4 plus two creations of depth 3 stays within T = 10, and
+            # gamma(-n) on a state holding b_p(-n) repeats that mode
+            v = random_state_vector(lat, 10, rng, max_weight=4)
+            for (beta, pair), m, n in itertools.product(betas.items(), modes, modes):
+                lhs = heisenberg_apply(beta, m, heisenberg_apply(gam, n, v)) - heisenberg_apply(
+                    gam, n, heisenberg_apply(beta, m, v)
                 )
-                want = v.scale(2 * k * m) if m + n == 0 else v.scale(0)
-                assert lhs == want
+                want = v.scale(m * pair) if m + n == 0 else v.scale(0)
+                assert lhs == want and not lhs.truncated, (beta, m, n)
 
     def test_truncation_overflow_sets_sticky_flag(self):
         lat = rank_lattice(3)

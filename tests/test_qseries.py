@@ -54,7 +54,7 @@ class TestArithmetic:
 
     def test_add_identity(self):
         x = S({0: 3, Q(1, 2): 5, 3: -2}, 6)
-        assert x + QSeries.zero(6) == x
+        assert x + QSeries({}, 6) == x
 
     def test_add_merges_coefficients(self):
         a = S({0: 1, 2: 1}, 8)
@@ -73,7 +73,7 @@ class TestArithmetic:
 
     def test_mul_identity(self):
         a = S({0: 2, Q(1, 3): 1, 2: -4}, 5)
-        assert a * QSeries.one(5) == a
+        assert a * QSeries({0: 1}, 5) == a
 
     def test_float_is_refused(self):
         # never rounded to a binary fraction such as 3602879701896397/2^55
@@ -143,7 +143,7 @@ class TestRingLaws:
     @settings(max_examples=80, deadline=None)
     def test_inverse_round_trips(self, a):
         inv = a.inverse()
-        assert a * inv == QSeries.one(a.truncation)
+        assert a * inv == QSeries({0: 1}, a.truncation)
         assert inv.inverse() == a
 
 
@@ -153,7 +153,7 @@ class TestInverse:
         assert a.inverse() == S({0: 1, 1: 1, 2: 1, 3: 1}, 4)
 
     def test_one(self):
-        assert QSeries.one(5).inverse() == QSeries.one(5)
+        assert QSeries({0: 1}, 5).inverse() == QSeries({0: 1}, 5)
 
     def test_long_division(self):
         a = S({0: 1, 2: -1, 3: -1}, 5)
@@ -167,7 +167,7 @@ class TestInverse:
         rng = random.Random(7)
         for _ in range(40):
             a = random_series(rng, 5, unit=True)
-            assert a * a.inverse() == QSeries.one(5)
+            assert a * a.inverse() == QSeries({0: 1}, 5)
 
     def test_divide_by_shifted_unit(self):
         num = S({1: 2, 2: 2}, 6)
@@ -186,7 +186,7 @@ class TestHeisenberg:
         assert heisenberg_char(1, 5) == S({0: 1, 1: 1, 2: 2, 3: 3, 4: 5}, 5)
 
     def test_rank0(self):
-        assert heisenberg_char(0, 6) == QSeries.one(6)
+        assert heisenberg_char(0, 6) == QSeries({0: 1}, 6)
 
     def test_rank2_weight2_against_enumeration(self):
         assert heisenberg_char(2, 3).coefficient(2) == colored_partition_count(2, 2)
@@ -209,7 +209,7 @@ class TestEulerFunction:
         for T in (Q(1, 2), 1, 7, Q(21, 2), 40):
             ch = heisenberg_char(1, T)
             assert euler_function(T) == ch.inverse(), T
-            assert euler_function(T) * ch == QSeries.one(T), T
+            assert euler_function(T) * ch == QSeries({0: 1}, T), T
 
 
 class TestCosetTheta:
@@ -261,7 +261,7 @@ class TestFreeWChar:
         assert free_w_char(3, 4) == S({0: 1, 2: 1, 3: 2}, 4)
 
     def test_k3_weight4_against_enumeration(self):
-        # monomial count in the free generators of weights 2 and 3 and their
+        # number of products of the free generators of weights 2 and 3 and their
         # derivatives: u2^2, d^2 u2, d u3
         assert free_generation_count(4, 3) == 3
         assert free_w_char(3, 5).coefficient(4) == 3
@@ -281,7 +281,7 @@ class TestFreeWChar:
         for k in (3, 4, 5, 6):
             a = free_w_char(k, k)
             b = free_w_char(k - 1, k)
-            assert a.agrees_with(b)
+            assert a.first_disagreement(b) is None
             assert free_w_char(k, k + 1) != free_w_char(k - 1, k + 1).truncate(k + 1)
 
 
