@@ -33,7 +33,6 @@ from math import ceil, isqrt
 
 from . import lattice_fock
 from .errors import BadLabel, IdentityFailed
-from .fusion_identify import para_normalize
 from .qseries import QSeries, ZQSeries, _grid_product, _rat, euler_function, lattice_coset_char
 from .report import Report, make_report
 
@@ -116,41 +115,31 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
     """Exact equality of graded dimensions: the full module character equals
     the sum over j of (coset character) x (string function), charges folded.
 
-    Strings, a list indexed by j, may be supplied (e.g. mutated, or from the
-    Fock route); by default they are extracted at internal truncation high
-    enough that every product is reliable below max_weight.
+    Strings, a list indexed by j, may be supplied (e.g. mutated, to see the
+    check fail); by default they are read below max_weight from a character
+    truncated high enough that every charge slice they need is reliable
+    there.
     """
     T = _rat(max_weight)
     pad = max(Fraction(_min_charge_rep(k, i, j) ** 2, 4 * k) for j in range(k))
-    Tint = T + pad
-    ch = affine_sl2_char(k, i, Tint)
+    ch = affine_sl2_char(k, i, T + pad)
     lhs = ch.specialize_z1().truncate(T)
     if strings is None:
-        strings = [string_function(k, i, j, Tint, _char=ch) for j in range(k)]
-    rhs = QSeries({}, Tint)
+        strings = [string_function(k, i, j, T, _char=ch) for j in range(k)]
+    rhs = QSeries({}, T)
     for j, string in enumerate(strings):
-        rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), Tint) * string
-    rhs = rhs.truncate(T)
-    bad = lhs.first_disagreement(rhs)
-    entries = []
-    if bad is None:
-        entries.append((f"module {i} decomposition to weight {T}", True, None))
-    else:
-        entries.append(
-            (
-                f"module {i} decomposition to weight {T}",
-                False,
-                {
-                    "first_failing_exponent": bad,
-                    "lhs": lhs.coefficient(bad),
-                    "rhs": rhs.coefficient(bad),
-                },
-            )
-        )
+        rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), T) * string
+    bad = lhs.disagreements(rhs)
+    witness = None
+    if bad:
+        e = bad[0]
+        witness = {
+            "first_failing_exponent": e, "lhs": lhs.coefficient(e), "rhs": rhs.coefficient(e)
+        }
     return make_report(
         "lki-decomposition" if i else "lk0-decomposition",
         {"k": k, "i": i, "max_weight": T},
-        entries,
+        [(f"module {i} decomposition to weight {T}", not bad, witness)],
         identity="graded dimensions of the affine module equal the coset-sum",
     )
 
@@ -161,12 +150,13 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
 
 
 def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) -> Report:
-    """Compare the string-function coefficients with the kernel dimensions of
-    the Fock realization, exactly, on every weight both routes cover.
+    """Compare the string function with the kernel dimensions of the Fock
+    realization, exactly, as two series below max_weight: every weight where
+    either route has a term is compared.
 
     With j omitted, all k strings of the sector are checked against one
     shared realization.  A disagreement is an implementation bug; its entry
-    fails with the mismatching weights as witness.
+    fails with the mismatching weights, ascending, as witness.
     """
     if not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
@@ -179,28 +169,18 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     delta = Fraction(i * (k - i), 4 * (k + 2))
     # ambient budget so every kernel covers coset weights up to T
     basis = lattice_fock.affine_module_basis(k, i, T + max_heis + delta)
-    ch = affine_sl2_char(k, i, T + max_heis + 1)
+    ch = affine_sl2_char(k, i, T + max_heis)
     entries = []
     for jj in js:
-        lam = lams[jj]
-        top_est = para_normalize(k, i, jj).topweight
-        kdims = lattice_fock.commutant_dims(basis, lam)
-        string = string_function(k, i, jj, T + max_heis + 1, _char=ch)
-        cover = min(string.truncation, T)
-        mism = []
-        w = top_est
-        while w < cover:
-            want = int(string.coefficient(w))
-            got = kdims.get(w, 0)
-            if want != got:
-                mism.append({"weight": w, "string": want, "kernel": got})
-            w += 1
-        for w, d in kdims.items():
-            if w < cover and (w < top_est or (w - top_est).denominator != 1):
-                mism.append({"weight": w, "string": 0, "kernel": d})
+        st = string_function(k, i, jj, T, _char=ch)
+        ker = QSeries(lattice_fock.commutant_dims(basis, lams[jj]), T)
+        mism = [
+            {"weight": w, "string": int(st.coefficient(w)), "kernel": int(ker.coefficient(w))}
+            for w in st.disagreements(ker)
+        ]
         entries.append(
             (
-                f"string (i={i}, j={jj}) equals kernel dimensions below {cover}",
+                f"string (i={i}, j={jj}) equals kernel dimensions below {T}",
                 not mism,
                 None if not mism else {"mismatches": mism},
             )

@@ -217,11 +217,7 @@ def identify(k: int) -> list[Bijection]:
             mapping[para_normalize(k, 0, j)] = w_label(k, sigma * j, sigma * j)
         for p in range(1, k // 2 + 1):
             cands = _stage_candidates(k, p)
-            if 2 * p < k:
-                survivors = [c for c in cands if _obstruction_integral(k, p, sigma, c)]
-            else:
-                # middle stage of even k: the minimal weight is attained once
-                survivors = [w_label(k, 0, k // 2)]
+            survivors = [c for c in cands if _obstruction_integral(k, p, sigma, c)]
             if not survivors:
                 raise NoIdentification(f"no consistent stage-{p} assignment at k={k}")
             if len(survivors) > 1:

@@ -380,13 +380,13 @@ def _insert_mode(modes: tuple, p: int, n: int) -> tuple:
 
 def _contractions(modes: tuple, beta):
     """For each distinct b_p(-n) in the sorted mode tuple with <beta, b_p> =
-    beta[p] nonzero: the tuple with one copy removed, n, and the factor
-    n beta[p] times its multiplicity with which beta(n) removes it."""
+    beta[p] nonzero: the index of its first copy, n, and the factor n beta[p]
+    times its multiplicity with which beta(n) removes one copy."""
     prev = None
     for idx, pm in enumerate(modes):
         # sorted, so a repeated pair directly follows its first copy
         if pm != prev and beta[pm[0]]:
-            yield modes[:idx] + modes[idx + 1:], pm[1], modes.count(pm) * pm[1] * beta[pm[0]]
+            yield idx, pm[1], modes.count(pm) * pm[1] * beta[pm[0]]
         prev = pm
 
 
@@ -405,9 +405,9 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
     if n > 0:
         # only the copies of b_p(-n) contract with beta(n)
         for s, c in v.num.items():
-            for rest, nn, f in _contractions(s.modes, beta):
+            for idx, nn, f in _contractions(s.modes, beta):
                 if nn == n:
-                    key = FockState(s.point, rest)
+                    key = FockState(s.point, s.modes[:idx] + s.modes[idx + 1:])
                     acc[key] = acc.get(key, 0) + c * f
         return v._with(acc, v.den)
     if n == 0:
@@ -440,11 +440,11 @@ def _annihilations(beta, num: dict) -> dict[int, dict]:
     denominator is the caller's."""
     out: dict[int, dict] = {}
     for s, c in num.items():
-        for rest, n, f in _contractions(s.modes, beta):
+        for idx, n, f in _contractions(s.modes, beta):
             acc = out.get(n)
             if acc is None:
                 acc = out[n] = {}
-            key = FockState(s.point, rest)
+            key = FockState(s.point, s.modes[:idx] + s.modes[idx + 1:])
             acc[key] = acc.get(key, 0) + c * f
     return out
 
@@ -694,16 +694,13 @@ def sl2_generators(k: int, truncation=DEFAULT_TRUNCATION):
     return H, E, F
 
 
-def _omega_aff(k: int, H, E, F) -> StateVector:
-    return (
-        mode_apply(H, -1, H).scale(Fraction(1, 2)) + mode_apply(E, -1, F) + mode_apply(F, -1, E)
-    ).scale(Fraction(1, 2 * (k + 2)))
-
-
 def _omegas(k: int, H, E, F) -> dict[str, StateVector]:
     """omega_aff, omega_h and omega_para, as in `conformal_vectors`."""
-    omega_aff = _omega_aff(k, H, E, F)
-    omega_h = mode_apply(H, -1, H).scale(Fraction(1, 4 * k))
+    hh = mode_apply(H, -1, H)
+    omega_aff = (
+        hh.scale(Fraction(1, 2)) + mode_apply(E, -1, F) + mode_apply(F, -1, E)
+    ).scale(Fraction(1, 2 * (k + 2)))
+    omega_h = hh.scale(Fraction(1, 4 * k))
     return {"omega_aff": omega_aff, "omega_h": omega_h, "omega_para": omega_aff - omega_h}
 
 
@@ -980,7 +977,7 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
     # per weight: the echelon of the layer and its rows as monic vectors
     echelons: dict[Fraction, dict] = {}
     layers: dict[Fraction, list[StateVector]] = {}
-    truncated = False
+    truncated = any(s.truncated for s in seeds)
 
     def insert(w, v: StateVector) -> None:
         r = _insert(echelons.setdefault(w, {}), dict(v.num))
@@ -1039,7 +1036,7 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
             raise AssertionError("top level did not close")
     basis = generated_subspace([H, E, F], T, seeds=seeds)
     top = seeds[0]
-    l0 = mode_apply(_omega_aff(k, H, E, F), 1, top)
+    l0 = mode_apply(_omegas(k, H, E, F)["omega_aff"], 1, top)
     (s0, c0), = top.terms.items()
     aff_weight = l0.coefficient(s0) / c0
     basis.aff_offset = state_weight(lat, s0) - aff_weight

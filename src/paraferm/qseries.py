@@ -36,34 +36,57 @@ def _rat(x) -> Fraction:
     return Fraction(x)
 
 
-class QSeries:
+class _Series:
+    """The accumulate loop, equality and hash of both series types: a
+    subclass supplies `_key`, which normalises a term's key and returns it
+    with its q-exponent.  Terms at or above the truncation and zero sums are
+    dropped."""
+
+    __slots__ = ("terms", "truncation")
+
+    def __init__(self, terms, truncation):
+        T = _rat(truncation)
+        acc: dict = {}
+        key_of = self._key
+        items = terms.items() if isinstance(terms, dict) else terms
+        for key, c in items:
+            key, e = key_of(key)
+            if e >= T:
+                continue
+            c = _rat(c)
+            if not c:
+                continue
+            s = acc.get(key)
+            s = c if s is None else s + c
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+        self.terms = acc
+        self.truncation = T
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.truncation == other.truncation and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.truncation, tuple(sorted(self.terms.items()))))
+
+
+class QSeries(_Series):
     """Truncated formal series sum c_e q^e with exact rational e and c_e.
 
     Invariants: no stored coefficient is zero and every stored exponent is
     strictly below ``truncation``.
     """
 
-    __slots__ = ("terms", "truncation")
+    __slots__ = ()
 
-    def __init__(self, terms, truncation):
-        T = _rat(truncation)
-        acc: dict[Fraction, Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for e, c in items:
-            e = _rat(e)
-            if e >= T:
-                continue
-            c = _rat(c)
-            if not c:
-                continue
-            s = acc.get(e)
-            s = c if s is None else s + c
-            if s:
-                acc[e] = s
-            else:
-                acc.pop(e, None)
-        self.terms = acc
-        self.truncation = T
+    @staticmethod
+    def _key(e):
+        e = _rat(e)
+        return e, e
 
     # -- basic queries ----------------------------------------------------
 
@@ -80,20 +103,12 @@ class QSeries:
         e = min(self.terms)
         return e, self.terms[e]
 
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.truncation == other.truncation and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.truncation, tuple(sorted(self.terms.items()))))
-
-    def first_disagreement(self, other: "QSeries"):
-        """Smallest exponent where the two series differ, or None."""
+    def disagreements(self, other: "QSeries") -> list[Fraction]:
+        """The exponents below the smaller truncation where the two series
+        differ, ascending."""
         T = min(self.truncation, other.truncation)
         exps = {e for e in self.terms if e < T} | {e for e in other.terms if e < T}
-        bad = [e for e in exps if self.coefficient(e) != other.coefficient(e)]
-        return min(bad) if bad else None
+        return sorted(e for e in exps if self.terms.get(e) != other.terms.get(e))
 
     def __repr__(self):
         body = " + ".join(
@@ -280,48 +295,25 @@ def free_w_char(k: int, T) -> QSeries:
 # -- two-variable series ------------------------------------------------------
 
 
-class ZQSeries:
+class ZQSeries(_Series):
     """Series in z (integer exponents) and q (rational exponents < truncation).
 
     Used for characters graded by (charge, conformal weight); per q-power the
     z-support is finite.
     """
 
-    __slots__ = ("terms", "truncation")
+    __slots__ = ()
 
-    def __init__(self, terms, truncation):
-        T = _rat(truncation)
-        acc: dict[tuple[int, Fraction], Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for (z, e), c in items:
-            if isinstance(z, float) or z != int(z):
-                raise ValueError(f"charge {z!r} is not an exact integer")
-            e = _rat(e)
-            if e >= T:
-                continue
-            c = _rat(c)
-            if not c:
-                continue
-            key = (int(z), e)
-            s = acc.get(key)
-            s = c if s is None else s + c
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        self.terms = acc
-        self.truncation = T
+    @staticmethod
+    def _key(key):
+        z, e = key
+        if isinstance(z, float) or z != int(z):
+            raise ValueError(f"charge {z!r} is not an exact integer")
+        e = _rat(e)
+        return (int(z), e), e
 
     def coefficient(self, z: int, e) -> Fraction:
         return self.terms.get((z, _rat(e)), Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, ZQSeries):
-            return NotImplemented
-        return self.truncation == other.truncation and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.truncation, tuple(sorted(self.terms.items()))))
 
     def mul_geometric_inverse(self, zexp: int, qexp) -> "ZQSeries":
         """Multiply by (1 - z^zexp q^qexp)^(-1) with qexp > 0."""

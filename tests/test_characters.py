@@ -118,13 +118,13 @@ class TestStringFunctions:
                 for j in range(k):
                     a = string_function(k, i, j, 5)
                     b = string_function(k, k - i, j - i, 5)
-                    assert a.first_disagreement(b) is None, (k, i, j)
+                    assert a.disagreements(b) == [], (k, i, j)
 
     def test_top_row_equals_vacuum_row(self):
         for j in range(3):
             a = string_function(3, 3, j, 5)
             b = string_function(3, 0, j, 5)
-            assert a.first_disagreement(b) is None
+            assert a.disagreements(b) == []
 
     def test_serialization_table(self):
         st = string_function(3, 1, 0, 4)
@@ -211,21 +211,25 @@ class TestDualRoute:
             with pytest.raises(BadLabel):
                 string_dual_route_check(3, i, 3)
 
-    def test_disagreement_fails_with_mismatches(self, monkeypatch):
-        # sabotage: one unit added to the string one weight above its top
-        # must fail the entry, with that weight as the mismatch witness
+    @pytest.mark.parametrize(
+        "shift", [Q(1), Q(-1), Q(1, 2)], ids=["one_above", "one_below", "half_above"]
+    )
+    def test_disagreement_fails_with_mismatches(self, monkeypatch, shift):
+        # sabotage: one unit added to the string one weight above its top,
+        # below it, or half a unit off its grid must fail the entry, with
+        # that weight as the one mismatch of the witness
         real = paraferm.characters.string_function
 
         def broken(k, i, j, T, _char=None):
             st = real(k, i, j, T, _char=_char)
-            return st + QSeries({st.leading()[0] + 1: 1}, st.truncation)
+            return st + QSeries({st.leading()[0] + shift: 1}, st.truncation)
 
         monkeypatch.setattr(paraferm.characters, "string_function", broken)
         r = string_dual_route_check(3, 0, 3, j=0)
         assert r.status == "fail"
-        assert r.details[0]["witness"]["mismatches"] == [
-            {"weight": Q(1), "string": 1, "kernel": 0}
-        ]
+        assert r.details[0]["witness"] == {
+            "mismatches": [{"weight": shift, "string": 1, "kernel": 0}]
+        }
 
     def test_truncated_basis_passes_only_up_to_truncation(self, monkeypatch):
         real = paraferm.lattice_fock.affine_module_basis

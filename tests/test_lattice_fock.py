@@ -438,6 +438,15 @@ class TestGeneratedSubspace:
         with pytest.raises(ValueError):
             generated_subspace([H, E, F], 2, seeds=[bad])
 
+    def test_truncated_seed_makes_a_truncated_basis(self):
+        # no layer is generated at max_weight 0, so the seed's flag is the
+        # only evidence of a dropped term, and it must reach the basis
+        H, E, F = sl2_generators(3, 3)
+        vac = StateVector.vacuum(H.lattice, 0)
+        seed = StateVector(H.lattice, 0, vac.terms, truncated=True)
+        assert generated_subspace([H, E, F], 0, seeds=[seed]).truncated
+        assert not generated_subspace([H, E, F], 0, seeds=[vac]).truncated
+
     def test_g_minus_one_generation_matches_all_modes(self):
         # generating with g(-1) alone spans what every g(-t) spans
         for k in (2, 3, 4):
@@ -800,7 +809,8 @@ class TestRouteIndependence:
     """The Fock route computes the coset dimensions on its own: lattice_fock
     takes nothing from the character route or the label arithmetic, and is
     exact (no float literal, no float() call).  The character route is
-    exact too, and its series layer takes nothing from the Fock route."""
+    exact too, its series layer takes nothing from the Fock route, and its
+    checks take nothing from the label arithmetic."""
 
     OTHER_ROUTES = {"characters", "qseries", "fusion_identify"}
 
@@ -842,3 +852,7 @@ class TestRouteIndependence:
 
     def test_qseries_imports_nothing_from_lattice_fock(self):
         assert "lattice_fock" not in self._imported(paraferm.qseries)
+
+    def test_characters_imports_nothing_from_fusion_identify(self):
+        # the dual route compares two series; no label-side weight enters it
+        assert "fusion_identify" not in self._imported(paraferm.characters)

@@ -87,6 +87,15 @@ class TestArithmetic:
         assert (a + b).truncation == 3
         assert (a * b).truncation == 3
 
+    def test_disagreements_ascend_below_the_smaller_truncation(self):
+        # 1/2 and 0 differ (a term on one side only, then unequal values);
+        # 2 agrees, and 5 lies beyond a's truncation
+        a = S({Q(1, 2): 1, 0: 2, 2: 1}, 3)
+        b = S({0: 1, 2: 1, 5: 4}, 7)
+        assert a.disagreements(b) == [Q(0), Q(1, 2)]
+        assert b.disagreements(a) == [Q(0), Q(1, 2)]
+        assert a.disagreements(a) == []
+
     def test_ring_axioms_randomized(self):
         rng = random.Random(20240)
         for _ in range(60):
@@ -281,7 +290,7 @@ class TestFreeWChar:
         for k in (3, 4, 5, 6):
             a = free_w_char(k, k)
             b = free_w_char(k - 1, k)
-            assert a.first_disagreement(b) is None
+            assert a.disagreements(b) == []
             assert free_w_char(k, k + 1) != free_w_char(k - 1, k + 1).truncate(k + 1)
 
 
