@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import ceil, isqrt
 
 from . import lattice_fock
-from .errors import BadLabel, IdentityFailed
+from .errors import BadLabel, BadParams, IdentityFailed
 from .qseries import QSeries, ZQSeries, _grid_product, _rat, euler_function, lattice_coset_char
 from .report import Report, make_report
 
@@ -116,11 +116,14 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
     the sum over j of (coset character) x (string function), charges folded.
 
     Strings, a list indexed by j, may be supplied (e.g. mutated, to see the
-    check fail); by default they are read below max_weight from a character
-    truncated high enough that every charge slice they need is reliable
-    there.
+    check fail), each truncated at max_weight or above; by default they are
+    read below max_weight from a character truncated high enough that every
+    charge slice they need is reliable there.
     """
     T = _rat(max_weight)
+    for j, string in enumerate(strings or []):
+        if string.truncation < T:
+            raise BadParams(f"string j={j} is truncated at {string.truncation} < max_weight {T}")
     pad = max(Fraction(_min_charge_rep(k, i, j) ** 2, 4 * k) for j in range(k))
     ch = affine_sl2_char(k, i, T + pad)
     lhs = ch.specialize_z1().truncate(T)

@@ -11,6 +11,9 @@ W side: unordered pairs {a, b} of residues mod k, canonically 0 <= a <= b
 <= k-1, with top weight (-a^2 + a(k(2k+3) - 2b(k+1)) + b(k-b)) / 2k(k+2)
 evaluated on the canonical order.
 
+Labels are validated named tuples of ints; ``topweight_num`` is the top
+weight times 2k(k+2), and every top-weight comparison here compares ints.
+
 Both families carry a Z_k simple-current action and an order-two twist;
 `identify` reconstructs the only two weight-preserving, current-equivariant
 matchings between the families by the minimal-top-weight / integrality
@@ -19,6 +22,7 @@ induction, one matching per admissible image of the first current.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,27 +30,30 @@ from .errors import AmbiguousIdentification, BadLabel, NoIdentification
 from .report import Report, make_report
 
 
-@dataclass(frozen=True, order=True)
-class ParaLabel:
-    """Canonical coset-module label: 0 <= j < i <= k."""
+class ParaLabel(namedtuple("ParaLabel", "k i j")):
+    """Canonical coset-module label: 0 <= j < i <= k, a named tuple.  It
+    equals a WLabel holding the same three ints, so the two families share
+    no container; no label reaches a report (json would write a list)."""
 
-    k: int
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.j < self.i <= self.k):
-            raise BadLabel(f"non-canonical coset label ({self.i},{self.j}) at k={self.k}")
+    def __new__(cls, k: int, i: int, j: int):
+        if not (0 <= j < i <= k):
+            raise BadLabel(f"non-canonical coset label ({i},{j}) at k={k}")
+        return tuple.__new__(cls, (k, i, j))
 
     def __str__(self):
         return f"M[{self.i},{self.j}]"
 
     @property
+    def topweight_num(self) -> int:
+        """P(i,j), the top weight times 2k(k+2)."""
+        k, i, j = self
+        return k * (i - 2 * j) - (i - 2 * j) ** 2 + 2 * k * (i - j + 1) * j
+
+    @property
     def topweight(self) -> Fraction:
-        """P(i,j)/2k(k+2)."""
-        k, i, j = self.k, self.i, self.j
-        p = k * (i - 2 * j) - (i - 2 * j) ** 2 + 2 * k * (i - j + 1) * j
-        return Fraction(p, 2 * k * (k + 2))
+        return Fraction(self.topweight_num, 2 * self.k * (self.k + 2))
 
     def twist(self) -> ParaLabel:
         """Order-two twist (i,j) -> (i, i-j)."""
@@ -58,27 +65,30 @@ class ParaLabel:
         return para_normalize(self.k, self.i, self.j + p)
 
 
-@dataclass(frozen=True, order=True)
-class WLabel:
-    """Canonical W-module label: unordered pair 0 <= a <= b <= k-1."""
+class WLabel(namedtuple("WLabel", "k a b")):
+    """Canonical W-module label: unordered pair 0 <= a <= b <= k-1, a named
+    tuple that equals a ParaLabel of the same ints (see ParaLabel)."""
 
-    k: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.a <= self.b < self.k):
-            raise BadLabel(f"non-canonical W label ({self.a},{self.b}) at k={self.k}")
+    def __new__(cls, k: int, a: int, b: int):
+        if not (0 <= a <= b < k):
+            raise BadLabel(f"non-canonical W label ({a},{b}) at k={k}")
+        return tuple.__new__(cls, (k, a, b))
 
     def __str__(self):
         return f"W[{self.a},{self.b}]"
 
     @property
+    def topweight_num(self) -> int:
+        """The top weight times 2k(k+2), evaluated on the canonical order
+        (smaller residue in the quadratic slot)."""
+        k, a, b = self
+        return -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
+
+    @property
     def topweight(self) -> Fraction:
-        """Evaluated on the canonical order (smaller residue in the quadratic slot)."""
-        k, a, b = self.k, self.a, self.b
-        num = -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
-        return Fraction(num, 2 * k * (k + 2))
+        return Fraction(self.topweight_num, 2 * self.k * (self.k + 2))
 
     def twist(self) -> WLabel:
         """Order-two twist {a,b} -> {-a,-b}."""
@@ -138,7 +148,7 @@ class Bijection:
     mapping: dict[ParaLabel, WLabel] = field(repr=False)
 
     def preserves_topweights(self) -> bool:
-        return all(p.topweight == w.topweight for p, w in self.mapping.items())
+        return all(p.topweight_num == w.topweight_num for p, w in self.mapping.items())
 
     def to_obj(self) -> dict:
         return {
@@ -162,19 +172,18 @@ def form2_map(k: int) -> dict[ParaLabel, WLabel]:
     }
 
 
-def _coset_topweight(k: int, s: int) -> Fraction:
-    """Minimal conformal weight in the charge-s lattice coset, s mod 2k."""
+def _coset_topweight(k: int, s: int) -> int:
+    """4k(k+2) times the least conformal weight in the charge-s coset, s mod 2k."""
     s %= 2 * k
-    return Fraction(min(s, 2 * k - s) ** 2, 4 * k)
+    return min(s, 2 * k - s) ** 2 * (k + 2)
 
 
 def _stage_candidates(k: int, p: int) -> list[WLabel]:
     """The W-classes of minimal top weight p(k-p)/2k(k+2) among those not
     yet matched at stage p: exactly {0, k-p} and {0, p}."""
-    target = Fraction(p * (k - p), 2 * k * (k + 2))
     cands = []
     for lab in (w_label(k, 0, (k - p) % k), w_label(k, 0, p)):
-        if lab not in cands and lab.topweight == target:
+        if lab not in cands and lab.topweight_num == p * (k - p):
             cands.append(lab)
     return cands
 
@@ -187,15 +196,15 @@ def _obstruction_integral(k: int, p: int, sigma: int, cand: WLabel) -> bool:
     sigma-th current) against the candidate summand sitting over coset
     charge p produces a summand over charge p - 2 whose W-part is the
     current shift of the candidate; within one simple module all weight
-    differences are integers.
+    differences are integers.  The test is on 4k(k+2) times the difference.
     """
     diff = (
         _coset_topweight(k, p - 2)
-        + cand.current(sigma % k).topweight
+        + 2 * cand.current(sigma % k).topweight_num
         - _coset_topweight(k, p)
-        - cand.topweight
+        - 2 * cand.topweight_num
     )
-    return diff.denominator == 1
+    return diff % (4 * k * (k + 2)) == 0
 
 
 def identify(k: int) -> list[Bijection]:
@@ -209,6 +218,7 @@ def identify(k: int) -> list[Bijection]:
     """
     if k < 3:
         raise BadLabel("identification needs k >= 3")
+    labels = enumerate_simples(k)
     results: list[Bijection] = []
     for sigma in (1, -1):
         mapping: dict[ParaLabel, WLabel] = {}
@@ -234,10 +244,10 @@ def identify(k: int) -> list[Bijection]:
                         f"inconsistent images for {para} at k={k}: {prev} vs {image}"
                     )
                 mapping[para] = image
-        labels = enumerate_simples(k)
         if set(mapping) != set(labels) or len(set(mapping.values())) != len(labels):
             raise NoIdentification(f"stage assembly is not a bijection at k={k}")
-        results.append(Bijection(k, "form1" if sigma == 1 else "form2", mapping))
+        ordered = {lab: mapping[lab] for lab in labels}
+        results.append(Bijection(k, "form1" if sigma == 1 else "form2", ordered))
     return results
 
 
@@ -247,7 +257,7 @@ def topweight_match_check(k: int) -> Report:
     bad = []
     for i in range(k + 1):
         for j in range(k):
-            if para_normalize(k, i, j).topweight != w_label(k, j, j - i).topweight:
+            if para_normalize(k, i, j).topweight_num != w_label(k, j, j - i).topweight_num:
                 bad.append({"i": i, "j": j})
     n = len(enumerate_simples(k))
     witness = None if not bad else {"mismatches": bad}

@@ -4,6 +4,7 @@ A :class:`QSeries` stores a finite sparse map exponent -> coefficient with
 both entries exact rationals, together with a hard truncation T: every
 stored exponent is < T, and arithmetic never pretends to know more.  The
 truncation of a sum or product is the minimum of the operand truncations.
+A product is computed on an integer grid and converted back once per term.
 
 The module also provides the standard character building blocks: the
 Heisenberg (free boson) character and its inverse, Euler's function, the
@@ -133,14 +134,26 @@ class QSeries(_Series):
         return self + (-other)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """Product truncated at T, the smaller truncation, on an integer grid:
+        T and both operands' exponents lie on (1/D)Z, D the lcm of their
+        denominators, and each operand's coefficients are ints over the lcm
+        of its coefficient denominators.  The int double loop walks `other`
+        by ascending exponent and breaks at T; each output term then makes
+        one Fraction pair."""
         T = min(self.truncation, other.truncation)
-        acc: dict[Fraction, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if e < T:
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        return QSeries(acc, T)
+        D = lcm(T.denominator, *(e.denominator for e in self.terms),
+                *(e.denominator for e in other.terms))
+        (a, ca), (b, cb) = _on_grid(self.terms, D), _on_grid(other.terms, D)
+        top = T.numerator * (D // T.denominator)
+        acc: dict[int, int] = {}
+        for n1, c1 in a:
+            lim = top - n1
+            for n2, c2 in b:
+                if n2 >= lim:
+                    break
+                n = n1 + n2
+                acc[n] = acc.get(n, 0) + c1 * c2
+        return QSeries({Fraction(n, D): Fraction(c, ca * cb) for n, c in acc.items() if c}, T)
 
     def scale(self, c) -> "QSeries":
         c = _rat(c)
@@ -160,23 +173,16 @@ class QSeries(_Series):
     def inverse(self) -> "QSeries":
         """Inverse of a series with nonzero constant term, up to truncation.
 
-        All exponents of one series lie on a grid (1/D)Z; the inverse is
-        solved term by term on that grid.
+        All exponents of one series and its truncation lie on a grid (1/D)Z;
+        the inverse is solved term by term on that grid.
         """
         a0 = self.terms.get(Fraction(0))
         if not a0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        D = 1
-        for e in self.terms:
-            D = lcm(D, e.denominator)
-        D = lcm(D, self.truncation.denominator)
+        D = lcm(self.truncation.denominator, *(e.denominator for e in self.terms))
         # support of the positive-exponent part, in grid units
-        supp = sorted(
-            (int(e * D), c) for e, c in self.terms.items() if e > 0
-        )
+        supp = sorted((int(e * D), c) for e, c in self.terms.items() if e > 0)
         n_grid = int(self.truncation * D)
-        if self.truncation * D > n_grid:
-            n_grid += 1
         inv = {0: 1 / a0}
         for i in range(1, n_grid):
             s = Fraction(0)
@@ -188,9 +194,7 @@ class QSeries(_Series):
                     s += ca * prev
             if s:
                 inv[i] = -s / a0
-        return QSeries(
-            {Fraction(i, D): c for i, c in inv.items()}, self.truncation
-        )
+        return QSeries({Fraction(i, D): c for i, c in inv.items()}, self.truncation)
 
     def divide(self, other: "QSeries") -> "QSeries":
         """Exact quotient self/other.
@@ -203,6 +207,14 @@ class QSeries(_Series):
             raise ZeroConstantTerm("division by the zero series")
         e0, _ = lead
         return self.shift(-e0) * other.shift(-e0).inverse()
+
+
+def _on_grid(terms: dict, D: int) -> tuple[list[tuple[int, int]], int]:
+    """(exponent * D, coefficient * C) int pairs by ascending exponent, and C,
+    the lcm of the coefficient denominators; D must clear every exponent."""
+    C = lcm(*(c.denominator for c in terms.values()))
+    return sorted((e.numerator * (D // e.denominator), c.numerator * (C // c.denominator))
+                  for e, c in terms.items()), C
 
 
 # -- character building blocks ----------------------------------------------

@@ -21,7 +21,7 @@ from paraferm.lattice_fock import (
     mode_apply,
     sl2_generators,
 )
-from paraferm.qseries import ZQSeries
+from paraferm.qseries import QSeries, ZQSeries
 
 Q = Fraction
 
@@ -76,6 +76,18 @@ def free_generation_count(n: int, k: int) -> int:
         return total
 
     return count(n, 0)
+
+
+def fraction_product(a: QSeries, b: QSeries) -> QSeries:
+    """a * b by the plain Fraction double loop over every pair of terms,
+    each exponent sum compared with the smaller truncation: no grid."""
+    T = min(a.truncation, b.truncation)
+    acc: dict[Fraction, Fraction] = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if e1 + e2 < T:
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return QSeries(acc, T)
 
 
 def affine_char_cascade(k: int, i: int, T) -> ZQSeries:

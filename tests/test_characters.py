@@ -18,7 +18,7 @@ from paraferm.characters import (
 )
 from oracles import affine_char_cascade
 from oracles import colored_partitions_table as colored_partitions
-from paraferm.errors import BadLabel
+from paraferm.errors import BadLabel, BadParams
 from paraferm.fusion_identify import para_normalize
 from paraferm.lattice_fock import affine_module_basis
 from paraferm.qseries import QSeries, ZQSeries
@@ -161,6 +161,14 @@ class TestDecomposition:
         r = decomposition_check_lki(k, 0, 6, strings=strings)
         assert r.status == "fail"
         assert r.details[0]["witness"]["first_failing_exponent"] == Q(2)
+
+    def test_strings_cut_below_max_weight_are_refused(self):
+        # a string truncated at 1 could only be compared below weight 1
+        k = 3
+        strings = all_string_functions(k, 0, 11)
+        strings[2] = QSeries(strings[2].terms, 1)
+        with pytest.raises(BadParams, match=r"^string j=2 is truncated at 1 < max_weight 10$"):
+            decomposition_check_lki(k, 0, 10, strings=strings)
 
     def test_moving_a_unit_within_a_charge_class_fails(self, monkeypatch):
         # z^1 and z^7 lie in one charge class mod 2k = 6; a unit moved

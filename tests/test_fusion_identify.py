@@ -6,6 +6,8 @@ import pytest
 from oracles import brute_force_identifications
 from paraferm.errors import BadLabel
 from paraferm.fusion_identify import (
+    ParaLabel,
+    WLabel,
     enumerate_simples,
     enumerate_w_simples,
     form1_map,
@@ -16,6 +18,36 @@ from paraferm.fusion_identify import (
 )
 
 Q = Fraction
+
+
+class TestLabels:
+    def test_direct_construction_validates(self):
+        with pytest.raises(BadLabel, match=r"^non-canonical coset label \(0,0\) at k=3$"):
+            ParaLabel(3, 0, 0)
+        with pytest.raises(BadLabel, match=r"^non-canonical W label \(2,1\) at k=3$"):
+            WLabel(3, 2, 1)
+
+    def test_str_and_repr(self):
+        assert str(ParaLabel(3, 1, 0)) == "M[1,0]"
+        assert repr(ParaLabel(3, 1, 0)) == "ParaLabel(k=3, i=1, j=0)"
+        assert str(WLabel(3, 0, 2)) == "W[0,2]"
+        assert repr(WLabel(3, 0, 2)) == "WLabel(k=3, a=0, b=2)"
+
+    def test_enumeration_is_in_label_order(self):
+        for k in range(2, 12):
+            assert sorted(enumerate_simples(k)) == enumerate_simples(k)
+            assert sorted(enumerate_w_simples(k)) == enumerate_w_simples(k)
+
+    def test_topweight_is_the_numerator_over_2k_k_plus_2(self):
+        for k in range(3, 9):
+            for lab in enumerate_simples(k) + enumerate_w_simples(k):
+                assert isinstance(lab.topweight_num, int)
+                assert lab.topweight == Q(lab.topweight_num, 2 * k * (k + 2)), lab
+
+    def test_identify_mappings_are_in_label_order(self):
+        for k in range(3, 9):
+            for b in identify(k):
+                assert list(b.mapping) == enumerate_simples(k), (k, b.form)
 
 
 class TestNormalization:

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraferm.errors import BadResidue, ZeroConstantTerm
-from oracles import colored_partition_count, free_generation_count
+from oracles import colored_partition_count, fraction_product, free_generation_count
 from paraferm.qseries import (
     QSeries,
     ZQSeries,
@@ -154,6 +154,49 @@ class TestRingLaws:
         inv = a.inverse()
         assert a * inv == QSeries({0: 1}, a.truncation)
         assert inv.inverse() == a
+
+
+# exponents with denominators 1..5 mixed in one operand, negative ones
+# included; truncations off the exponents' grid (denominators up to 7)
+_GRID_EXPONENTS = st.builds(Q, st.integers(-12, 30), st.integers(1, 5))
+_GRID_TRUNCATIONS = st.builds(Q, st.integers(-3, 40), st.integers(1, 7))
+
+
+@st.composite
+def grid_series(draw):
+    """A QSeries whose exponents need a grid finer than any one of them;
+    it may be empty."""
+    terms = draw(st.dictionaries(
+        _GRID_EXPONENTS, st.fractions(-4, 4, max_denominator=6), max_size=8
+    ))
+    return QSeries(terms, draw(_GRID_TRUNCATIONS))
+
+
+class TestGridProduct:
+    """The integer-grid product equals the plain Fraction double loop.  The
+    ring laws cannot see a wrong grid scale: a product computed on a wrongly
+    scaled grid still commutes and associates."""
+
+    @given(a=grid_series(), b=grid_series())
+    @example(a=QSeries({}, Q(9, 2)), b=QSeries({Q(-1, 3): 2, Q(2, 5): Q(1, 2)}, 4))
+    @example(a=QSeries({Q(-1, 3): 2, Q(2, 5): Q(1, 2)}, 4), b=QSeries({}, Q(9, 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_fraction_double_loop(self, a, b):
+        assert a * b == fraction_product(a, b)
+
+    def test_quarters_below_fourteen_thirds(self):
+        a = S({Q(1, 4): 2, Q(3, 4): Q(1, 2), Q(17, 4): 3}, Q(14, 3))
+        b = S({0: 1, Q(1, 4): Q(-2, 3), Q(1, 2): 7, 2: 5, Q(9, 4): Q(1, 3)}, 5)
+        # 17/4 + 1/2 = 19/4 lies above 14/3; 17/4 + 1/4 = 9/2 below it
+        expected = S(
+            {
+                Q(1, 4): 2, Q(1, 2): Q(-4, 3), Q(3, 4): Q(29, 2), 1: Q(-1, 3),
+                Q(5, 4): Q(7, 2), Q(9, 4): 10, Q(5, 2): Q(2, 3), Q(11, 4): Q(5, 2),
+                3: Q(1, 6), Q(17, 4): 3, Q(9, 2): -2,
+            },
+            Q(14, 3),
+        )
+        assert a * b == b * a == fraction_product(a, b) == expected
 
 
 class TestInverse:
