@@ -100,10 +100,19 @@ def string_function(k: int, i: int, j: int, T, _char: ZQSeries | None = None) ->
     return string
 
 
+def _slice_pad(k: int, i: int) -> Fraction:
+    """max m^2/4k over the least charges m of the k strings of module i: a
+    character read at T plus this pad gives every string reliable below T."""
+    return max(Fraction(_min_charge_rep(k, i, j) ** 2, 4 * k) for j in range(k))
+
+
 def all_string_functions(k: int, i: int, T) -> list[QSeries]:
-    """The k strings of module i, indexed by j."""
-    ch = affine_sl2_char(k, i, _rat(T))
-    return [string_function(k, i, j, _rat(T), _char=ch) for j in range(k)]
+    """The k strings of module i, indexed by j, each reliable below T and
+    truncated there: they are read from one character truncated at T plus
+    the largest slice shift m^2/4k."""
+    T = _rat(T)
+    ch = affine_sl2_char(k, i, T + _slice_pad(k, i))
+    return [string_function(k, i, j, T, _char=ch) for j in range(k)]
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +133,7 @@ def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
     for j, string in enumerate(strings or []):
         if string.truncation < T:
             raise BadParams(f"string j={j} is truncated at {string.truncation} < max_weight {T}")
-    pad = max(Fraction(_min_charge_rep(k, i, j) ** 2, 4 * k) for j in range(k))
-    ch = affine_sl2_char(k, i, T + pad)
+    ch = affine_sl2_char(k, i, T + _slice_pad(k, i))
     lhs = ch.specialize_z1().truncate(T)
     if strings is None:
         strings = [string_function(k, i, j, T, _char=ch) for j in range(k)]

@@ -33,6 +33,19 @@ weights.  It ends at the lattice exponential (`exp_mode_apply`, the
 identity for the vacuum) or, when the last mode sits on the vacuum, at the
 derivative field of beta(-n)1, one Heisenberg mode.
 
+The realized affine module L(k, i) is fixed by G_i = S_i x S_(k-i), which
+permutes the lattice basis inside the blocks p < i and p >= i and fixes H,
+E, F and gamma, so its bases are built and reduced in orbit coordinates.
+The representative of a state sorts its columns (point[p], the mode
+numbers in direction p) inside each block.  An invariant vector v is
+stored as its orbit totals w_r, the sum of its coefficients over the orbit
+of r; for an invariant operator A the orbit totals of A v are
+sum_r w_r fold(A r), where fold adds each output coefficient onto the
+representative of its state.  No stabiliser factor enters and everything
+stays in ints, and v -> w is a bijection on invariant vectors, so ranks and
+kernel dimensions are those of the Fock vectors.  The expansion back puts
+w_r / |O(r)| on each state of the orbit of r (`GradedBasis.expand`).
+
 A global weight truncation bounds every stored state; creation results
 beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
 is a flag, never an exception), so a check consuming flagged vectors can
@@ -46,6 +59,7 @@ from dataclasses import dataclass, field
 from collections import Counter
 from fractions import Fraction
 from functools import wraps
+from itertools import permutations, product
 from math import comb, floor, gcd, lcm
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -539,10 +553,12 @@ def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
     parts = []
     for s, c in v.num.items():
         room, d, newpoint = per_point[s.point]
-        if _mode_weight(s) > room:
+        mw = _mode_weight(s)
+        if mw > room:
             flagged = True
             continue
-        if d is None:
+        # a component's entries have mode weight mw + d, so none for mw + d < 0
+        if d is None or mw + d < 0:
             continue
         cnum, cden = _exp_component(lat, beta, s.modes, d)
         if cnum:
@@ -870,6 +886,86 @@ def intertwiner_leading_check(k: int, truncation=3) -> Report:
 
 
 # ---------------------------------------------------------------------------
+# orbit coordinates
+# ---------------------------------------------------------------------------
+
+
+def _group(lat: Lattice, blocks) -> tuple[int, ...]:
+    """The block sizes of S_b1 x S_b2 x ..., the group permuting the lattice
+    basis inside consecutive blocks of b1, b2, ... directions; None is the
+    trivial group, blocks of size one."""
+    if blocks is None:
+        return (1,) * lat.rank
+    blocks = tuple(blocks)
+    if not all(type(b) is int and b > 0 for b in blocks) or sum(blocks) != lat.rank:
+        raise ValueError(f"blocks {blocks} are not positive sizes summing to the rank {lat.rank}")
+    return blocks
+
+
+def _columns(s: FockState) -> list[tuple[int, tuple[int, ...]]]:
+    """The columns of s: per direction p, (point[p], the mode numbers in
+    direction p)."""
+    ns: list[list[int]] = [[] for _ in s.point]
+    for p, n in s.modes:
+        ns[p].append(n)
+    return list(zip(s.point, map(tuple, ns)))
+
+
+def _from_columns(cols) -> FockState:
+    return FockState(
+        tuple(x for x, _ in cols), tuple((p, n) for p, (_, ns) in enumerate(cols) for n in ns)
+    )
+
+
+def _representative(s: FockState, blocks) -> FockState:
+    """The representative of the orbit of s: its columns sorted inside each
+    block."""
+    cols = _columns(s)
+    lo = 0
+    for b in blocks:
+        cols[lo:lo + b] = sorted(cols[lo:lo + b])
+        lo += b
+    return _from_columns(cols)
+
+
+def _orbit(r: FockState, blocks) -> list[FockState]:
+    """Every state of the orbit of r once, in canonical order: the distinct
+    rearrangements of its columns inside each block."""
+    cols = _columns(r)
+    lo, parts = 0, []
+    for b in blocks:
+        parts.append(sorted(set(permutations(cols[lo:lo + b]))))
+        lo += b
+    return [_from_columns([c for part in choice for c in part]) for choice in product(*parts)]
+
+
+def _fold(lat: Lattice, blocks, num: dict) -> dict:
+    """The orbit totals of num: each coefficient added onto the
+    representative of its state, zero totals dropped.  The representatives
+    are memoised in one table of lat.memo per group; for the trivial group
+    the fold is the identity."""
+    if max(blocks) == 1:
+        return {s: c for s, c in num.items() if c}
+    table = lat.memo.setdefault((_representative, blocks), {})
+    acc: dict[FockState, int] = {}
+    for s, c in num.items():
+        r = table.get(s)
+        if r is None:
+            r = table[s] = _representative(s, blocks)
+        acc[r] = acc.get(r, 0) + c
+    return {r: c for r, c in acc.items() if c} if 0 in acc.values() else acc
+
+
+def _expand(blocks, v: StateVector) -> StateVector:
+    """The Fock vector whose orbit totals v holds on representatives:
+    coefficient w_r / |O(r)| on each state of the orbit of r."""
+    orbits = {r: _orbit(r, blocks) for r in v.num}
+    L = lcm(*map(len, orbits.values()))
+    num = {s: c * (L // len(orbits[r])) for r, c in v.num.items() for s in orbits[r]}
+    return v._with(num, v.den * L)
+
+
+# ---------------------------------------------------------------------------
 # graded bases, generation, kernels
 # ---------------------------------------------------------------------------
 
@@ -920,20 +1016,33 @@ def _insert(ech: dict, r: dict) -> dict:
 
 @dataclass
 class GradedBasis:
-    """Exact graded basis of a module realized in the Fock space.
+    """Exact graded basis of a module realized in the Fock space, in orbit
+    coordinates of the group S_b1 x S_b2 x ... with block sizes ``blocks``,
+    which permutes the lattice basis inside consecutive blocks and fixes
+    every vector of the module.
 
-    ``aff_offset`` is the constant difference between the ambient (lattice)
-    weight and the weight defined by the realized conformal vector.
+    A layer vector is stored by its orbit totals on representatives: w_r is
+    the sum of its Fock coefficients over the orbit of r.  `expand` gives
+    the Fock vector back.  For the trivial group (blocks of size one) the
+    layer vectors are Fock vectors.  ``aff_offset`` is the constant
+    difference between the ambient (lattice) weight and the weight defined
+    by the realized conformal vector.
     """
 
     lattice: Lattice
     truncation: Fraction
     layers: dict[Fraction, list[StateVector]] = field(repr=False)
+    blocks: tuple[int, ...]
     aff_offset: Fraction = Fraction(0)
     truncated: bool = False
 
     def dims(self) -> dict[Fraction, int]:
         return {w: len(rows) for w, rows in sorted(self.layers.items()) if rows}
+
+    def expand(self, v: StateVector) -> StateVector:
+        """The Fock vector of orbit totals v: coefficient w_r / |O(r)| on each
+        state of the orbit of r."""
+        return _expand(self.blocks, v)
 
     def charge_dims(self) -> dict[tuple[Fraction, Fraction], int]:
         """Dimensions resolved by (weight relative to the realized conformal
@@ -946,7 +1055,7 @@ class GradedBasis:
         return out
 
 
-def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
+def generated_subspace(generators, max_weight, seeds=None, blocks=None) -> GradedBasis:
     """Span of iterated lowering modes g(-t), t >= 1, of the generators
     applied to the seed vectors, graded by ambient weight up to max_weight.
 
@@ -957,6 +1066,17 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
     the generators applied to layer w-1, and only those are applied.  A
     generating set failing the condition (say [H] alone, which is abelian)
     raises ValueError.
+
+    The span is built in orbit coordinates of the group with block sizes
+    ``blocks`` (default: the trivial group).  The generators and seeds must
+    be invariant under it, else ValueError; then so is every vector of the
+    span, and each is stored by its orbit totals on representatives (see
+    `GradedBasis`).  For an invariant operator A the orbit totals of A v are
+    sum_r w_r fold(A r), fold adding each output coefficient onto the
+    representative of its state, so g(-1) is applied to the representatives
+    and each candidate is folded before it is reduced.  v -> w is a
+    bijection on invariant vectors, so the layer dimensions do not depend on
+    the group.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -971,8 +1091,12 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
         )
     lat = generators[0].lattice
     T = _rat(max_weight)
+    blocks = _group(lat, blocks)
     if seeds is None:
         seeds = [StateVector.vacuum(lat, T)]
+    for v in [*generators, *seeds]:
+        if _expand(blocks, v._with(_fold(lat, blocks, v.num), v.den)) != v:
+            raise ValueError(f"generators and seeds must be invariant under the blocks {blocks}")
     seeds = [s._with(s.num, s.den, truncation=T) for s in seeds]
     # per weight: the echelon of the layer and its rows as monic vectors
     echelons: dict[Fraction, dict] = {}
@@ -980,7 +1104,7 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
     truncated = any(s.truncated for s in seeds)
 
     def insert(w, v: StateVector) -> None:
-        r = _insert(echelons.setdefault(w, {}), dict(v.num))
+        r = _insert(echelons.setdefault(w, {}), _fold(lat, blocks, v.num))
         if r:
             layers.setdefault(w, []).append(v._with(r, r[min(r)]))
 
@@ -1003,14 +1127,16 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
                 cand = mode_apply(g, -1, v)
                 truncated = truncated or cand.truncated
                 insert(w, cand)
-    return GradedBasis(lattice=lat, truncation=T, layers=layers, truncated=truncated)
+    return GradedBasis(lattice=lat, truncation=T, layers=layers, blocks=blocks, truncated=truncated)
 
 
 def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
     """Realization of the i-th level-k affine module inside the (dual) Fock
     space: seeded by the minimal-norm symmetrized top level over the coset
     with the first i half-unit coordinates odd, then closed under lowering
-    modes of H, E, F."""
+    modes of H, E, F.  The basis is built in orbit coordinates of S_i x
+    S_(k-i), which permutes the lattice basis inside the blocks p < i and
+    p >= i and fixes the seeds, H, E and F."""
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}")
     T = _rat(max_weight)
@@ -1034,7 +1160,9 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
             seeds.append(cur)
         if not mode_apply(F, 0, cur).is_zero():
             raise AssertionError("top level did not close")
-    basis = generated_subspace([H, E, F], T, seeds=seeds)
+    # the seeds, H, E and F are fixed by S_i x S_(k-i)
+    blocks = tuple(b for b in (i, k - i) if b)
+    basis = generated_subspace([H, E, F], T, seeds=seeds, blocks=blocks)
     top = seeds[0]
     l0 = mode_apply(_omegas(k, H, E, F)["omega_aff"], 1, top)
     (s0, c0), = top.terms.items()
@@ -1085,7 +1213,9 @@ def _commutant_systems(basis: GradedBasis, charge: int):
     the coset weight, those candidate vectors and the integer rows of
     gamma(m) sum_t x_t num_t = 0 for every m >= 1.  The system is posed on
     the candidates' integer numerators num_t = den_t cands[t]: that rescales
-    the coordinates of its solutions and keeps its rank."""
+    the coordinates of its solutions and keeps its rank.  gamma is fixed by
+    the basis's group, so the rows are the folded images: an invariant
+    vector vanishes exactly when its orbit totals do."""
     lat = basis.lattice
     gamma = lat.gamma()
     heis = Fraction(charge * charge, 2 * lat.norm(gamma))
@@ -1097,9 +1227,8 @@ def _commutant_systems(basis: GradedBasis, charge: int):
         for t, v in enumerate(cands):
             # gamma(m) acts only through the modes b_p(-m) present
             for m, img in _annihilations(gamma, v.num).items():
-                for s, c in img.items():
-                    if c:
-                        constraints.setdefault((m, s), {})[t] = c
+                for s, c in _fold(lat, basis.blocks, img).items():
+                    constraints.setdefault((m, s), {})[t] = c
         yield w - basis.aff_offset - heis, cands, list(constraints.values())
 
 
@@ -1111,8 +1240,14 @@ def commutant_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[Sta
     offset minus the Heisenberg contribution charge^2/(2 <gamma,gamma>).
     At each weight the vectors are the reduced-echelon nullspace basis over
     that weight's candidates: each has coefficient 1 on its own free
-    candidate and 0 on the other free ones.
+    candidate and 0 on the other free ones.  They are solved in the basis's
+    orbit coordinates and returned as Fock vectors (`GradedBasis.expand`).
     """
+    return {w: [basis.expand(v) for v in vecs] for w, vecs in _orbit_kernel(basis, charge).items()}
+
+
+def _orbit_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[StateVector]]:
+    """`commutant_kernel` in the basis's orbit coordinates, unexpanded."""
     out: dict[Fraction, list[StateVector]] = {}
     for w, cands, rows in _commutant_systems(basis, charge):
         combos = nullspace(rows, len(cands))
@@ -1154,15 +1289,17 @@ def kernel_dims(kernel: dict) -> dict[Fraction, int]:
 def singular_space_dimension(k: int) -> int:
     """Dimension of the space of Virasoro singular vectors of the coset
     conformal vector inside the weight-3 slice of the commutant, the weight
-    of W3."""
+    of W3.  omega_para is fixed by S_k, so the kernel stays in the basis's
+    orbit coordinates and the images of its Virasoro modes are folded."""
     omega = _omegas(k, *sl2_generators(k, 3))["omega_para"]
-    vecs = commutant_kernel(affine_module_basis(k, 0, 3), 0).get(3, [])
+    basis = affine_module_basis(k, 0, 3)
+    vecs = _orbit_kernel(basis, 0).get(3, [])
     constraints: dict[tuple, dict[int, Fraction]] = {}
     for t, v in enumerate(vecs):
         for n in (1, 2):
             img = virasoro_mode(omega, n, v)
-            for s, c in img.terms.items():
-                constraints.setdefault((n, s), {})[t] = c
+            for s, c in _fold(basis.lattice, basis.blocks, img.num).items():
+                constraints.setdefault((n, s), {})[t] = Fraction(c, img.den)
     return len(vecs) - rank(list(constraints.values()))
 
 

@@ -66,6 +66,16 @@ class _Series:
         self.terms = acc
         self.truncation = T
 
+    @classmethod
+    def _normal(cls, terms: dict, truncation: Fraction):
+        """Internal constructor: terms already normal (distinct keys, nonzero
+        Fraction coefficients, exponents below the Fraction truncation),
+        stored as they are."""
+        series = cls.__new__(cls)
+        series.terms = terms
+        series.truncation = truncation
+        return series
+
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
@@ -128,7 +138,7 @@ class QSeries(_Series):
         return QSeries(acc, T)
 
     def __neg__(self) -> "QSeries":
-        return QSeries({e: -c for e, c in self.terms.items()}, self.truncation)
+        return QSeries._normal({e: -c for e, c in self.terms.items()}, self.truncation)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -153,22 +163,24 @@ class QSeries(_Series):
                     break
                 n = n1 + n2
                 acc[n] = acc.get(n, 0) + c1 * c2
-        return QSeries({Fraction(n, D): Fraction(c, ca * cb) for n, c in acc.items() if c}, T)
+        return QSeries._normal(
+            {Fraction(n, D): Fraction(c, ca * cb) for n, c in acc.items() if c}, T
+        )
 
     def scale(self, c) -> "QSeries":
         c = _rat(c)
-        return QSeries({e: c * v for e, v in self.terms.items()}, self.truncation)
+        return QSeries._normal(
+            {e: c * v for e, v in self.terms.items()} if c else {}, self.truncation
+        )
 
     def shift(self, delta) -> "QSeries":
         """Multiply by q^delta: exponents and truncation move together."""
         d = _rat(delta)
-        return QSeries(
-            {e + d: c for e, c in self.terms.items()}, self.truncation + d
-        )
+        return QSeries._normal({e + d: c for e, c in self.terms.items()}, self.truncation + d)
 
     def truncate(self, truncation) -> "QSeries":
         T = min(self.truncation, _rat(truncation))
-        return QSeries(self.terms, T)
+        return QSeries._normal({e: c for e, c in self.terms.items() if e < T}, T)
 
     def inverse(self) -> "QSeries":
         """Inverse of a series with nonzero constant term, up to truncation.
@@ -364,7 +376,9 @@ class ZQSeries(_Series):
 
     def charge_slice(self, m: int) -> QSeries:
         """The z^m slice: the coefficient of z^m, a series in q."""
-        return QSeries({e: c for (z, e), c in self.terms.items() if z == m}, self.truncation)
+        return QSeries._normal(
+            {e: c for (z, e), c in self.terms.items() if z == m}, self.truncation
+        )
 
     def q_slice(self, e) -> dict[int, Fraction]:
         """z-polynomial at a fixed q-exponent."""

@@ -291,14 +291,15 @@ def rref_nullspace(rows: list[dict], ncols: int) -> list[dict]:
 
 def commutant_kernel_oracle(basis, charge) -> dict[Fraction, list[StateVector]]:
     """The commutant kernel in Fractions through the public API: per weight,
-    the candidates of the given charge, the Fraction rows of gamma(m) on
-    them, their `rref_nullspace` and the combinations sum_t x_t cand_t."""
+    the candidates of the given charge as Fock vectors (`basis.expand`), the
+    Fraction rows of gamma(m) on them, their `rref_nullspace` and the
+    combinations sum_t x_t cand_t."""
     lat = basis.lattice
     gamma = lat.gamma()
     heis = Q(charge * charge, 2 * lat.norm(gamma))
     out = {}
     for w, layer in sorted(basis.layers.items()):
-        cands = [v for v in layer if v.charge() == charge]
+        cands = [basis.expand(v) for v in layer if v.charge() == charge]
         rows: dict[tuple, dict[int, Fraction]] = {}
         for t, v in enumerate(cands):
             for m in range(1, int(w) + 2):

@@ -162,6 +162,15 @@ class TestDecomposition:
         assert r.status == "fail"
         assert r.details[0]["witness"]["first_failing_exponent"] == Q(2)
 
+    def test_all_string_functions_are_truncated_at_t(self):
+        # each string is shifted by -m^2/4k after its slice is read, so the
+        # character is read m^2/4k higher: no string is cut below T
+        for k, i, T in ((3, 0, 10), (3, 1, Q(19, 2)), (4, 2, 7), (5, 3, 6)):
+            strings = all_string_functions(k, i, T)
+            assert [st.truncation for st in strings] == [T] * k, (k, i)
+        strings = all_string_functions(3, 0, 10)
+        assert decomposition_check_lki(3, 0, 10, strings=strings).status == "pass"
+
     def test_strings_cut_below_max_weight_are_refused(self):
         # a string truncated at 1 could only be compared below weight 1
         k = 3

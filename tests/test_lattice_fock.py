@@ -28,7 +28,10 @@ import paraferm.qseries
 from paraferm.errors import NonIntegralPairing
 from paraferm.lattice_fock import (
     FockState,
+    Lattice,
     StateVector,
+    _exp_component,
+    _fold,
     affine_module_basis,
     central_charge_of,
     commutant_dims,
@@ -199,6 +202,24 @@ class TestExpApply:
                             rhs = exp_mode_apply(beta, m + n, v).scale(pair)
                             assert not (lhs.truncated or rhs.truncated)
                             assert lhs == rhs, (v, beta, h, n, m)
+
+    def test_components_zero_by_degree_are_not_expanded(self, monkeypatch):
+        # every entry of _exp_component(beta, modes, d) has mode weight
+        # wt(modes) + d, so a state with wt(modes) + d < 0 has none: it is
+        # skipped before the memo table is read or filled
+        made = []
+
+        def recording(k):
+            made.append(Lattice(rank=k, den=2))
+            return made[-1]
+
+        monkeypatch.setattr(paraferm.lattice_fock, "rank_lattice", recording)
+        assert virasoro_bracket_check(3, 5, 0).status == "pass"
+        tables = [lat.memo.get(_exp_component.__wrapped__, {}) for lat in made]
+        assert any(tables)
+        for table in tables:
+            for beta, modes, d in table:
+                assert d >= -sum(n for _, n in modes), (beta, modes, d)
 
     def test_non_integral_pairing_raises(self):
         lat = gamma_lattice(3)
@@ -518,6 +539,91 @@ class TestCommutantKernel:
                 assert v.charge() == -2
                 for m in (1, 2, 3):
                     assert heisenberg_apply(lat.gamma(), m, v).is_zero()
+
+
+def _trivial_group_basis(monkeypatch, k, i, T):
+    """affine_module_basis(k, i, T) built on every Fock state: its call to
+    generated_subspace loses the blocks."""
+    real = paraferm.lattice_fock.generated_subspace
+    with monkeypatch.context() as m:
+        m.setattr(
+            paraferm.lattice_fock,
+            "generated_subspace",
+            lambda gens, T, seeds=None, blocks=None: real(gens, T, seeds=seeds),
+        )
+        return affine_module_basis(k, i, T)
+
+
+class TestOrbitCoordinates:
+    """Bases built on S_i x S_(k-i) representatives against the same bases
+    built on every Fock state."""
+
+    CASES = [(3, i, Q(9, 2)) for i in range(4)] + [(4, i, 4) for i in range(5)]
+
+    def test_dims_and_kernels_equal_the_trivial_group(self, monkeypatch):
+        for k, i, T in self.CASES:
+            orbit = affine_module_basis(k, i, T)
+            full = _trivial_group_basis(monkeypatch, k, i, T)
+            assert orbit.blocks == tuple(b for b in (i, k - i) if b)
+            assert full.blocks == (1,) * k
+            assert orbit.dims() == full.dims(), (k, i)
+            assert orbit.charge_dims() == full.charge_dims(), (k, i)
+            assert (orbit.aff_offset, orbit.truncated) == (full.aff_offset, full.truncated)
+            for charge in range(-2 * k, 2 * k + 1):
+                assert commutant_dims(orbit, charge) == commutant_dims(full, charge), (k, i, charge)
+
+    def test_expanded_layers_span_the_fock_layers(self, monkeypatch):
+        # expand is inverse to fold on invariant vectors, and the expanded
+        # layer spans the layer built on every Fock state
+        for k, i, T in ((3, 1, Q(13, 4)), (3, 2, Q(7, 2)), (4, 0, 3), (4, 2, Q(7, 2))):
+            orbit = affine_module_basis(k, i, T)
+            full = _trivial_group_basis(monkeypatch, k, i, T)
+            for w, layer in orbit.layers.items():
+                fock = [orbit.expand(v) for v in layer]
+                for v, x in zip(layer, fock):
+                    totals = _fold(x.lattice, orbit.blocks, x.num)
+                    back = StateVector(x.lattice, T, {r: Q(c, x.den) for r, c in totals.items()})
+                    assert back == v
+                    assert x.charge() == v.charge()
+                rows = [x.num for x in fock]
+                assert rank(rows) == rank(rows + [v.num for v in full.layers[w]]) == len(layer)
+
+    def test_orbit_sizes_divide_out(self):
+        # E(-1)E = 2 (e^(b_1 + b_2) + e^(b_1 + b_3) + e^(b_2 + b_3)) has
+        # orbit total 6 on its representative e^(b_2 + b_3); the layer keeps
+        # it monic, total 1, which expands to 1/3 on each state of the orbit
+        H, E, F = sl2_generators(3, 3)
+        seed = mode_apply(E, -1, E)
+        assert set(seed.terms.values()) == {2} and len(seed.terms) == 3
+        basis = generated_subspace([H, E, F], 2, seeds=[seed], blocks=(3,))
+        (top,) = basis.layers[Q(2)]
+        assert top.terms == {FockState((0, 2, 2), ()): 1}
+        assert basis.expand(top) == seed.scale(Q(1, 6))
+
+    def test_non_invariant_seeds_and_generators_raise(self):
+        H, E, F = sl2_generators(3, 3)
+        lat = H.lattice
+        b1 = StateVector.exponential(lat, (2, 0, 0), 3)
+        with pytest.raises(ValueError, match="invariant"):
+            generated_subspace([H, E, F], 2, seeds=[b1], blocks=(3,))
+        # e^(b_1) is fixed by S_1 x S_2
+        generated_subspace([H, E, F], 2, seeds=[b1], blocks=(1, 2))
+        # the sl2 triple of the direction b_1 alone closes under brackets
+        # but is not fixed by S_3
+        vac = StateVector.vacuum(lat, 3)
+        h1 = heisenberg_apply((2, 0, 0), -1, vac)
+        f1 = StateVector.exponential(lat, (-2, 0, 0), 3)
+        with pytest.raises(ValueError, match="invariant"):
+            generated_subspace([h1, b1, f1], 2, blocks=(3,))
+        assert generated_subspace([h1, b1, f1], 2, blocks=(1, 2)).dims()
+        for blocks in ((2,), (1, 1), (0, 3), (4, -1)):
+            with pytest.raises(ValueError, match="blocks"):
+                generated_subspace([H, E, F], 2, blocks=blocks)
+
+    def test_fold_table_is_kept_per_group_on_the_lattice(self):
+        b = affine_module_basis(3, 1, Q(9, 4))
+        tables = [key[1] for key in b.lattice.memo if isinstance(key, tuple)]
+        assert tables == [(1, 2)]
 
 
 class TestEkPower:

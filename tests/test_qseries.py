@@ -156,6 +156,41 @@ class TestRingLaws:
         assert inv.inverse() == a
 
 
+def _renormalised(r: QSeries) -> QSeries:
+    """r rebuilt through the public constructor, which drops zero and
+    out-of-range terms and merges equal exponents."""
+    return QSeries(r.terms, r.truncation)
+
+
+class TestNormalResults:
+    """The methods that build their result from terms that are already
+    normal store them as they are; the public constructor, given the same
+    terms, changes nothing."""
+
+    @given(a=series(), b=series(), c=_COEFFICIENTS, d=_COEFFICIENTS, T=_COEFFICIENTS)
+    @settings(max_examples=80, deadline=None)
+    def test_results_are_normal(self, a, b, c, d, T):
+        results = [a * b, -a, a.scale(c), a.scale(0), a.shift(d), a.truncate(T + 4), a.truncate(T)]
+        for r in results:
+            assert _renormalised(r) == r
+            for e, x in r.terms.items():
+                assert type(e) is Fraction and type(x) is Fraction and x
+            assert type(r.truncation) is Fraction
+
+    @given(
+        terms=st.dictionaries(
+            st.tuples(st.integers(-4, 4), st.fractions(0, 6, max_denominator=3)),
+            _COEFFICIENTS, max_size=8,
+        ),
+        m=st.integers(-4, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_charge_slice_is_normal(self, terms, m):
+        r = ZQSeries(terms, 5).charge_slice(m)
+        assert _renormalised(r) == r
+        assert r == QSeries({e: c for (z, e), c in terms.items() if z == m}, 5)
+
+
 # exponents with denominators 1..5 mixed in one operand, negative ones
 # included; truncations off the exponents' grid (denominators up to 7)
 _GRID_EXPONENTS = st.builds(Q, st.integers(-12, 30), st.integers(1, 5))
