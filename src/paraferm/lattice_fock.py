@@ -33,18 +33,20 @@ weights.  It ends at the lattice exponential (`exp_mode_apply`, the
 identity for the vacuum) or, when the last mode sits on the vacuum, at the
 derivative field of beta(-n)1, one Heisenberg mode.
 
-The realized affine module L(k, i) is fixed by G_i = S_i x S_(k-i), which
-permutes the lattice basis inside the blocks p < i and p >= i and fixes H,
-E, F and gamma, so its bases are built and reduced in orbit coordinates.
+Generated bases are built and reduced in orbit coordinates of the group
+that permutes the lattice basis inside consecutive blocks and fixes the
+generators and seeds; `generated_subspace` works it out from them, and for
+L(k, i) it is G_i = S_i x S_(k-i) (blocks p < i and p >= i), fixing gamma.
 The representative of a state sorts its columns (point[p], the mode
 numbers in direction p) inside each block.  An invariant vector v is
 stored as its orbit totals w_r, the sum of its coefficients over the orbit
 of r; for an invariant operator A the orbit totals of A v are
 sum_r w_r fold(A r), where fold adds each output coefficient onto the
-representative of its state.  No stabiliser factor enters and everything
-stays in ints, and v -> w is a bijection on invariant vectors, so ranks and
-kernel dimensions are those of the Fock vectors.  The expansion back puts
-w_r / |O(r)| on each state of the orbit of r (`GradedBasis.expand`).
+representative of its state.  No stabiliser factor enters, and a layer
+holds the primitive integer rows of its elimination.  v -> w is a
+bijection on invariant vectors, so ranks and kernel dimensions are those
+of the Fock vectors.  The expansion back puts w_r / |O(r)| on each state
+of the orbit of r (`GradedBasis.expand`).
 
 A global weight truncation bounds every stored state; creation results
 beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
@@ -890,18 +892,6 @@ def intertwiner_leading_check(k: int, truncation=3) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _group(lat: Lattice, blocks) -> tuple[int, ...]:
-    """The block sizes of S_b1 x S_b2 x ..., the group permuting the lattice
-    basis inside consecutive blocks of b1, b2, ... directions; None is the
-    trivial group, blocks of size one."""
-    if blocks is None:
-        return (1,) * lat.rank
-    blocks = tuple(blocks)
-    if not all(type(b) is int and b > 0 for b in blocks) or sum(blocks) != lat.rank:
-        raise ValueError(f"blocks {blocks} are not positive sizes summing to the rank {lat.rank}")
-    return blocks
-
-
 def _columns(s: FockState) -> list[tuple[int, tuple[int, ...]]]:
     """The columns of s: per direction p, (point[p], the mode numbers in
     direction p)."""
@@ -915,6 +905,27 @@ def _from_columns(cols) -> FockState:
     return FockState(
         tuple(x for x, _ in cols), tuple((p, n) for p, (_, ns) in enumerate(cols) for n in ns)
     )
+
+
+def _symmetry(lat: Lattice, vectors) -> tuple[int, ...]:
+    """The block sizes b1, b2, ... of the group S_b1 x S_b2 x ... fixing every
+    vector: directions p and p+1 share a block when swapping their columns
+    leaves each vector unchanged, and these swaps generate each block's
+    symmetric group."""
+    blocks = [1]
+    for p in range(lat.rank - 1):
+        if all(v.num.get(_swap(s, p)) == c for v in vectors for s, c in v.num.items()):
+            blocks[-1] += 1
+        else:
+            blocks.append(1)
+    return tuple(blocks)
+
+
+def _swap(s: FockState, p: int) -> FockState:
+    """s with its columns p and p+1 exchanged."""
+    cols = _columns(s)
+    cols[p], cols[p + 1] = cols[p + 1], cols[p]
+    return _from_columns(cols)
 
 
 def _representative(s: FockState, blocks) -> FockState:
@@ -942,10 +953,7 @@ def _orbit(r: FockState, blocks) -> list[FockState]:
 def _fold(lat: Lattice, blocks, num: dict) -> dict:
     """The orbit totals of num: each coefficient added onto the
     representative of its state, zero totals dropped.  The representatives
-    are memoised in one table of lat.memo per group; for the trivial group
-    the fold is the identity."""
-    if max(blocks) == 1:
-        return {s: c for s, c in num.items() if c}
+    are memoised in one table of lat.memo per group."""
     table = lat.memo.setdefault((_representative, blocks), {})
     acc: dict[FockState, int] = {}
     for s, c in num.items():
@@ -954,15 +962,6 @@ def _fold(lat: Lattice, blocks, num: dict) -> dict:
             r = table[s] = _representative(s, blocks)
         acc[r] = acc.get(r, 0) + c
     return {r: c for r, c in acc.items() if c} if 0 in acc.values() else acc
-
-
-def _expand(blocks, v: StateVector) -> StateVector:
-    """The Fock vector whose orbit totals v holds on representatives:
-    coefficient w_r / |O(r)| on each state of the orbit of r."""
-    orbits = {r: _orbit(r, blocks) for r in v.num}
-    L = lcm(*map(len, orbits.values()))
-    num = {s: c * (L // len(orbits[r])) for r, c in v.num.items() for s in orbits[r]}
-    return v._with(num, v.den * L)
 
 
 # ---------------------------------------------------------------------------
@@ -1017,16 +1016,16 @@ def _insert(ech: dict, r: dict) -> dict:
 @dataclass
 class GradedBasis:
     """Exact graded basis of a module realized in the Fock space, in orbit
-    coordinates of the group S_b1 x S_b2 x ... with block sizes ``blocks``,
-    which permutes the lattice basis inside consecutive blocks and fixes
-    every vector of the module.
+    coordinates of the group S_b1 x S_b2 x ... with block sizes ``blocks``
+    that `generated_subspace` works out: it permutes the lattice basis
+    inside consecutive blocks and fixes every vector of the module.
 
-    A layer vector is stored by its orbit totals on representatives: w_r is
-    the sum of its Fock coefficients over the orbit of r.  `expand` gives
-    the Fock vector back.  For the trivial group (blocks of size one) the
-    layer vectors are Fock vectors.  ``aff_offset`` is the constant
-    difference between the ambient (lattice) weight and the weight defined
-    by the realized conformal vector.
+    A layer vector is stored by its orbit totals on representatives, w_r
+    the sum of its Fock coefficients over the orbit of r: the primitive
+    integer row of the layer's elimination (denominator 1, positive at its
+    least state).  `expand` gives the Fock vector back.  ``aff_offset`` is
+    the constant difference between the ambient (lattice) weight and the
+    weight defined by the realized conformal vector.
     """
 
     lattice: Lattice
@@ -1042,7 +1041,10 @@ class GradedBasis:
     def expand(self, v: StateVector) -> StateVector:
         """The Fock vector of orbit totals v: coefficient w_r / |O(r)| on each
         state of the orbit of r."""
-        return _expand(self.blocks, v)
+        orbits = {r: _orbit(r, self.blocks) for r in v.num}
+        L = lcm(*map(len, orbits.values()))
+        num = {s: c * (L // len(orbits[r])) for r, c in v.num.items() for s in orbits[r]}
+        return v._with(num, v.den * L)
 
     def charge_dims(self) -> dict[tuple[Fraction, Fraction], int]:
         """Dimensions resolved by (weight relative to the realized conformal
@@ -1055,7 +1057,7 @@ class GradedBasis:
         return out
 
 
-def generated_subspace(generators, max_weight, seeds=None, blocks=None) -> GradedBasis:
+def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
     """Span of iterated lowering modes g(-t), t >= 1, of the generators
     applied to the seed vectors, graded by ambient weight up to max_weight.
 
@@ -1067,16 +1069,16 @@ def generated_subspace(generators, max_weight, seeds=None, blocks=None) -> Grade
     generating set failing the condition (say [H] alone, which is abelian)
     raises ValueError.
 
-    The span is built in orbit coordinates of the group with block sizes
-    ``blocks`` (default: the trivial group).  The generators and seeds must
-    be invariant under it, else ValueError; then so is every vector of the
-    span, and each is stored by its orbit totals on representatives (see
-    `GradedBasis`).  For an invariant operator A the orbit totals of A v are
-    sum_r w_r fold(A r), fold adding each output coefficient onto the
-    representative of its state, so g(-1) is applied to the representatives
-    and each candidate is folded before it is reduced.  v -> w is a
-    bijection on invariant vectors, so the layer dimensions do not depend on
-    the group.
+    The span is built in orbit coordinates of the group `_symmetry` works
+    out: the permutations of the lattice basis inside consecutive blocks
+    that fix every generator and seed (the vacuum seed gives S_rank).  So
+    every vector of the span is invariant, and each is stored by its orbit
+    totals on representatives (see `GradedBasis`).  For an invariant
+    operator A the orbit totals of A v are sum_r w_r fold(A r), fold adding
+    each output coefficient onto the representative of its state, so g(-1)
+    is applied to the representatives and each candidate is folded before
+    it is reduced.  v -> w is a bijection on invariant vectors, so the layer
+    dimensions do not depend on the group.
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -1091,14 +1093,11 @@ def generated_subspace(generators, max_weight, seeds=None, blocks=None) -> Grade
         )
     lat = generators[0].lattice
     T = _rat(max_weight)
-    blocks = _group(lat, blocks)
     if seeds is None:
         seeds = [StateVector.vacuum(lat, T)]
-    for v in [*generators, *seeds]:
-        if _expand(blocks, v._with(_fold(lat, blocks, v.num), v.den)) != v:
-            raise ValueError(f"generators and seeds must be invariant under the blocks {blocks}")
+    blocks = _symmetry(lat, [*generators, *seeds])
     seeds = [s._with(s.num, s.den, truncation=T) for s in seeds]
-    # per weight: the echelon of the layer and its rows as monic vectors
+    # per weight: the echelon of the layer and its rows as den-1 vectors
     echelons: dict[Fraction, dict] = {}
     layers: dict[Fraction, list[StateVector]] = {}
     truncated = any(s.truncated for s in seeds)
@@ -1106,7 +1105,7 @@ def generated_subspace(generators, max_weight, seeds=None, blocks=None) -> Grade
     def insert(w, v: StateVector) -> None:
         r = _insert(echelons.setdefault(w, {}), _fold(lat, blocks, v.num))
         if r:
-            layers.setdefault(w, []).append(v._with(r, r[min(r)]))
+            layers.setdefault(w, []).append(v._with(r, 1))
 
     seed_weights = set()
     for s in seeds:
@@ -1134,9 +1133,9 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
     """Realization of the i-th level-k affine module inside the (dual) Fock
     space: seeded by the minimal-norm symmetrized top level over the coset
     with the first i half-unit coordinates odd, then closed under lowering
-    modes of H, E, F.  The basis is built in orbit coordinates of S_i x
-    S_(k-i), which permutes the lattice basis inside the blocks p < i and
-    p >= i and fixes the seeds, H, E and F."""
+    modes of H, E, F.  `generated_subspace` builds the basis in orbit
+    coordinates of the group it works out from the seeds, H, E and F:
+    S_i x S_(k-i), permuting the lattice basis inside p < i and p >= i."""
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}")
     T = _rat(max_weight)
@@ -1160,9 +1159,7 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
             seeds.append(cur)
         if not mode_apply(F, 0, cur).is_zero():
             raise AssertionError("top level did not close")
-    # the seeds, H, E and F are fixed by S_i x S_(k-i)
-    blocks = tuple(b for b in (i, k - i) if b)
-    basis = generated_subspace([H, E, F], T, seeds=seeds, blocks=blocks)
+    basis = generated_subspace([H, E, F], T, seeds=seeds)
     top = seeds[0]
     l0 = mode_apply(_omegas(k, H, E, F)["omega_aff"], 1, top)
     (s0, c0), = top.terms.items()
@@ -1211,11 +1208,11 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
 def _commutant_systems(basis: GradedBasis, charge: int):
     """Per ambient weight holding vectors of the given gamma(0)-eigenvalue:
     the coset weight, those candidate vectors and the integer rows of
-    gamma(m) sum_t x_t num_t = 0 for every m >= 1.  The system is posed on
-    the candidates' integer numerators num_t = den_t cands[t]: that rescales
-    the coordinates of its solutions and keeps its rank.  gamma is fixed by
-    the basis's group, so the rows are the folded images: an invariant
-    vector vanishes exactly when its orbit totals do."""
+    gamma(m) sum_t x_t cands[t] = 0 for every m >= 1.  The candidates are
+    the layer's primitive integer rows, so the system's coordinates are the
+    coefficients on them.  gamma is fixed by the basis's group, so the rows
+    are the folded images: an invariant vector vanishes exactly when its
+    orbit totals do."""
     lat = basis.lattice
     gamma = lat.gamma()
     heis = Fraction(charge * charge, 2 * lat.norm(gamma))
@@ -1252,22 +1249,9 @@ def _orbit_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[StateV
     for w, cands, rows in _commutant_systems(basis, charge):
         combos = nullspace(rows, len(cands))
         if combos:
-            out[w] = [_kernel_vector(basis, cands, x) for x in combos]
+            zero = StateVector(basis.lattice, basis.truncation)
+            out[w] = [sum((cands[t].scale(c) for t, c in x.items()), zero) for x in combos]
     return out
-
-
-def _kernel_vector(basis: GradedBasis, cands: list[StateVector], x: dict) -> StateVector:
-    """sum_t x_t num_t / den_f for a nullspace vector x of the system on the
-    numerators, f = max(x) its free column: with cands[t] = num_t / den_t
-    this is the combination of the candidates with coefficient 1 on cands[f],
-    accumulated in one pass."""
-    df = cands[max(x)].den
-    used = [cands[t] for t in x]
-    return used[0]._with(
-        *_lincomb([(c.numerator, cands[t].num, c.denominator * df) for t, c in x.items()]),
-        truncated=any(v.truncated for v in used),
-        truncation=min([basis.truncation] + [v.truncation for v in used]),
-    )
 
 
 def commutant_dims(basis: GradedBasis, charge: int) -> dict[Fraction, int]:

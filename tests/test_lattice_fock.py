@@ -30,6 +30,7 @@ from paraferm.lattice_fock import (
     FockState,
     Lattice,
     StateVector,
+    _commutant_systems,
     _exp_component,
     _fold,
     affine_module_basis,
@@ -531,6 +532,23 @@ class TestCommutantKernel:
             for charge in range(-2 * k, 2 * k + 1):
                 assert commutant_dims(b, charge) == kernel_dims(commutant_kernel(b, charge))
 
+    def test_kernel_solutions_are_combinations_of_the_candidates(self):
+        # every solution x of a system's rows gives the kernel vector
+        # sum_t x_t cands[t]: the rows are posed on the candidates themselves
+        for k, i, T in ((3, 0, 4), (3, 1, Q(17, 4)), (4, 2, 3), (5, 0, 3)):
+            b = affine_module_basis(k, i, T)
+            lat = b.lattice
+            for charge in range(-2 * k, 2 * k + 1):
+                for w, cands, rows in _commutant_systems(b, charge):
+                    for x in nullspace(rows, len(cands)):
+                        v = StateVector(lat, b.truncation)
+                        for t, c in x.items():
+                            v = v + cands[t].scale(c)
+                        assert not v.is_zero()
+                        for m in range(1, 8):
+                            img = heisenberg_apply(lat.gamma(), m, v)
+                            assert not _fold(lat, b.blocks, img.num), (k, i, charge, w, m)
+
     def test_kernel_vectors_are_annihilated(self):
         b = affine_module_basis(3, 0, 3)
         lat = b.lattice
@@ -542,15 +560,10 @@ class TestCommutantKernel:
 
 
 def _trivial_group_basis(monkeypatch, k, i, T):
-    """affine_module_basis(k, i, T) built on every Fock state: its call to
-    generated_subspace loses the blocks."""
-    real = paraferm.lattice_fock.generated_subspace
+    """affine_module_basis(k, i, T) built on every Fock state: the group
+    generated_subspace works out is replaced by the trivial one."""
     with monkeypatch.context() as m:
-        m.setattr(
-            paraferm.lattice_fock,
-            "generated_subspace",
-            lambda gens, T, seeds=None, blocks=None: real(gens, T, seeds=seeds),
-        )
+        m.setattr(paraferm.lattice_fock, "_symmetry", lambda lat, vectors: (1,) * lat.rank)
         return affine_module_basis(k, i, T)
 
 
@@ -591,34 +604,42 @@ class TestOrbitCoordinates:
     def test_orbit_sizes_divide_out(self):
         # E(-1)E = 2 (e^(b_1 + b_2) + e^(b_1 + b_3) + e^(b_2 + b_3)) has
         # orbit total 6 on its representative e^(b_2 + b_3); the layer keeps
-        # it monic, total 1, which expands to 1/3 on each state of the orbit
+        # it primitive, total 1, which expands to 1/3 on each state of the
+        # orbit.  The seed, H, E and F are fixed by S_3.
         H, E, F = sl2_generators(3, 3)
         seed = mode_apply(E, -1, E)
         assert set(seed.terms.values()) == {2} and len(seed.terms) == 3
-        basis = generated_subspace([H, E, F], 2, seeds=[seed], blocks=(3,))
+        basis = generated_subspace([H, E, F], 2, seeds=[seed])
+        assert basis.blocks == (3,)
         (top,) = basis.layers[Q(2)]
         assert top.terms == {FockState((0, 2, 2), ()): 1}
         assert basis.expand(top) == seed.scale(Q(1, 6))
 
-    def test_non_invariant_seeds_and_generators_raise(self):
+    def test_group_is_worked_out_from_generators_and_seeds(self):
         H, E, F = sl2_generators(3, 3)
         lat = H.lattice
-        b1 = StateVector.exponential(lat, (2, 0, 0), 3)
-        with pytest.raises(ValueError, match="invariant"):
-            generated_subspace([H, E, F], 2, seeds=[b1], blocks=(3,))
-        # e^(b_1) is fixed by S_1 x S_2
-        generated_subspace([H, E, F], 2, seeds=[b1], blocks=(1, 2))
-        # the sl2 triple of the direction b_1 alone closes under brackets
-        # but is not fixed by S_3
         vac = StateVector.vacuum(lat, 3)
+        b1 = StateVector.exponential(lat, (2, 0, 0), 3)
+        # the sl2 triple of the direction b_1 alone closes under brackets
         h1 = heisenberg_apply((2, 0, 0), -1, vac)
         f1 = StateVector.exponential(lat, (-2, 0, 0), 3)
-        with pytest.raises(ValueError, match="invariant"):
-            generated_subspace([h1, b1, f1], 2, blocks=(3,))
-        assert generated_subspace([h1, b1, f1], 2, blocks=(1, 2)).dims()
-        for blocks in ((2,), (1, 1), (0, 3), (4, -1)):
-            with pytest.raises(ValueError, match="blocks"):
-                generated_subspace([H, E, F], 2, blocks=blocks)
+        b13 = StateVector.exponential(lat, (2, 0, 2), 3)
+        assert generated_subspace([H, E, F], 2).blocks == (3,)
+        assert generated_subspace([H, E, F], 2, seeds=[b1]).blocks == (1, 2)
+        assert generated_subspace([h1, b1, f1], 2).blocks == (1, 2)
+        # b_1 <-> b_3 fixes e^(b_1 + b_3), but a block holding b_1 and b_3
+        # holds b_2 too, and swapping b_2 with either one moves the seed
+        assert generated_subspace([H, E, F], 2, seeds=[b13]).blocks == (1, 1, 1)
+
+    @given(x=st.lists(st.sampled_from((0, 2)), min_size=2, max_size=6))
+    @settings(max_examples=25, deadline=None)
+    def test_blocks_of_a_seed_point_are_its_runs(self, x):
+        # e^x with x in {0, 2}^r, 2 <= r <= 6 (sl2_generators needs k >= 2):
+        # the blocks are the runs of equal entries
+        H, E, F = sl2_generators(len(x), 1)
+        seed = StateVector.exponential(H.lattice, x, 1)
+        runs = tuple(len(list(g)) for _, g in itertools.groupby(x))
+        assert generated_subspace([H, E, F], 0, seeds=[seed]).blocks == runs
 
     def test_fold_table_is_kept_per_group_on_the_lattice(self):
         b = affine_module_basis(3, 1, Q(9, 4))
@@ -751,12 +772,13 @@ class TestStateVectorInvariants:
     @settings(max_examples=40, deadline=None)
     def test_results_hold_only_nonzero_fractions(self, seed, m, c):
         a, u, v = self._vectors(seed, 3)
-        # the rows of a basis layer: primitive integer rows over their
-        # numerator at the least state, the pivot of the elimination
+        # the rows of a basis layer: the primitive integer rows of the
+        # elimination, positive at the least state, its pivot
         rows = _weight3_layer()
         assert len(rows) == 15
         for r in rows:
-            assert r.den == r.num[min(r.num)]
+            assert r.den == 1 and r.num[min(r.num)] > 0
+            assert gcd(*r.num.values()) == 1
         results = [
             mode_apply(a, m, u),
             heisenberg_apply(self.LAT.gamma(), m, u),
