@@ -17,10 +17,11 @@ weight (after the overall shift by q^h).  Each numerator term divided by
 String functions are extracted from one charge slice (Kac-Peterson): the
 z^m slice of ch_i is c^i_(m mod 2k) q^(m^2/4k) / prod_{n>=1} (1-q^n), so
 the slice at the least |m| of the string's class, times q^(-m^2/4k) and
-Euler's function prod_{n>=1} (1-q^n), is the string: a plain QSeries.  The
-decomposition check then compares the whole character with the sum over
-the strings of (string) x (lattice-coset character), which reads every
-other slice of the class.
+Euler's function prod_{n>=1} (1-q^n), is the string: a plain QSeries, cut
+at T from a character read m^2/4k above T by `_strings`, the one reader.
+The decomposition check compares that character with the sum over the
+strings of (string) x (lattice-coset character), which reads every other
+slice of the class; no check takes supplied strings.
 The string coefficients must also agree with the kernel dimensions computed
 in the Fock realization (`string_dual_route_check`), which is the central
 oracle of the whole suite.
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import ceil, isqrt
 
 from . import lattice_fock
-from .errors import BadLabel, BadParams, IdentityFailed
+from .errors import BadLabel, IdentityFailed
 from .qseries import QSeries, ZQSeries, _grid_product, _rat, euler_function, lattice_coset_char
 from .report import Report, make_report
 
@@ -78,41 +79,41 @@ def _min_charge_rep(k: int, i: int, j: int) -> int:
     return s if s <= k else s - 2 * k
 
 
-def string_function(k: int, i: int, j: int, T, _char: ZQSeries | None = None) -> QSeries:
+def _strings(k: int, i: int, js, T) -> tuple[ZQSeries, list[QSeries]]:
+    """The one reader of strings: the character of module i read at T plus
+    the largest m^2/4k over the least charges m of js, and the (i, j) string
+    of each j in js, truncated at T like Euler's function."""
+    if k < 1 or not 0 <= i <= k:
+        raise BadLabel(f"no integrable module (k={k}, i={i})")
+    T = _rat(T)
+    ms = [_min_charge_rep(k, i, j) for j in js]
+    ch = affine_sl2_char(k, i, T + max(Fraction(m * m, 4 * k) for m in ms))
+    euler = euler_function(T)
+    strings = [ch.charge_slice(m).shift(Fraction(-m * m, 4 * k)) * euler for m in ms]
+    for j, string in zip(js, strings):
+        for e, c in string.terms.items():
+            if c < 0:
+                raise IdentityFailed(f"string (k={k}, i={i}, j={j}) has coefficient {c} < 0 at {e}")
+        lead = string.leading()
+        if lead is not None and lead[1] != 1:
+            raise IdentityFailed(
+                f"string (k={k}, i={i}, j={j}) has leading coefficient {lead[1]} != 1"
+            )
+    return ch, strings
+
+
+def string_function(k: int, i: int, j: int, T) -> QSeries:
     """The (i, j) string, the character of the coset module labelled
     (i, j mod k), read from one charge slice: with m the least charge of the
     class i-2j mod 2k, the z^m slice of ch_i times q^(-m^2/4k) and Euler's
-    function prod_{n>=1} (1-q^n).  It is reliable below min(ch.T - m^2/4k, T)."""
-    if not 0 <= i <= k:
-        raise BadLabel(f"no integrable module (k={k}, i={i})")
-    T = _rat(T)
-    ch = _char if _char is not None else affine_sl2_char(k, i, T)
-    m = _min_charge_rep(k, i, j)
-    string = ch.charge_slice(m).shift(Fraction(-m * m, 4 * k)) * euler_function(T)
-    for e, c in string.terms.items():
-        if c < 0:
-            raise IdentityFailed(f"string (k={k}, i={i}, j={j}) has coefficient {c} < 0 at {e}")
-    lead = string.leading()
-    if lead is not None and lead[1] != 1:
-        raise IdentityFailed(
-            f"string (k={k}, i={i}, j={j}) has leading coefficient {lead[1]} != 1"
-        )
-    return string
-
-
-def _slice_pad(k: int, i: int) -> Fraction:
-    """max m^2/4k over the least charges m of the k strings of module i: a
-    character read at T plus this pad gives every string reliable below T."""
-    return max(Fraction(_min_charge_rep(k, i, j) ** 2, 4 * k) for j in range(k))
+    function prod_{n>=1} (1-q^n), exact below T and truncated there."""
+    return _strings(k, i, [j], T)[1][0]
 
 
 def all_string_functions(k: int, i: int, T) -> list[QSeries]:
-    """The k strings of module i, indexed by j, each reliable below T and
-    truncated there: they are read from one character truncated at T plus
-    the largest slice shift m^2/4k."""
-    T = _rat(T)
-    ch = affine_sl2_char(k, i, T + _slice_pad(k, i))
-    return [string_function(k, i, j, T, _char=ch) for j in range(k)]
+    """The k strings of module i, indexed by j, each exact below T and
+    truncated there, read from one character."""
+    return _strings(k, i, range(k), T)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -120,23 +121,14 @@ def all_string_functions(k: int, i: int, T) -> list[QSeries]:
 # ---------------------------------------------------------------------------
 
 
-def decomposition_check_lki(k: int, i: int, max_weight, strings=None) -> Report:
+def decomposition_check_lki(k: int, i: int, max_weight) -> Report:
     """Exact equality of graded dimensions: the full module character equals
     the sum over j of (coset character) x (string function), charges folded.
-
-    Strings, a list indexed by j, may be supplied (e.g. mutated, to see the
-    check fail), each truncated at max_weight or above; by default they are
-    read below max_weight from a character truncated high enough that every
-    charge slice they need is reliable there.
-    """
+    The character and the k strings are one read, so every charge slice the
+    strings need is exact below max_weight."""
     T = _rat(max_weight)
-    for j, string in enumerate(strings or []):
-        if string.truncation < T:
-            raise BadParams(f"string j={j} is truncated at {string.truncation} < max_weight {T}")
-    ch = affine_sl2_char(k, i, T + _slice_pad(k, i))
+    ch, strings = _strings(k, i, range(k), T)
     lhs = ch.specialize_z1().truncate(T)
-    if strings is None:
-        strings = [string_function(k, i, j, T, _char=ch) for j in range(k)]
     rhs = QSeries({}, T)
     for j, string in enumerate(strings):
         rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), T) * string
@@ -180,10 +172,8 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     delta = Fraction(i * (k - i), 4 * (k + 2))
     # ambient budget so every kernel covers coset weights up to T
     basis = lattice_fock.affine_module_basis(k, i, T + max_heis + delta)
-    ch = affine_sl2_char(k, i, T + max_heis)
     entries = []
-    for jj in js:
-        st = string_function(k, i, jj, T, _char=ch)
+    for jj, st in zip(js, _strings(k, i, js, T)[1]):
         ker = QSeries(lattice_fock.commutant_dims(basis, lams[jj]), T)
         mism = [
             {"weight": w, "string": int(st.coefficient(w)), "kernel": int(ker.coefficient(w))}

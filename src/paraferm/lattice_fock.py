@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from collections import Counter
 from fractions import Fraction
 from functools import wraps
-from itertools import permutations, product
+from itertools import islice, product
 from math import comb, floor, gcd, lcm
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -942,11 +942,12 @@ def _representative(s: FockState, blocks) -> FockState:
 def _orbit(r: FockState, blocks) -> list[FockState]:
     """Every state of the orbit of r once, in canonical order: the distinct
     rearrangements of its columns inside each block."""
-    cols = _columns(r)
-    lo, parts = 0, []
+    cols, parts = iter(_columns(r)), []
     for b in blocks:
-        parts.append(sorted(set(permutations(cols[lo:lo + b]))))
-        lo += b
+        arr = {()}
+        for c in islice(cols, b):
+            arr = {a[:t] + (c,) + a[t:] for a in arr for t in range(len(a) + 1)}
+        parts.append(sorted(arr))
     return [_from_columns([c for part in choice for c in part]) for choice in product(*parts)]
 
 
@@ -1170,13 +1171,17 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
     return basis
 
 
-def rank(rows) -> int:
-    """Rank of the sparse system rows . x = 0 (entries int or Fraction), by
-    forward elimination alone."""
+def _echelon(rows) -> dict:
     ech: dict = {}
     for row in rows:
         _insert(ech, _integral(row)[0])
-    return len(ech)
+    return ech
+
+
+def rank(rows) -> int:
+    """Rank of the sparse system rows . x = 0 (entries int or Fraction), by
+    forward elimination alone."""
+    return len(_echelon(rows))
 
 
 def nullspace(rows: list[dict], ncols: int) -> list[dict]:
@@ -1185,9 +1190,7 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
     f with x_f = 1: the reduced row echelon basis with canonical
     (smallest-column) pivots.  Elimination runs on integer rows; fractions
     appear only in the returned vectors."""
-    ech: dict[int, dict[int, int]] = {}
-    for row in rows:
-        _insert(ech, _integral(row)[0])
+    ech = _echelon(rows)
     # back-substitution, last pivot first: clear every other pivot column
     red: dict[int, dict[int, int]] = {}
     for pc in sorted(ech, reverse=True):

@@ -5,7 +5,7 @@ separate construction, never through the code paths under test.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb, isqrt
 
 from paraferm.fusion_identify import (
@@ -313,4 +313,25 @@ def commutant_kernel_oracle(basis, charge) -> dict[Fraction, list[StateVector]]:
             vecs.append(vec)
         if vecs:
             out[w - basis.aff_offset - heis] = vecs
+    return out
+
+
+def orbit_by_permutations(r: FockState, blocks) -> list[FockState]:
+    """Every state of the orbit of r under the permutations of the lattice
+    directions inside consecutive blocks, in canonical order: all b!
+    orderings of each block's columns (point entry, mode numbers), repeats
+    dropped and sorted, combined block by block."""
+    ns: list[list[int]] = [[] for _ in r.point]
+    for p, n in r.modes:
+        ns[p].append(n)
+    cols = list(zip(r.point, map(tuple, ns)))
+    lo, parts = 0, []
+    for b in blocks:
+        parts.append(sorted(set(permutations(cols[lo:lo + b]))))
+        lo += b
+    out = []
+    for choice in product(*parts):
+        cs = [c for part in choice for c in part]
+        modes = tuple((p, n) for p, (_, ms) in enumerate(cs) for n in ms)
+        out.append(FockState(tuple(x for x, _ in cs), modes))
     return out

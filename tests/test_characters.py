@@ -18,12 +18,24 @@ from paraferm.characters import (
 )
 from oracles import affine_char_cascade
 from oracles import colored_partitions_table as colored_partitions
-from paraferm.errors import BadLabel, BadParams
+from paraferm.errors import BadLabel
 from paraferm.fusion_identify import para_normalize
 from paraferm.lattice_fock import affine_module_basis
 from paraferm.qseries import QSeries, ZQSeries
 
 Q = Fraction
+
+
+def _edit_strings(monkeypatch, edit):
+    """Sabotage: every string read through `_strings` is replaced by
+    edit(j, string) before a check sees it."""
+    real = paraferm.characters._strings
+
+    def edited(k, i, js, T):
+        ch, strings = real(k, i, js, T)
+        return ch, [edit(j, st) for j, st in zip(js, strings)]
+
+    monkeypatch.setattr(paraferm.characters, "_strings", edited)
 
 
 class TestAffineChar:
@@ -126,6 +138,14 @@ class TestStringFunctions:
             b = string_function(3, 0, j, 5)
             assert a.disagreements(b) == []
 
+    def test_strings_are_truncated_at_t(self):
+        # a string alone and the same string among all k are one read: both
+        # come from a character read m^2/4k above T and are cut at T
+        for k, i, T in ((3, 0, 10), (3, 1, Q(19, 2)), (4, 2, 7), (5, 3, 6)):
+            for j, st in enumerate(all_string_functions(k, i, T)):
+                assert st.truncation == T, (k, i, j)
+                assert st == string_function(k, i, j, T), (k, i, j)
+
     def test_serialization_table(self):
         st = string_function(3, 1, 0, 4)
         assert st.leading()[0] == Fraction(1, 15)
@@ -143,22 +163,20 @@ class TestDecomposition:
                 r = decomposition_check_lki(k, i, 6)
                 assert r.status == "pass", (k, i)
 
-    def test_dropping_one_string_fails_at_its_total_weight(self):
+    def test_dropping_one_string_fails_at_its_total_weight(self, monkeypatch):
         # removing the j=1 summand leaves a defect at coset-top + string-top
         # = 1/k + (k-1)/k = 1
-        k = 3
-        strings = all_string_functions(k, 0, 7)
-        strings[1] = QSeries({}, strings[1].truncation)
-        r = decomposition_check_lki(k, 0, 6, strings=strings)
+        _edit_strings(monkeypatch, lambda j, st: QSeries({}, st.truncation) if j == 1 else st)
+        r = decomposition_check_lki(3, 0, 6)
         assert r.status == "fail"
         witness = r.details[0]["witness"]
         assert witness["first_failing_exponent"] == Q(1)
 
-    def test_mutated_coefficient_fails(self):
-        k = 3
-        strings = all_string_functions(k, 0, 7)
-        strings[0] = strings[0] + QSeries({2: 1}, strings[0].truncation)
-        r = decomposition_check_lki(k, 0, 6, strings=strings)
+    def test_mutated_coefficient_fails(self, monkeypatch):
+        _edit_strings(
+            monkeypatch, lambda j, st: st + QSeries({2: 1}, st.truncation) if j == 0 else st
+        )
+        r = decomposition_check_lki(3, 0, 6)
         assert r.status == "fail"
         assert r.details[0]["witness"]["first_failing_exponent"] == Q(2)
 
@@ -168,16 +186,7 @@ class TestDecomposition:
         for k, i, T in ((3, 0, 10), (3, 1, Q(19, 2)), (4, 2, 7), (5, 3, 6)):
             strings = all_string_functions(k, i, T)
             assert [st.truncation for st in strings] == [T] * k, (k, i)
-        strings = all_string_functions(3, 0, 10)
-        assert decomposition_check_lki(3, 0, 10, strings=strings).status == "pass"
-
-    def test_strings_cut_below_max_weight_are_refused(self):
-        # a string truncated at 1 could only be compared below weight 1
-        k = 3
-        strings = all_string_functions(k, 0, 11)
-        strings[2] = QSeries(strings[2].terms, 1)
-        with pytest.raises(BadParams, match=r"^string j=2 is truncated at 1 < max_weight 10$"):
-            decomposition_check_lki(k, 0, 10, strings=strings)
+        assert decomposition_check_lki(3, 0, 10).status == "pass"
 
     def test_moving_a_unit_within_a_charge_class_fails(self, monkeypatch):
         # z^1 and z^7 lie in one charge class mod 2k = 6; a unit moved
@@ -235,13 +244,9 @@ class TestDualRoute:
         # sabotage: one unit added to the string one weight above its top,
         # below it, or half a unit off its grid must fail the entry, with
         # that weight as the one mismatch of the witness
-        real = paraferm.characters.string_function
-
-        def broken(k, i, j, T, _char=None):
-            st = real(k, i, j, T, _char=_char)
-            return st + QSeries({st.leading()[0] + shift: 1}, st.truncation)
-
-        monkeypatch.setattr(paraferm.characters, "string_function", broken)
+        _edit_strings(
+            monkeypatch, lambda j, st: st + QSeries({st.leading()[0] + shift: 1}, st.truncation)
+        )
         r = string_dual_route_check(3, 0, 3, j=0)
         assert r.status == "fail"
         assert r.details[0]["witness"] == {

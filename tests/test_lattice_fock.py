@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_modes_affine_dims,
     commutant_kernel_oracle,
+    orbit_by_permutations,
     rref_nullspace,
     sector_graded_dims,
     theta_involution,
@@ -33,6 +34,7 @@ from paraferm.lattice_fock import (
     _commutant_systems,
     _exp_component,
     _fold,
+    _orbit,
     affine_module_basis,
     central_charge_of,
     commutant_dims,
@@ -640,6 +642,19 @@ class TestOrbitCoordinates:
         seed = StateVector.exponential(H.lattice, x, 1)
         runs = tuple(len(list(g)) for _, g in itertools.groupby(x))
         assert generated_subspace([H, E, F], 0, seeds=[seed]).blocks == runs
+
+    @given(
+        blocks=st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda b: sum(b) <= 7),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_orbit_equals_the_permutation_enumeration(self, blocks, data):
+        # few point values and mode numbers, so columns repeat inside blocks
+        n = sum(blocks)
+        point = data.draw(st.tuples(*[st.integers(-1, 1)] * n))
+        mode = st.tuples(st.integers(0, n - 1), st.integers(1, 2))
+        r = FockState(point, tuple(sorted(data.draw(st.lists(mode, max_size=4)))))
+        assert _orbit(r, tuple(blocks)) == orbit_by_permutations(r, tuple(blocks))
 
     def test_fold_table_is_kept_per_group_on_the_lattice(self):
         b = affine_module_basis(3, 1, Q(9, 4))
