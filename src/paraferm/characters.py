@@ -160,6 +160,17 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     With j omitted, all k strings of the sector are checked against one
     shared realization.  A disagreement is an implementation bug; its entry
     fails with the mismatching weights, ascending, as witness.
+
+    The kernel at charge lam covers coset weights below max_weight once the
+    realization holds that charge up to ambient weight t(lam) = max_weight
+    + lam^2/4k + i(k-i)/4(k+2), the Heisenberg part and the affine offset
+    added back.  Only the charges lam of the checked strings are read, so
+    the basis is built inside the charge cone of that budget: H, E and F
+    have charges 0, +2 and -2, so a row of weight w and charge q can feed
+    charge lam by weight t(lam) only if |q - lam| <= 2 floor(t(lam) - w).
+    Rows are charge-homogeneous and the elimination never mixes charges,
+    so each read charge is built exactly as in the whole module (see
+    `lattice_fock.generated_subspace`).
     """
     if not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
@@ -168,10 +179,11 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     T = _rat(max_weight)
     js = list(range(k)) if j is None else [j]
     lams = {jj: _min_charge_rep(k, i, jj) for jj in js}
-    max_heis = max(Fraction(l * l, 4 * k) for l in lams.values())
     delta = Fraction(i * (k - i), 4 * (k + 2))
-    # ambient budget so every kernel covers coset weights up to T
-    basis = lattice_fock.affine_module_basis(k, i, T + max_heis + delta)
+    # per read charge, the ambient weight its kernel needs to cover coset
+    # weights up to T
+    budget = {lam: T + Fraction(lam * lam, 4 * k) + delta for lam in lams.values()}
+    basis = lattice_fock.affine_module_basis(k, i, max(budget.values()), budget=budget)
     entries = []
     for jj, st in zip(js, _strings(k, i, js, T)[1]):
         ker = QSeries(lattice_fock.commutant_dims(basis, lams[jj]), T)

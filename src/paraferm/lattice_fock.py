@@ -1024,20 +1024,46 @@ class GradedBasis:
     A layer vector is stored by its orbit totals on representatives, w_r
     the sum of its Fock coefficients over the orbit of r: the primitive
     integer row of the layer's elimination (denominator 1, positive at its
-    least state).  `expand` gives the Fock vector back.  ``aff_offset`` is
-    the constant difference between the ambient (lattice) weight and the
-    weight defined by the realized conformal vector.
+    least state).  `expand` gives the Fock vector back.  Every row is
+    charge-homogeneous, and ``charges`` holds the gamma(0)-eigenvalue of
+    each, in the order of ``layers``.  ``aff_offset`` is the constant
+    difference between the ambient (lattice) weight and the weight defined
+    by the realized conformal vector.
+
+    ``budget``, when set, maps each charge lam to an ambient weight bound
+    t(lam), and the basis was built inside the charge cone of that budget
+    (see `generated_subspace`): charge lam is complete up to t(lam), other
+    charges and weights only in part.  `bound` says how far a charge may be
+    read and the kernels read no further; `dims` raises ValueError on such
+    a basis, and `charge_dims` reports only the (weight, charge) pairs
+    inside the budget.
     """
 
     lattice: Lattice
     truncation: Fraction
     layers: dict[Fraction, list[StateVector]] = field(repr=False)
+    charges: dict[Fraction, list[int]] = field(repr=False)
     blocks: tuple[int, ...]
     aff_offset: Fraction = Fraction(0)
     truncated: bool = False
+    budget: dict[int, Fraction] | None = None
 
     def dims(self) -> dict[Fraction, int]:
+        """Dimension per ambient weight; raises ValueError on a basis built
+        inside a budget, which holds some charges only in part."""
+        if self.budget is not None:
+            raise ValueError("a cone-restricted basis has no complete weight dimensions")
         return {w: len(rows) for w, rows in sorted(self.layers.items()) if rows}
+
+    def bound(self, charge: int) -> Fraction:
+        """The ambient weight up to which the charge is complete: its budget,
+        or the truncation when there is none; raises ValueError for a charge
+        the budget does not hold."""
+        if self.budget is None:
+            return self.truncation
+        if charge not in self.budget:
+            raise ValueError(f"charge {charge} lies outside the budget {sorted(self.budget)}")
+        return self.budget[charge]
 
     def expand(self, v: StateVector) -> StateVector:
         """The Fock vector of orbit totals v: coefficient w_r / |O(r)| on each
@@ -1047,18 +1073,33 @@ class GradedBasis:
         num = {s: c * (L // len(orbits[r])) for r, c in v.num.items() for s in orbits[r]}
         return v._with(num, v.den * L)
 
-    def charge_dims(self) -> dict[tuple[Fraction, Fraction], int]:
+    def charge_dims(self) -> dict[tuple[Fraction, int], int]:
         """Dimensions resolved by (weight relative to the realized conformal
-        vector, gamma(0)-eigenvalue)."""
-        out: dict[tuple[Fraction, Fraction], int] = {}
-        for w, rows in sorted(self.layers.items()):
-            for v in rows:
-                key = (w - self.aff_offset, v.charge())
-                out[key] = out.get(key, 0) + 1
+        vector, gamma(0)-eigenvalue); with a budget, only the pairs inside
+        it, each charge up to its bound."""
+        budget = self.budget
+        out: dict[tuple[Fraction, int], int] = {}
+        for w, charges in sorted(self.charges.items()):
+            for q in charges:
+                if budget is None or (q in budget and w <= budget[q]):
+                    key = (w - self.aff_offset, q)
+                    out[key] = out.get(key, 0) + 1
         return out
 
 
-def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
+def _cone(budget: dict[int, Fraction], step: int, w: Fraction) -> set[int]:
+    """The charges q a row of weight w may have and still feed some budgeted
+    charge lam by weight t(lam): |q - lam| <= step floor(t(lam) - w), step the
+    largest generator charge."""
+    out: set[int] = set()
+    for lam, t in budget.items():
+        if t >= w:
+            r = step * floor(t - w)
+            out.update(range(lam - r, lam + r + 1))
+    return out
+
+
+def generated_subspace(generators, max_weight, seeds=None, budget=None) -> GradedBasis:
     """Span of iterated lowering modes g(-t), t >= 1, of the generators
     applied to the seed vectors, graded by ambient weight up to max_weight.
 
@@ -1068,7 +1109,27 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
     commutators of (-1)-modes, so layer w is spanned by the (-1)-modes of
     the generators applied to layer w-1, and only those are applied.  A
     generating set failing the condition (say [H] alone, which is abelian)
-    raises ValueError.
+    raises ValueError.  Generators and seeds must each have one charge
+    (gamma(0)-eigenvalue), as H, E, F (charges 0, 2, -2) and the top-level
+    seeds of `affine_module_basis` do; then every candidate g(-1) v has the
+    charge of v plus that of g, known before it is built.  The elimination
+    never mixes charges: a row is reduced only against pivots on its own
+    states, which share its charge.  So every layer row is
+    charge-homogeneous, and the charge-q rows of layer w are the reduced
+    span of the charge-q candidates alone.
+
+    ``budget`` maps charges lam to ambient weight bounds t(lam) <=
+    max_weight.  A row of layer w and charge q reaches charge lam by weight
+    t(lam) only through floor(t(lam) - w) more (-1)-modes, each moving the
+    charge by at most step, the largest generator charge; so g(-1) is
+    applied to v only where the candidate's charge lies in the cone of
+    layer w, the charges q with |q - lam| <= step floor(t(lam) - w) for some
+    lam, worked out once per layer.  A row outside the cone never feeds a
+    budgeted charge below its bound, and candidates of other charges never
+    touch the elimination of charge q, so every budgeted charge is built up
+    to its bound exactly as without a budget (rows, order and all).  The
+    basis records the budget (see `GradedBasis`).  Without a budget the
+    same loop builds every charge.
 
     The span is built in orbit coordinates of the group `_symmetry` works
     out: the permutations of the lattice basis inside consecutive blocks
@@ -1094,19 +1155,29 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
         )
     lat = generators[0].lattice
     T = _rat(max_weight)
+    if budget is not None:
+        budget = {q: _rat(t) for q, t in budget.items()}
+        if not budget or max(budget.values()) > T:
+            raise ValueError(f"need a nonempty budget with every bound at most {T}")
     if seeds is None:
         seeds = [StateVector.vacuum(lat, T)]
     blocks = _symmetry(lat, [*generators, *seeds])
     seeds = [s._with(s.num, s.den, truncation=T) for s in seeds]
-    # per weight: the echelon of the layer and its rows as den-1 vectors
+    # gamma = (den, ..., den), so a charge <gamma, point> / den is an int
+    gen_charges = [int(g.charge()) for g in generators]
+    step = max(map(abs, gen_charges))
+    # per weight: the echelon of the layer, its rows as den-1 vectors and
+    # their charges
     echelons: dict[Fraction, dict] = {}
     layers: dict[Fraction, list[StateVector]] = {}
+    charges: dict[Fraction, list[int]] = {}
     truncated = any(s.truncated for s in seeds)
 
-    def insert(w, v: StateVector) -> None:
+    def insert(w, v: StateVector, q: int) -> None:
         r = _insert(echelons.setdefault(w, {}), _fold(lat, blocks, v.num))
         if r:
             layers.setdefault(w, []).append(v._with(r, 1))
+            charges.setdefault(w, []).append(q)
 
     seed_weights = set()
     for s in seeds:
@@ -1115,28 +1186,36 @@ def generated_subspace(generators, max_weight, seeds=None) -> GradedBasis:
             raise ValueError("seed vectors must be weight-homogeneous")
         w = ws.pop()
         seed_weights.add(w)
-        insert(w, s)
+        insert(w, s, int(s.charge()))
     w0 = min(seed_weights)
     if any((w - w0).denominator != 1 for w in seed_weights):
         raise ValueError("seed weights must differ by integers")
     steps = int(T - w0)
     for d in range(1, steps + 1):
         w = w0 + d
-        for v in layers.get(w - 1, ()):
-            for g in generators:
-                cand = mode_apply(g, -1, v)
-                truncated = truncated or cand.truncated
-                insert(w, cand)
-    return GradedBasis(lattice=lat, truncation=T, layers=layers, blocks=blocks, truncated=truncated)
+        cone = None if budget is None else _cone(budget, step, w)
+        for v, qv in zip(layers.get(w - 1, ()), charges.get(w - 1, ())):
+            for g, qg in zip(generators, gen_charges):
+                q = qv + qg
+                if cone is None or q in cone:
+                    cand = mode_apply(g, -1, v)
+                    truncated = truncated or cand.truncated
+                    insert(w, cand, q)
+    return GradedBasis(
+        lattice=lat, truncation=T, layers=layers, charges=charges, blocks=blocks,
+        truncated=truncated, budget=budget,
+    )
 
 
-def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
+def affine_module_basis(k: int, i: int, max_weight, budget=None) -> GradedBasis:
     """Realization of the i-th level-k affine module inside the (dual) Fock
     space: seeded by the minimal-norm symmetrized top level over the coset
     with the first i half-unit coordinates odd, then closed under lowering
     modes of H, E, F.  `generated_subspace` builds the basis in orbit
     coordinates of the group it works out from the seeds, H, E and F:
-    S_i x S_(k-i), permuting the lattice basis inside p < i and p >= i."""
+    S_i x S_(k-i), permuting the lattice basis inside p < i and p >= i.
+    With a budget (charge -> ambient weight bound, each at most max_weight)
+    only the charge cone of the budget is built."""
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}")
     T = _rat(max_weight)
@@ -1160,7 +1239,7 @@ def affine_module_basis(k: int, i: int, max_weight) -> GradedBasis:
             seeds.append(cur)
         if not mode_apply(F, 0, cur).is_zero():
             raise AssertionError("top level did not close")
-    basis = generated_subspace([H, E, F], T, seeds=seeds)
+    basis = generated_subspace([H, E, F], T, seeds=seeds, budget=budget)
     top = seeds[0]
     l0 = mode_apply(_omegas(k, H, E, F)["omega_aff"], 1, top)
     (s0, c0), = top.terms.items()
@@ -1215,12 +1294,16 @@ def _commutant_systems(basis: GradedBasis, charge: int):
     the layer's primitive integer rows, so the system's coordinates are the
     coefficients on them.  gamma is fixed by the basis's group, so the rows
     are the folded images: an invariant vector vanishes exactly when its
-    orbit totals do."""
+    orbit totals do.  The charge is read up to `GradedBasis.bound`, which
+    raises ValueError for a charge outside the basis's budget."""
     lat = basis.lattice
     gamma = lat.gamma()
     heis = Fraction(charge * charge, 2 * lat.norm(gamma))
+    bound = basis.bound(charge)
     for w, rows in sorted(basis.layers.items()):
-        cands = [v for v in rows if v.charge() == charge]
+        if w > bound:
+            break
+        cands = [v for v, q in zip(rows, basis.charges[w]) if q == charge]
         if not cands:
             continue
         constraints: dict[tuple, dict[int, int]] = {}

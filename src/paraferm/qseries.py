@@ -360,13 +360,6 @@ class ZQSeries(_Series):
             frontier = nxt
         return ZQSeries(out, T)
 
-    def shift_q(self, delta) -> "ZQSeries":
-        d = _rat(delta)
-        return ZQSeries(
-            {(z, e + d): c for (z, e), c in self.terms.items()},
-            self.truncation + d,
-        )
-
     def specialize_z1(self) -> QSeries:
         """Forget the charge grading: sum over all z-powers."""
         acc: dict[Fraction, Fraction] = {}
@@ -379,11 +372,6 @@ class ZQSeries(_Series):
         return QSeries._normal(
             {e: c for (z, e), c in self.terms.items() if z == m}, self.truncation
         )
-
-    def q_slice(self, e) -> dict[int, Fraction]:
-        """z-polynomial at a fixed q-exponent."""
-        e = _rat(e)
-        return {z: c for (z, ee), c in self.terms.items() if ee == e}
 
     def __repr__(self):
         return f"ZQSeries({len(self.terms)} terms; T={self.truncation})"

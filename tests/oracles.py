@@ -117,7 +117,19 @@ def affine_char_cascade(k: int, i: int, T) -> ZQSeries:
         num = num.mul_geometric_inverse(2, n)
         num = num.mul_geometric_inverse(-2, n)
         n += 1
-    return num.shift_q(h)
+    return shift_q(num, h)
+
+
+def shift_q(series: ZQSeries, delta) -> ZQSeries:
+    """series times q^delta, its truncation moved along."""
+    d = Q(delta)
+    return ZQSeries({(z, e + d): c for (z, e), c in series.terms.items()}, series.truncation + d)
+
+
+def q_slice(series: ZQSeries, e) -> dict[int, Fraction]:
+    """The z-polynomial of series at the q-exponent e."""
+    e = Q(e)
+    return {z: c for (z, ee), c in series.terms.items() if ee == e}
 
 
 def brute_force_identifications(k: int) -> list[dict]:

@@ -16,7 +16,7 @@ from paraferm.characters import (
     string_function,
     w_minimal_central_charge,
 )
-from oracles import affine_char_cascade
+from oracles import affine_char_cascade, q_slice
 from oracles import colored_partitions_table as colored_partitions
 from paraferm.errors import BadLabel
 from paraferm.fusion_identify import para_normalize
@@ -56,7 +56,7 @@ class TestAffineChar:
             for i in range(k + 1):
                 h = affine_top_weight(k, i)
                 ch = affine_sl2_char(k, i, h + 1)
-                top = ch.q_slice(h)
+                top = q_slice(ch, h)
                 assert sum(top.values()) == i + 1
                 assert set(top) == {i - 2 * t for t in range(i + 1)}
 
@@ -253,12 +253,29 @@ class TestDualRoute:
             "mismatches": [{"weight": shift, "string": 1, "kernel": 0}]
         }
 
+    def test_basis_is_built_inside_the_budget_of_the_read_charges(self, monkeypatch):
+        # (4, 1): the strings j = 0..3 read charges 1, -1, -3, 3, each up to
+        # ambient weight T + lam^2/16 + 1*3/24
+        real = paraferm.lattice_fock.affine_module_basis
+        built = []
+
+        def recording(*a, **kw):
+            built.append(real(*a, **kw))
+            return built[-1]
+
+        monkeypatch.setattr(paraferm.lattice_fock, "affine_module_basis", recording)
+        assert string_dual_route_check(4, 1, 3).status == "pass"
+        assert string_dual_route_check(4, 1, 3, j=2).status == "pass"
+        every, one = built
+        assert every.budget == {lam: 3 + Q(lam * lam, 16) + Q(1, 8) for lam in (1, -1, -3, 3)}
+        assert one.budget == {-3: 3 + Q(9, 16) + Q(1, 8)}
+
     def test_truncated_basis_passes_only_up_to_truncation(self, monkeypatch):
         real = paraferm.lattice_fock.affine_module_basis
         monkeypatch.setattr(
             paraferm.lattice_fock,
             "affine_module_basis",
-            lambda k, i, w: dataclasses.replace(real(k, i, w), truncated=True),
+            lambda *a, **kw: dataclasses.replace(real(*a, **kw), truncated=True),
         )
         assert string_dual_route_check(3, 0, 3).status == "pass-up-to-truncation"
 

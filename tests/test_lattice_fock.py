@@ -662,6 +662,99 @@ class TestOrbitCoordinates:
         assert tables == [(1, 2)]
 
 
+def _dual_budget(k, i, T, js):
+    """The budget of the dual route: per string j, the least charge lam of
+    its class i - 2j mod 2k, read up to ambient weight T + lam^2/4k +
+    i(k-i)/4(k+2)."""
+    out = {}
+    for j in js:
+        s = (i - 2 * j) % (2 * k)
+        lam = s if s <= k else s - 2 * k
+        out[lam] = Q(T) + Q(lam * lam, 4 * k) + Q(i * (k - i), 4 * (k + 2))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _cone_and_full(k, i, T, js):
+    """The dual-route budget of (k, i, T, js), the basis built inside its
+    cone and the whole module to the same weight."""
+    budget = _dual_budget(k, i, T, js)
+    top = max(budget.values())
+    return budget, affine_module_basis(k, i, top, budget=budget), affine_module_basis(k, i, top)
+
+
+def _rows_of_charge(basis, w, charge):
+    return [v for v, q in zip(basis.layers.get(w, ()), basis.charges.get(w, ())) if q == charge]
+
+
+class TestChargeCone:
+    """Bases built inside the charge cone of a dual-route budget against the
+    whole module."""
+
+    # even and odd i, one string and all of them
+    CASES = [
+        (3, 0, 6, (0, 1, 2)),
+        (3, 1, 5, (0, 1, 2)),
+        (3, 2, 5, (1,)),
+        (3, 3, 5, (0,)),
+        (4, 1, 5, (0, 1, 2, 3)),
+        (4, 2, 5, (0,)),
+        (5, 2, 4, (0, 1, 2, 3, 4)),
+    ]
+
+    def test_budgeted_charges_equal_the_whole_module(self):
+        for case in self.CASES:
+            budget, cone, full = _cone_and_full(*case)
+            T = case[2]
+            for lam, t in budget.items():
+                # ambient weight t(lam) is coset weight T at charge lam
+                want = {w: d for w, d in commutant_dims(full, lam).items() if w <= T}
+                assert commutant_dims(cone, lam) == want, (case, lam)
+                # the rows themselves, in order, up to the bound
+                for w in full.layers:
+                    if w <= t:
+                        got = _rows_of_charge(cone, w, lam)
+                        assert got == _rows_of_charge(full, w, lam), (case, lam, w)
+            assert sum(map(len, cone.layers.values())) < sum(map(len, full.layers.values())), case
+
+    def test_row_charges_are_the_gamma0_eigenvalues(self):
+        for case in self.CASES[:3]:
+            for basis in _cone_and_full(*case)[1:]:
+                for w, rows in basis.layers.items():
+                    assert [v.charge() for v in rows] == basis.charges[w], (case, w)
+
+    def test_unbudgeted_charge_raises(self):
+        # module 2 at k = 3 has charges 0, +-2, +-4, ...; the budget holds 0
+        budget, cone, full = _cone_and_full(3, 2, 5, (1,))
+        assert list(budget) == [0]
+        for charge in (2, -2, 4, 1):
+            with pytest.raises(ValueError):
+                commutant_dims(cone, charge)
+            with pytest.raises(ValueError):
+                commutant_kernel(cone, charge)
+            with pytest.raises(ValueError):
+                cone.bound(charge)
+        assert commutant_dims(full, 2)
+        assert full.bound(2) == full.truncation
+
+    def test_dims_raise_and_charge_dims_keep_to_the_budget(self):
+        for case in self.CASES:
+            budget, cone, full = _cone_and_full(*case)
+            with pytest.raises(ValueError):
+                cone.dims()
+            want = {
+                (w, q): d
+                for (w, q), d in full.charge_dims().items()
+                if q in budget and w + full.aff_offset <= budget[q]
+            }
+            assert want and cone.charge_dims() == want, case
+
+    def test_budget_bounds_stay_within_max_weight(self):
+        for budget in ({0: 4}, {0: 3, 2: Q(7, 2)}, {}):
+            with pytest.raises(ValueError):
+                affine_module_basis(3, 0, 3, budget=budget)
+
+
 class TestEkPower:
     def test_k3_and_k4(self):
         for k in (3, 4):
