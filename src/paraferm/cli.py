@@ -229,8 +229,10 @@ def run_all(kmax=None, max_weight=None, seed=None) -> list[Report]:
         for name, check in CHECKS.items():
             params = {key: args[key] for key in check.params if key in args}
             if name == "string-dual-route":
-                # the Fock route grows quickly with rank and depth; shrink the window
-                params["max_weight"] = max(3, args["max_weight"] - 2 - (k - 3))
+                # the Fock route grows quickly with rank and depth; shrink the
+                # window, but never above the requested weight
+                T = args["max_weight"]
+                params["max_weight"] = min(T, max(3, T - 2 - (k - 3)))
                 reports += [run_check(name, {**params, "k": k, "i": i}) for i in range(k + 1)]
             elif "k" in check.params:
                 reports.append(run_check(name, {**params, "k": k}))

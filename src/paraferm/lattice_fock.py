@@ -45,8 +45,7 @@ sum_r w_r fold(A r), where fold adds each output coefficient onto the
 representative of its state.  No stabiliser factor enters, and a layer
 holds the primitive integer rows of its elimination.  v -> w is a
 bijection on invariant vectors, so ranks and kernel dimensions are those
-of the Fock vectors.  The expansion back puts w_r / |O(r)| on each state
-of the orbit of r (`GradedBasis.expand`).
+of the Fock vectors, and the commutant kernels stay in these coordinates.
 
 A global weight truncation bounds every stored state; creation results
 beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
@@ -61,7 +60,6 @@ from dataclasses import dataclass, field
 from collections import Counter
 from fractions import Fraction
 from functools import wraps
-from itertools import islice, product
 from math import comb, floor, gcd, lcm
 from operator import itemgetter, mul
 from typing import NamedTuple
@@ -939,18 +937,6 @@ def _representative(s: FockState, blocks) -> FockState:
     return _from_columns(cols)
 
 
-def _orbit(r: FockState, blocks) -> list[FockState]:
-    """Every state of the orbit of r once, in canonical order: the distinct
-    rearrangements of its columns inside each block."""
-    cols, parts = iter(_columns(r)), []
-    for b in blocks:
-        arr = {()}
-        for c in islice(cols, b):
-            arr = {a[:t] + (c,) + a[t:] for a in arr for t in range(len(a) + 1)}
-        parts.append(sorted(arr))
-    return [_from_columns([c for part in choice for c in part]) for choice in product(*parts)]
-
-
 def _fold(lat: Lattice, blocks, num: dict) -> dict:
     """The orbit totals of num: each coefficient added onto the
     representative of its state, zero totals dropped.  The representatives
@@ -1024,11 +1010,12 @@ class GradedBasis:
     A layer vector is stored by its orbit totals on representatives, w_r
     the sum of its Fock coefficients over the orbit of r: the primitive
     integer row of the layer's elimination (denominator 1, positive at its
-    least state).  `expand` gives the Fock vector back.  Every row is
-    charge-homogeneous, and ``charges`` holds the gamma(0)-eigenvalue of
-    each, in the order of ``layers``.  ``aff_offset`` is the constant
-    difference between the ambient (lattice) weight and the weight defined
-    by the realized conformal vector.
+    least state).  `commutant_kernel` returns vectors in the same form; the
+    Fock vector of w puts w_r / |O(r)| on each state of the orbit of r.
+    Every row is charge-homogeneous, and ``charges`` holds the
+    gamma(0)-eigenvalue of each, in the order of ``layers``.
+    ``aff_offset`` is the constant difference between the ambient (lattice)
+    weight and the weight defined by the realized conformal vector.
 
     ``budget``, when set, maps each charge lam to an ambient weight bound
     t(lam), and the basis was built inside the charge cone of that budget
@@ -1064,14 +1051,6 @@ class GradedBasis:
         if charge not in self.budget:
             raise ValueError(f"charge {charge} lies outside the budget {sorted(self.budget)}")
         return self.budget[charge]
-
-    def expand(self, v: StateVector) -> StateVector:
-        """The Fock vector of orbit totals v: coefficient w_r / |O(r)| on each
-        state of the orbit of r."""
-        orbits = {r: _orbit(r, self.blocks) for r in v.num}
-        L = lcm(*map(len, orbits.values()))
-        num = {s: c * (L // len(orbits[r])) for r, c in v.num.items() for s in orbits[r]}
-        return v._with(num, v.den * L)
 
     def charge_dims(self) -> dict[tuple[Fraction, int], int]:
         """Dimensions resolved by (weight relative to the realized conformal
@@ -1289,13 +1268,14 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
 
 def _commutant_systems(basis: GradedBasis, charge: int):
     """Per ambient weight holding vectors of the given gamma(0)-eigenvalue:
-    the coset weight, those candidate vectors and the integer rows of
-    gamma(m) sum_t x_t cands[t] = 0 for every m >= 1.  The candidates are
-    the layer's primitive integer rows, so the system's coordinates are the
-    coefficients on them.  gamma is fixed by the basis's group, so the rows
-    are the folded images: an invariant vector vanishes exactly when its
-    orbit totals do.  The charge is read up to `GradedBasis.bound`, which
-    raises ValueError for a charge outside the basis's budget."""
+    the coset weight, those candidate vectors and, per candidate, its
+    images under gamma(m) for every m >= 1, keyed by (m, state).  The
+    candidates are the layer's primitive integer rows, so the kernel
+    vectors sum_t x_t cands[t] are the solutions x of the system whose
+    columns are the images.  gamma is fixed by the basis's group, so the
+    images are folded: an invariant vector vanishes exactly when its orbit
+    totals do.  The charge is read up to `GradedBasis.bound`, which raises
+    ValueError for a charge outside the basis's budget."""
     lat = basis.lattice
     gamma = lat.gamma()
     heis = Fraction(charge * charge, 2 * lat.norm(gamma))
@@ -1306,13 +1286,13 @@ def _commutant_systems(basis: GradedBasis, charge: int):
         cands = [v for v, q in zip(rows, basis.charges[w]) if q == charge]
         if not cands:
             continue
-        constraints: dict[tuple, dict[int, int]] = {}
-        for t, v in enumerate(cands):
-            # gamma(m) acts only through the modes b_p(-m) present
-            for m, img in _annihilations(gamma, v.num).items():
-                for s, c in _fold(lat, basis.blocks, img).items():
-                    constraints.setdefault((m, s), {})[t] = c
-        yield w - basis.aff_offset - heis, cands, list(constraints.values())
+        # gamma(m) acts only through the modes b_p(-m) present
+        images = [
+            {(m, s): c for m, img in _annihilations(gamma, v.num).items()
+             for s, c in _fold(lat, basis.blocks, img).items()}
+            for v in cands
+        ]
+        yield w - basis.aff_offset - heis, cands, images
 
 
 def commutant_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[StateVector]]:
@@ -1323,30 +1303,31 @@ def commutant_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[Sta
     offset minus the Heisenberg contribution charge^2/(2 <gamma,gamma>).
     At each weight the vectors are the reduced-echelon nullspace basis over
     that weight's candidates: each has coefficient 1 on its own free
-    candidate and 0 on the other free ones.  They are solved in the basis's
-    orbit coordinates and returned as Fock vectors (`GradedBasis.expand`).
+    candidate and 0 on the other free ones.  Like the layers, they are
+    orbit totals on the representatives of the basis's group (see
+    `GradedBasis`).
     """
-    return {w: [basis.expand(v) for v in vecs] for w, vecs in _orbit_kernel(basis, charge).items()}
-
-
-def _orbit_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[StateVector]]:
-    """`commutant_kernel` in the basis's orbit coordinates, unexpanded."""
     out: dict[Fraction, list[StateVector]] = {}
-    for w, cands, rows in _commutant_systems(basis, charge):
-        combos = nullspace(rows, len(cands))
+    zero = StateVector(basis.lattice, basis.truncation)
+    for w, cands, images in _commutant_systems(basis, charge):
+        # one constraint row per (m, state) over the candidates
+        rows: dict[tuple, dict[int, int]] = {}
+        for t, img in enumerate(images):
+            for key, c in img.items():
+                rows.setdefault(key, {})[t] = c
+        combos = nullspace(list(rows.values()), len(cands))
         if combos:
-            zero = StateVector(basis.lattice, basis.truncation)
             out[w] = [sum((cands[t].scale(c) for t, c in x.items()), zero) for x in combos]
     return out
 
 
 def commutant_dims(basis: GradedBasis, charge: int) -> dict[Fraction, int]:
     """The dimensions `kernel_dims(commutant_kernel(basis, charge))` reads
-    off, each as candidates minus the rank of the constraint system, without
-    building kernel vectors."""
+    off, each as candidates minus the rank of their images (a row rank is
+    a column rank), without building kernel vectors."""
     out: dict[Fraction, int] = {}
-    for w, cands, rows in _commutant_systems(basis, charge):
-        dim = len(cands) - rank(rows)
+    for w, cands, images in _commutant_systems(basis, charge):
+        dim = len(cands) - rank(images)
         if dim:
             out[w] = dim
     return out
@@ -1359,18 +1340,20 @@ def kernel_dims(kernel: dict) -> dict[Fraction, int]:
 def singular_space_dimension(k: int) -> int:
     """Dimension of the space of Virasoro singular vectors of the coset
     conformal vector inside the weight-3 slice of the commutant, the weight
-    of W3.  omega_para is fixed by S_k, so the kernel stays in the basis's
-    orbit coordinates and the images of its Virasoro modes are folded."""
+    of W3: the kernel vectors minus the rank of their L(1) and L(2) images.
+    omega_para is fixed by S_k, so the images of the kernel's orbit totals
+    are folded, one row per kernel vector."""
     omega = _omegas(k, *sl2_generators(k, 3))["omega_para"]
     basis = affine_module_basis(k, 0, 3)
-    vecs = _orbit_kernel(basis, 0).get(3, [])
-    constraints: dict[tuple, dict[int, Fraction]] = {}
-    for t, v in enumerate(vecs):
+    images = []
+    for v in commutant_kernel(basis, 0).get(3, []):
+        row: dict[tuple, Fraction] = {}
         for n in (1, 2):
             img = virasoro_mode(omega, n, v)
             for s, c in _fold(basis.lattice, basis.blocks, img.num).items():
-                constraints.setdefault((n, s), {})[t] = Fraction(c, img.den)
-    return len(vecs) - rank(list(constraints.values()))
+                row[(n, s)] = Fraction(c, img.den)
+        images.append(row)
+    return len(images) - rank(images)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ A product is computed on an integer grid and converted back once per term.
 
 The module also provides the standard character building blocks: the
 Heisenberg (free boson) character and its inverse, Euler's function, the
-theta series of a rescaled rank-one coset, their product (the character of
-a lattice coset module), and the character of a vertex algebra freely
-generated by one field in each weight 2..k.
+theta series of a rescaled rank-one coset and their product (the character
+of a lattice coset module).
 
 :class:`ZQSeries` is the two-variable variant graded by an integer charge
 exponent in z and a rational conformal weight in q; it carries the
@@ -300,20 +299,6 @@ def lattice_coset_char(k: int, s: int, T) -> QSeries:
     """Graded dimensions of the coset module: theta series times the rank-one
     Heisenberg character."""
     return coset_theta(k, s, T) * heisenberg_char(1, T)
-
-
-def free_w_char(k: int, T) -> QSeries:
-    """Character of a vertex algebra freely generated by one field in each
-    weight 2, 3, ..., k: prod_{m=2}^{k} prod_{n>=0} (1-q^(m+n))^(-1).
-
-    Expansion begins 1 + q^2 + 2 q^3 for every k >= 3.
-    """
-    if k < 2:
-        raise ValueError("need k >= 2")
-    T = _rat(T)
-    E = ceil(T) - 1
-    factors = [(0, d) for d in range(2, E + 1) for _ in range(min(d, k) - 1)]
-    return QSeries(enumerate(_grid_product({0: [1] + [0] * E}, factors, E)[0]), T)
 
 
 # -- two-variable series ------------------------------------------------------

@@ -55,29 +55,6 @@ def colored_partitions_table(n: int, colors: int) -> int:
     return table[n]
 
 
-def free_generation_count(n: int, k: int) -> int:
-    """Monomials of weight n in commuting variables with min(d,k)-1 variables
-    in each weight d >= 2 (free generators of weights 2..k with all their
-    weight-raising derivatives)."""
-    weights = []
-    for d in range(2, n + 1):
-        weights.extend([d] * (min(d, k) - 1))
-
-    def count(n, idx):
-        if n == 0:
-            return 1
-        if idx == len(weights):
-            return 0
-        total = 0
-        m = 0
-        while m * weights[idx] <= n:
-            total += count(n - m * weights[idx], idx + 1)
-            m += 1
-        return total
-
-    return count(n, 0)
-
-
 def fraction_product(a: QSeries, b: QSeries) -> QSeries:
     """a * b by the plain Fraction double loop over every pair of terms,
     each exponent sum compared with the smaller truncation: no grid."""
@@ -301,17 +278,29 @@ def rref_nullspace(rows: list[dict], ncols: int) -> list[dict]:
     return out
 
 
+def expand(basis, v: StateVector) -> StateVector:
+    """The Fock vector of the orbit totals v on representatives of basis's
+    group: coefficient w_r / |O(r)| on each state of the orbit of r, the
+    orbit enumerated by `orbit_by_permutations`."""
+    terms = {}
+    for r, c in v.terms.items():
+        orbit = orbit_by_permutations(r, basis.blocks)
+        for s in orbit:
+            terms[s] = c / len(orbit)
+    return StateVector(v.lattice, v.truncation, terms, v.truncated)
+
+
 def commutant_kernel_oracle(basis, charge) -> dict[Fraction, list[StateVector]]:
-    """The commutant kernel in Fractions through the public API: per weight,
-    the candidates of the given charge as Fock vectors (`basis.expand`), the
-    Fraction rows of gamma(m) on them, their `rref_nullspace` and the
-    combinations sum_t x_t cand_t."""
+    """The commutant kernel in Fractions on every Fock state: per weight, the
+    candidates of the given charge as Fock vectors (`expand`), the Fraction
+    rows of gamma(m) on them, their `rref_nullspace` and the combinations
+    sum_t x_t cand_t."""
     lat = basis.lattice
     gamma = lat.gamma()
     heis = Q(charge * charge, 2 * lat.norm(gamma))
     out = {}
     for w, layer in sorted(basis.layers.items()):
-        cands = [basis.expand(v) for v in layer if v.charge() == charge]
+        cands = [expand(basis, v) for v in layer if v.charge() == charge]
         rows: dict[tuple, dict[int, Fraction]] = {}
         for t, v in enumerate(cands):
             for m in range(1, int(w) + 2):

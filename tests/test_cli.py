@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -59,6 +60,14 @@ class TestRunCheck:
     def test_run_all_requires_k3(self):
         with pytest.raises(BadParams):
             run_all(2)
+
+    def test_run_all_windows_stay_within_max_weight(self):
+        # the dual-route window shrink never raises a window above the
+        # requested weight
+        reports = run_all(3, max_weight=2)
+        weights = [r.params["max_weight"] for r in reports if "max_weight" in r.params]
+        assert any(r.check == "string-dual-route" for r in reports)
+        assert weights and all(Fraction(w) <= 2 for w in weights), weights
 
 
 class TestMain:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import (
     all_modes_affine_dims,
     commutant_kernel_oracle,
-    orbit_by_permutations,
+    expand,
     rref_nullspace,
     sector_graded_dims,
     theta_involution,
@@ -34,7 +34,6 @@ from paraferm.lattice_fock import (
     _commutant_systems,
     _exp_component,
     _fold,
-    _orbit,
     affine_module_basis,
     central_charge_of,
     commutant_dims,
@@ -522,11 +521,30 @@ class TestCommutantKernel:
         assert min(dims) == Q(2, 3)
 
     def test_kernel_matches_fraction_oracle(self):
-        # the same vectors, scaled alike, as a Fraction elimination finds
+        # the same vectors, scaled alike, as a Fraction elimination on every
+        # Fock state finds
         for k, i, T, charges in ((3, 0, 3, (0, -2)), (3, 1, Q(13, 4), (1, -1, 3))):
             b = affine_module_basis(k, i, T)
             for charge in charges:
-                assert commutant_kernel(b, charge) == commutant_kernel_oracle(b, charge)
+                kernel = commutant_kernel(b, charge)
+                got = {w: [expand(b, v) for v in vecs] for w, vecs in kernel.items()}
+                assert got == commutant_kernel_oracle(b, charge)
+
+    def test_kernel_vectors_are_orbit_totals(self):
+        # supported on representatives, as the layers are, and the Fock
+        # vector of the oracle's expansion folds back to the same totals
+        for k, i, T, charges in ((3, 0, 4, (0, -2)), (3, 1, Q(17, 4), (1, -1))):
+            b = affine_module_basis(k, i, T)
+            lat = b.lattice
+            for charge in charges:
+                kernel = commutant_kernel(b, charge)
+                assert kernel, (k, i, charge)
+                for vecs in kernel.values():
+                    for v in vecs:
+                        assert _fold(lat, b.blocks, v.num) == v.num
+                        x = expand(b, v)
+                        totals = {r: Q(c, x.den) for r, c in _fold(lat, b.blocks, x.num).items()}
+                        assert StateVector(lat, T, totals) == v
 
     def test_rank_dims_equal_kernel_dims(self):
         for k, i, T in ((3, 0, 4), (3, 1, Q(17, 4)), (3, 2, Q(9, 2)), (4, 0, 3)):
@@ -541,8 +559,12 @@ class TestCommutantKernel:
             b = affine_module_basis(k, i, T)
             lat = b.lattice
             for charge in range(-2 * k, 2 * k + 1):
-                for w, cands, rows in _commutant_systems(b, charge):
-                    for x in nullspace(rows, len(cands)):
+                for w, cands, images in _commutant_systems(b, charge):
+                    rows = {}
+                    for t, img in enumerate(images):
+                        for key, c in img.items():
+                            rows.setdefault(key, {})[t] = c
+                    for x in nullspace(list(rows.values()), len(cands)):
                         v = StateVector(lat, b.truncation)
                         for t, c in x.items():
                             v = v + cands[t].scale(c)
@@ -555,7 +577,7 @@ class TestCommutantKernel:
         b = affine_module_basis(3, 0, 3)
         lat = b.lattice
         for vecs in commutant_kernel(b, -2).values():
-            for v in vecs:
+            for v in map(functools.partial(expand, b), vecs):
                 assert v.charge() == -2
                 for m in (1, 2, 3):
                     assert heisenberg_apply(lat.gamma(), m, v).is_zero()
@@ -588,13 +610,13 @@ class TestOrbitCoordinates:
                 assert commutant_dims(orbit, charge) == commutant_dims(full, charge), (k, i, charge)
 
     def test_expanded_layers_span_the_fock_layers(self, monkeypatch):
-        # expand is inverse to fold on invariant vectors, and the expanded
-        # layer spans the layer built on every Fock state
+        # the oracle's expand is inverse to fold on invariant vectors, and
+        # the expanded layer spans the layer built on every Fock state
         for k, i, T in ((3, 1, Q(13, 4)), (3, 2, Q(7, 2)), (4, 0, 3), (4, 2, Q(7, 2))):
             orbit = affine_module_basis(k, i, T)
             full = _trivial_group_basis(monkeypatch, k, i, T)
             for w, layer in orbit.layers.items():
-                fock = [orbit.expand(v) for v in layer]
+                fock = [expand(orbit, v) for v in layer]
                 for v, x in zip(layer, fock):
                     totals = _fold(x.lattice, orbit.blocks, x.num)
                     back = StateVector(x.lattice, T, {r: Q(c, x.den) for r, c in totals.items()})
@@ -615,7 +637,7 @@ class TestOrbitCoordinates:
         assert basis.blocks == (3,)
         (top,) = basis.layers[Q(2)]
         assert top.terms == {FockState((0, 2, 2), ()): 1}
-        assert basis.expand(top) == seed.scale(Q(1, 6))
+        assert expand(basis, top) == seed.scale(Q(1, 6))
 
     def test_group_is_worked_out_from_generators_and_seeds(self):
         H, E, F = sl2_generators(3, 3)
@@ -642,19 +664,6 @@ class TestOrbitCoordinates:
         seed = StateVector.exponential(H.lattice, x, 1)
         runs = tuple(len(list(g)) for _, g in itertools.groupby(x))
         assert generated_subspace([H, E, F], 0, seeds=[seed]).blocks == runs
-
-    @given(
-        blocks=st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda b: sum(b) <= 7),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_orbit_equals_the_permutation_enumeration(self, blocks, data):
-        # few point values and mode numbers, so columns repeat inside blocks
-        n = sum(blocks)
-        point = data.draw(st.tuples(*[st.integers(-1, 1)] * n))
-        mode = st.tuples(st.integers(0, n - 1), st.integers(1, 2))
-        r = FockState(point, tuple(sorted(data.draw(st.lists(mode, max_size=4)))))
-        assert _orbit(r, tuple(blocks)) == orbit_by_permutations(r, tuple(blocks))
 
     def test_fold_table_is_kept_per_group_on_the_lattice(self):
         b = affine_module_basis(3, 1, Q(9, 4))

@@ -8,13 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraferm.errors import BadResidue, ZeroConstantTerm
-from oracles import colored_partition_count, fraction_product, free_generation_count
+from oracles import colored_partition_count, fraction_product
 from paraferm.qseries import (
     QSeries,
     ZQSeries,
     coset_theta,
     euler_function,
-    free_w_char,
     heisenberg_char,
     lattice_coset_char,
 )
@@ -341,35 +340,6 @@ class TestLatticeCosetChar:
                 assert lattice_coset_char(k, s, 8) == lattice_coset_char(
                     k, 2 * k - s, 8
                 )
-
-
-class TestFreeWChar:
-    def test_k3_low_order(self):
-        assert free_w_char(3, 4) == S({0: 1, 2: 1, 3: 2}, 4)
-
-    def test_k3_weight4_against_enumeration(self):
-        # number of products of the free generators of weights 2 and 3 and their
-        # derivatives: u2^2, d^2 u2, d u3
-        assert free_generation_count(4, 3) == 3
-        assert free_w_char(3, 5).coefficient(4) == 3
-
-    def test_k2_partitions_into_parts_ge_2(self):
-        assert free_w_char(2, 4) == S({0: 1, 2: 1, 3: 1}, 4)
-
-    def test_against_enumeration(self):
-        for T in (Q(1, 2), 8, Q(41, 4), 15):
-            for k in (2, 3, 4, 5):
-                ch = free_w_char(k, T)
-                assert ch.truncation == T
-                want = {Q(n): free_generation_count(n, k) for n in range(15) if n < T}
-                assert ch.terms == {e: c for e, c in want.items() if c}
-
-    def test_new_generator_enters_at_weight_k(self):
-        for k in (3, 4, 5, 6):
-            a = free_w_char(k, k)
-            b = free_w_char(k - 1, k)
-            assert a.disagreements(b) == []
-            assert free_w_char(k, k + 1) != free_w_char(k - 1, k + 1).truncate(k + 1)
 
 
 # ---------------------------------------------------------------------------
