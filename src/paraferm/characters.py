@@ -207,12 +207,9 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     )
 
 
-def w_minimal_central_charge(k: int, p: int | None = None, q: int | None = None) -> Fraction:
+def w_minimal_central_charge(k: int) -> Fraction:
     """Central charge -(k-1)((k+1)p - kq)(kp - (k+1)q)/(pq) of the (p,q)
-    minimal-series W-algebra; defaults to the (k+1, k+2) member, where it
-    simplifies to 2(k-1)/(k+2)."""
-    if p is None:
-        p = k + 1
-    if q is None:
-        q = k + 2
+    minimal-series W_k-algebra at (p, q) = (k+1, k+2), where it simplifies
+    to 2(k-1)/(k+2)."""
+    p, q = k + 1, k + 2
     return Fraction(-(k - 1) * ((k + 1) * p - k * q) * (k * p - (k + 1) * q), p * q)

@@ -158,20 +158,6 @@ class Bijection:
         }
 
 
-def form1_map(k: int) -> dict[ParaLabel, WLabel]:
-    """(i,j) -> {j, j-i} mod k."""
-    return {
-        lab: w_label(k, lab.j, lab.j - lab.i) for lab in enumerate_simples(k)
-    }
-
-
-def form2_map(k: int) -> dict[ParaLabel, WLabel]:
-    """(i,j) -> {-j, i-j} mod k."""
-    return {
-        lab: w_label(k, -lab.j, lab.i - lab.j) for lab in enumerate_simples(k)
-    }
-
-
 def _coset_topweight(k: int, s: int) -> int:
     """4k(k+2) times the least conformal weight in the charge-s coset, s mod 2k."""
     s %= 2 * k

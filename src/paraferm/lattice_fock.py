@@ -580,8 +580,6 @@ def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
 
 def _binom_general(a: int, b: int) -> int:
     """binom(a, b) for integer a of either sign, b >= 0."""
-    if b < 0:
-        return 0
     if a >= 0:
         return comb(a, b) if a >= b else 0
     return (-1) ** b * comb(b - a - 1, b)
@@ -1088,13 +1086,14 @@ def generated_subspace(generators, max_weight, seeds=None, budget=None) -> Grade
     commutators of (-1)-modes, so layer w is spanned by the (-1)-modes of
     the generators applied to layer w-1, and only those are applied.  A
     generating set failing the condition (say [H] alone, which is abelian)
-    raises ValueError.  Generators and seeds must each have one charge
-    (gamma(0)-eigenvalue), as H, E, F (charges 0, 2, -2) and the top-level
-    seeds of `affine_module_basis` do; then every candidate g(-1) v has the
-    charge of v plus that of g, known before it is built.  The elimination
-    never mixes charges: a row is reduced only against pivots on its own
-    states, which share its charge.  So every layer row is
-    charge-homogeneous, and the charge-q rows of layer w are the reduced
+    raises ValueError.  The seeds must share one weight, as the vacuum and
+    the F(0)-orbit of a top level do.  Generators and seeds must each have
+    one charge (gamma(0)-eigenvalue), as H, E, F (charges 0, 2, -2) and the
+    top-level seeds of `affine_module_basis` do; then every candidate
+    g(-1) v has the charge of v plus that of g, known before it is built.
+    The elimination never mixes charges: a row is reduced only against
+    pivots on its own states, which share its charge.  So every layer row
+    is charge-homogeneous, and the charge-q rows of layer w are the reduced
     span of the charge-q candidates alone.
 
     ``budget`` maps charges lam to ambient weight bounds t(lam) <=
@@ -1158,21 +1157,16 @@ def generated_subspace(generators, max_weight, seeds=None, budget=None) -> Grade
             layers.setdefault(w, []).append(v._with(r, 1))
             charges.setdefault(w, []).append(q)
 
-    seed_weights = set()
+    seed_weights = set().union(*(s.weights() for s in seeds))
+    if len(seed_weights) != 1:
+        raise ValueError("seed vectors must share one weight")
+    w0, = seed_weights
     for s in seeds:
-        ws = s.weights()
-        if len(ws) != 1:
-            raise ValueError("seed vectors must be weight-homogeneous")
-        w = ws.pop()
-        seed_weights.add(w)
-        insert(w, s, int(s.charge()))
-    w0 = min(seed_weights)
-    if any((w - w0).denominator != 1 for w in seed_weights):
-        raise ValueError("seed weights must differ by integers")
-    steps = int(T - w0)
-    for d in range(1, steps + 1):
+        insert(w0, s, int(s.charge()))
+    for d in range(1, int(T - w0) + 1):
         w = w0 + d
         cone = None if budget is None else _cone(budget, step, w)
+        # the previous layer's insertion order keeps the fill-in low (ROADMAP)
         for v, qv in zip(layers.get(w - 1, ()), charges.get(w - 1, ())):
             for g, qg in zip(generators, gen_charges):
                 q = qv + qg
@@ -1322,19 +1316,15 @@ def commutant_kernel(basis: GradedBasis, charge: int) -> dict[Fraction, list[Sta
 
 
 def commutant_dims(basis: GradedBasis, charge: int) -> dict[Fraction, int]:
-    """The dimensions `kernel_dims(commutant_kernel(basis, charge))` reads
-    off, each as candidates minus the rank of their images (a row rank is
-    a column rank), without building kernel vectors."""
+    """The number of `commutant_kernel(basis, charge)` vectors per weight,
+    each as candidates minus the rank of their images (a row rank is a
+    column rank), without building kernel vectors."""
     out: dict[Fraction, int] = {}
     for w, cands, images in _commutant_systems(basis, charge):
         dim = len(cands) - rank(images)
         if dim:
             out[w] = dim
     return out
-
-
-def kernel_dims(kernel: dict) -> dict[Fraction, int]:
-    return {w: len(v) for w, v in sorted(kernel.items())}
 
 
 def singular_space_dimension(k: int) -> int:
@@ -1395,7 +1385,7 @@ def virasoro_bracket_check(k: int, truncation=5, seed=0) -> Report:
     weight at most T - 2 (T < 2 raises ValueError), so no term is dropped:
     L(n) with n >= -2 raises weight by at most 2."""
     T = _rat(truncation)
-    vecs = conformal_vectors(k, T)
+    vecs = _omegas(k, *sl2_generators(k, T))
     rng = random.Random(seed)
     lat = vecs["omega_h"].lattice
     samples = [random_state_vector(lat, T, rng, max_weight=T - 2) for _ in range(2)]

@@ -37,9 +37,9 @@ def _rat(x) -> Fraction:
 
 
 class _Series:
-    """The accumulate loop, equality and hash of both series types: a
-    subclass supplies `_key`, which normalises a term's key and returns it
-    with its q-exponent.  Terms at or above the truncation and zero sums are
+    """The accumulate loop and equality of both series types: a subclass
+    supplies `_key`, which normalises a term's key and returns it with its
+    q-exponent.  Terms at or above the truncation and zero sums are
     dropped."""
 
     __slots__ = ("terms", "truncation")
@@ -80,9 +80,6 @@ class _Series:
             return NotImplemented
         return self.truncation == other.truncation and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.truncation, tuple(sorted(self.terms.items()))))
-
 
 class QSeries(_Series):
     """Truncated formal series sum c_e q^e with exact rational e and c_e.
@@ -102,9 +99,6 @@ class QSeries(_Series):
 
     def coefficient(self, exponent) -> Fraction:
         return self.terms.get(_rat(exponent), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def leading(self):
         """(exponent, coefficient) of the lowest term, or None if zero."""
@@ -136,12 +130,6 @@ class QSeries(_Series):
             acc[e] = acc.get(e, 0) + c
         return QSeries(acc, T)
 
-    def __neg__(self) -> "QSeries":
-        return QSeries._normal({e: -c for e, c in self.terms.items()}, self.truncation)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Product truncated at T, the smaller truncation, on an integer grid:
         T and both operands' exponents lie on (1/D)Z, D the lcm of their
@@ -164,12 +152,6 @@ class QSeries(_Series):
                 acc[n] = acc.get(n, 0) + c1 * c2
         return QSeries._normal(
             {Fraction(n, D): Fraction(c, ca * cb) for n, c in acc.items() if c}, T
-        )
-
-    def scale(self, c) -> "QSeries":
-        c = _rat(c)
-        return QSeries._normal(
-            {e: c * v for e, v in self.terms.items()} if c else {}, self.truncation
         )
 
     def shift(self, delta) -> "QSeries":
@@ -282,6 +264,8 @@ def coset_theta(k: int, s: int, T) -> QSeries:
     if not 0 <= s < 2 * k:
         raise BadResidue(f"residue s={s} out of range 0..{2 * k - 1}")
     T = _rat(T)
+    if T <= 0:
+        return QSeries({}, T)
     terms: dict[Fraction, Fraction] = {}
     # |2kn+s| < sqrt(4kT)
     bound = isqrt(int(4 * k * T)) + 2 * k + 1

@@ -25,11 +25,6 @@ def falling_factorial(n: int, a: int) -> int:
     return out
 
 
-def symbol_product_coefficient(m: int, r: int, n: int) -> int:
-    """Coefficient of J^(m+n-r) in the r-th product of J^m with J^n."""
-    return falling_factorial(n, r) - (-1) ** r * falling_factorial(m, r)
-
-
 def generation_closure(seeds, bound: int) -> set[int]:
     """Indices m <= bound reachable from the seeds by iterated products with
     nonzero coefficient (seeds included)."""

@@ -6,7 +6,7 @@ separate construction, never through the code paths under test.
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, isqrt
+from math import comb, isqrt, perm
 
 from paraferm.fusion_identify import (
     enumerate_simples,
@@ -154,6 +154,22 @@ def brute_force_identifications(k: int) -> list[dict]:
             if mapping not in found:
                 found.append(mapping)
     return found
+
+
+def form1_map(k: int) -> dict:
+    """The first matching in closed form: (i,j) -> {j, j-i} mod k."""
+    return {lab: w_label(k, lab.j, lab.j - lab.i) for lab in enumerate_simples(k)}
+
+
+def form2_map(k: int) -> dict:
+    """The second matching in closed form: (i,j) -> {-j, i-j} mod k."""
+    return {lab: w_label(k, -lab.j, lab.i - lab.j) for lab in enumerate_simples(k)}
+
+
+def symbol_product_coefficient(m: int, r: int, n: int) -> int:
+    """Coefficient [n]_r - (-1)^r [m]_r of J^(m+n-r) in the r-th symbol
+    product of J^m with J^n, for m, n >= 0 (perm(n, r) = [n]_r there)."""
+    return perm(n, r) - (-1) ** r * perm(m, r)
 
 
 def all_modes_affine_dims(k: int, i: int, max_weight) -> dict[Fraction, int]:

@@ -287,10 +287,3 @@ class TestWCentralCharge:
 
     def test_explicit_small_case(self):
         assert w_minimal_central_charge(3) == Q(4, 5)
-        assert w_minimal_central_charge(3, 4, 5) == Q(4, 5)
-
-    def test_symmetry_p_q(self):
-        for k in (3, 4, 5):
-            assert w_minimal_central_charge(k, k + 1, k + 2) == w_minimal_central_charge(
-                k, k + 2, k + 1
-            )

@@ -3,15 +3,13 @@
 from fractions import Fraction
 import pytest
 
-from oracles import brute_force_identifications
+from oracles import brute_force_identifications, form1_map, form2_map
 from paraferm.errors import BadLabel
 from paraferm.fusion_identify import (
     ParaLabel,
     WLabel,
     enumerate_simples,
     enumerate_w_simples,
-    form1_map,
-    form2_map,
     identify,
     para_normalize,
     w_label,

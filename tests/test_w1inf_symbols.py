@@ -1,13 +1,9 @@
 """Symbol bracket coefficients and generation closure."""
 
 import pytest
+from oracles import symbol_product_coefficient
 
-from paraferm.w1inf_symbols import (
-    derivation_chains,
-    falling_factorial,
-    generation_closure,
-    symbol_product_coefficient,
-)
+from paraferm.w1inf_symbols import derivation_chains, falling_factorial, generation_closure
 
 
 class TestFallingFactorial:
