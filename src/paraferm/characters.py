@@ -183,7 +183,10 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     # per read charge, the ambient weight its kernel needs to cover coset
     # weights up to T
     budget = {lam: T + Fraction(lam * lam, 4 * k) + delta for lam in lams.values()}
-    basis = lattice_fock.affine_module_basis(k, i, max(budget.values()), budget=budget)
+    # the basis holds at least the top level, i/4: a window with no coset
+    # weight below T (say T <= 0) reads no kernel
+    top = max(*budget.values(), Fraction(i, 4))
+    basis = lattice_fock.affine_module_basis(k, i, top, budget=budget)
     entries = []
     for jj, st in zip(js, _strings(k, i, js, T)[1]):
         ker = QSeries(lattice_fock.commutant_dims(basis, lams[jj]), T)

@@ -23,15 +23,23 @@ constructor takes ints or ``Fraction``s.  One fraction-free elimination,
 `_insert`, reduces primitive integer rows against pivots on their least
 key; the layer bases of `generated_subspace`, `rank` and `nullspace` use it.
 
-The field of a composite vector is applied by prefix groups: `mode_apply`
-keys each state b_p(-n) rest by (n, rest) and folds a key's coefficients
-into one pairing vector beta, so the group costs one normally-ordered
-product beta(-n) with the field of rest.  One recursion,
-`_prefix_mode_apply`, peels one Heisenberg mode per level and carries one
-integer bound, F = floor(wt(v) + wt(field) - m), instead of rational
-weights.  It ends at the lattice exponential (`exp_mode_apply`, the
-identity for the vacuum) or, when the last mode sits on the vacuum, at the
-derivative field of beta(-n)1, one Heisenberg mode.
+`mode_apply` applies the field of a composite vector a in few passes over
+its argument v.  All bare exponentials e^beta of a take one pass
+(`_exp_modes`, whose one-summand case is `exp_mode_apply`): each (beta,
+point) pair's room, degree and shifted point are worked out once, in
+integers, each component comes from one memo, and everything is added
+into one integer dict over one common denominator.  The other states go
+by prefix groups: each state b_p(-n) rest is keyed by (n, rest) and a
+key's coefficients fold into one pairing vector beta, so the group costs
+one normally-ordered product beta(-n) with the field of rest.  One
+recursion, `_prefix_mode_apply`, peels one Heisenberg mode per level and
+carries one integer bound, F = floor(wt(v) + wt(field) - m), instead of
+rational weights.  It ends at the lattice exponential or, when the last
+mode sits on the vacuum, at the derivative field of beta(-n)1, one
+Heisenberg mode.  When rest is one mode on the vacuum, as in every
+quadratic group of a conformal vector and in H(-1)H, the creation half
+reads rest's images of v from one annihilation scan of v, not one scan
+per mode number.
 
 Generated bases are built and reduced in orbit coordinates of the group
 that permutes the lattice basis inside consecutive blocks and fixes the
@@ -82,6 +90,8 @@ def _rat(x) -> Fraction:
 def _exact(x):
     """x as an int when it is integral, else as a Fraction: mode indices are
     mostly integers, and int arithmetic on them is much cheaper."""
+    if isinstance(x, int):
+        return x
     x = _rat(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -363,7 +373,7 @@ class StateVector:
         return self + (-other)
 
     def scale(self, c) -> "StateVector":
-        c = _rat(c)
+        c = _exact(c)
         p = c.numerator
         num = {s: p * x for s, x in self.num.items()} if p else {}
         return self._with(num, self.den * c.denominator)
@@ -516,61 +526,60 @@ def _exp_component(lat, beta, modes: tuple, d: int) -> tuple[dict, int]:
     return _lincomb(pieces)
 
 
-def _point_pairings(lat, beta, v: StateVector) -> dict[tuple, int]:
-    """Numerators of <beta, point> over den for each distinct lattice point
-    of v; raises unless the pairings agree mod 1."""
-    pairs = {point: _dot(beta, point) for point in {s.point for s in v.num}}
-    if len({x % lat.den for x in pairs.values()}) > 1:
-        raise NonIntegralPairing(
-            "mode components of the exponential field are ill-defined: "
-            "the pairing with the sector is not constant mod 1"
-        )
-    return pairs
+def _exp_modes(fields, m, v: StateVector) -> StateVector:
+    """sum c (e^beta)_m v over the (beta, c) pairs of fields, beta a tuple in
+    lattice coordinates and c an int, in one pass over v; m is `_exact`.
 
-
-def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
-    """Single mode (e^beta)_m of the lattice vertex operator.
-
-    The z-expansion is E^-(-beta,z) E^+(-beta,z) e^beta z^beta with mode m
-    at z^(-m-1); m may be fractional when the pairing with the sector is.
+    The z-expansion of the field of e^beta is E^-(-beta,z) E^+(-beta,z)
+    e^beta z^beta with mode m at z^(-m-1); m may be fractional when the
+    pairing with the sector is, and each beta's pairing with the points of v
+    must be constant mod 1.
     """
     lat = v.lattice
-    beta = tuple(beta)
-    m = _exact(m)
-    # per lattice point: the mode weight a result may carry under the
-    # truncation, floor(T - wt(point) - wt(beta) + m + 1), the net degree
-    # d = -m - 1 - <beta, point> (None if fractional) and the shifted point,
-    # in integers: the pairing is a numerator over den
-    top = v.truncation - _point_weight(lat, beta) + m + 1
+    # per lattice point of v and summand: the mode weight a result may
+    # carry under the truncation, floor(T - wt(point) - wt(beta) + m + 1),
+    # the net degree d = -m - 1 - <beta, point> (None if fractional) and
+    # the shifted point, in integers: the pairing is a numerator over den
     base = -m - 1
     bn, bd = base.numerator * lat.den, base.denominator * lat.den
-    per_point = {}
-    for point, pair in _point_pairings(lat, beta, v).items():
-        room = _floor_minus_weight(lat, top, point)
-        d, frac = divmod(bn - pair * base.denominator, bd)
-        per_point[point] = (room, None if frac else d, lat.add(point, beta))
+    per_point: dict[tuple, list] = {s.point: [] for s in v.num}
+    for beta, c in fields:
+        top = v.truncation - _point_weight(lat, beta) + m + 1
+        pairs = {point: _dot(beta, point) for point in per_point}
+        if len({x % lat.den for x in pairs.values()}) > 1:
+            raise NonIntegralPairing(
+                "mode components of the exponential field are ill-defined: "
+                "the pairing with the sector is not constant mod 1"
+            )
+        for point, pair in pairs.items():
+            d, frac = divmod(bn - pair * base.denominator, bd)
+            room = _floor_minus_weight(lat, top, point)
+            per_point[point].append((beta, c, room, None if frac else d, lat.add(point, beta)))
     flagged = v.truncated
     parts = []
-    for s, c in v.num.items():
-        room, d, newpoint = per_point[s.point]
+    for s, x in v.num.items():
         mw = _mode_weight(s)
-        if mw > room:
-            flagged = True
-            continue
-        # a component's entries have mode weight mw + d, so none for mw + d < 0
-        if d is None or mw + d < 0:
-            continue
-        cnum, cden = _exp_component(lat, beta, s.modes, d)
-        if cnum:
-            parts.append((c, newpoint, cnum, cden))
-    L = lcm(*{cden for _, _, _, cden in parts})
+        for beta, c, room, d, newpoint in per_point[s.point]:
+            if mw > room:
+                flagged = True
+            # a component's entries have mode weight mw + d, so none for mw + d < 0
+            elif d is not None and mw + d >= 0:
+                cnum, cden = _exp_component(lat, beta, s.modes, d)
+                if cnum:
+                    parts.append((c * x, newpoint, cnum, cden))
+    L = lcm(*{cden for *_, cden in parts})
     acc: dict[FockState, int] = {}
-    for c, newpoint, cnum, cden in parts:
-        f = c * (L // cden)
+    for cx, newpoint, cnum, cden in parts:
+        f = cx * (L // cden)
         for mds, cc in cnum.items():
             key = FockState(newpoint, mds)
             acc[key] = acc.get(key, 0) + f * cc
     return v._with(acc, v.den * L, flagged)
+
+
+def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
+    """Single mode (e^beta)_m of the lattice vertex operator (`_exp_modes`)."""
+    return _exp_modes(((tuple(beta), 1),), _exact(m), v)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +594,7 @@ def _binom_general(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
-def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVector:
+def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F, shared=None) -> StateVector:
     """Apply the m-th mode of the field of beta_1(-n_1) ... beta_r(-n_r) e^point
     to v, prefix = ((beta_1, n_1), ...) with each beta in lattice coordinates;
     F = floor(wv + wt(field) - m) is an integer bound, wv an upper bound on
@@ -606,7 +615,9 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVecto
     rest_(m') is the identity at m' = -1 and zero elsewhere, so the field is
     the derivative field alone and only j = m - n + 1 survives: one
     Heisenberg mode, none for fractional m.  It always lies in the range of
-    the loops, since j <= -F would need wv < 0.
+    the loops, since j <= -F would need wv < 0.  When rest is one mode on
+    the vacuum, the creation half passes its children the annihilations of
+    v by that mode, shared (`_annihilations`), which they read for j > 0.
     """
     if not prefix:
         if any(point):
@@ -617,7 +628,11 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVecto
         j = m - n + 1
         c = 0 if isinstance(j, Fraction) else _binom_general(-j - 1, n - 1)
         # C vanishes for -n < j < 0, the gap between the two halves
-        return heisenberg_apply(beta, j, v).scale(c) if c else v._with({}, 1)
+        if not c:
+            return v._with({}, 1)
+        if j > 0 and shared is not None:
+            return v._with({s: c * x for s, x in shared.get(j, {}).items()}, v.den)
+        return heisenberg_apply(beta, j, v).scale(c)
     acc: dict[FockState, int] = {}
     den = 1
     flagged = v.truncated
@@ -631,9 +646,12 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVecto
         inner = _prefix_mode_apply(rest, point, m - n - j, w, F)
         flagged = flagged or inner.truncated
         den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
-    # creation half: beta(j) for -n >= j > -F, applied last
+    # creation half: beta(j) for -n >= j > -F, applied last; a rest of one
+    # mode on the vacuum reads its annihilations of v from one scan
+    leaf = len(rest) == 1 and not any(point) and F > n
+    rest_hits = _annihilations(rest[0][0], v.num) if leaf else None
     for j in range(-n, -F, -1):
-        inner = _prefix_mode_apply(rest, point, m - n - j, v, F + j)
+        inner = _prefix_mode_apply(rest, point, m - n - j, v, F + j, rest_hits)
         if not inner.is_zero() or inner.truncated:
             inner = heisenberg_apply(beta, j, inner)
             flagged = flagged or inner.truncated
@@ -653,18 +671,23 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     of a key make one pairing vector beta = sum_p c_p b_p (coordinate
     c_p den at p), so the group costs one `_prefix_mode_apply` of beta(-n)
     rest.  H = gamma(-1)1 is one group, the quadratic part of a conformal
-    vector one per rest b_q(-1).  Bare exponentials and the vacuum are
-    empty prefixes.  Each group's bound F is computed once, here.
+    vector one per rest b_q(-1).  Each group's bound F is computed once,
+    here.  The bare exponentials of a are applied together in one pass over
+    v (`_exp_modes`), and the vacuum's field is the identity.
     """
     if a.lattice != v.lattice:
         raise ValueError("operator and argument live over different lattices")
     lat = v.lattice
     m = _exact(m)
     groups: dict[tuple[int, FockState], list[int]] = {}
-    bare = []
+    exps = []
+    pieces = []
     for s, c in a.num.items():
         if not s.modes:
-            bare.append((s.point, c))
+            if any(s.point):
+                exps.append((s.point, c))
+            else:
+                pieces.append((c, _prefix_mode_apply((), s.point, m, v, None)))
             continue
         p, n = s.modes[0]
         key = (n, FockState(s.point, s.modes[1:]))
@@ -675,7 +698,8 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     acc: dict[FockState, int] = {}
     den = 1
     flagged = a.truncated or v.truncated
-    pieces = [(c, _prefix_mode_apply((), point, m, v, None)) for point, c in bare]
+    if exps:
+        pieces.append((1, _exp_modes(exps, m, v)))
     if groups:
         top = v.max_weight() - m
         for (n, rest), beta in groups.items():

@@ -270,6 +270,21 @@ class TestDualRoute:
         assert every.budget == {lam: 3 + Q(lam * lam, 16) + Q(1, 8) for lam in (1, -1, -3, 3)}
         assert one.budget == {-3: 3 + Q(9, 16) + Q(1, 8)}
 
+    @pytest.mark.parametrize("i", range(4))
+    def test_empty_window_compares_nothing(self, i):
+        # no coset weight lies below T <= 0; at i = 2, T = 0 and at every
+        # T < 0 the budget falls below the top level i/4, where the basis
+        # still starts.  Each window gives its k entries, all passing
+        for T in (0, Q(-1, 2), -1):
+            for j in (None, 1):
+                r = string_dual_route_check(3, i, T, j=j)
+                names = [d["name"] for d in r.details]
+                assert r.status == "pass", (i, T, j)
+                assert names == [
+                    f"string (i={i}, j={jj}) equals kernel dimensions below {T}"
+                    for jj in (range(3) if j is None else [j])
+                ]
+
     def test_truncated_basis_passes_only_up_to_truncation(self, monkeypatch):
         real = paraferm.lattice_fock.affine_module_basis
         monkeypatch.setattr(

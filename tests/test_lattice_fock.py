@@ -963,6 +963,15 @@ def _shifted(v: StateVector, parity) -> StateVector:
     )
 
 
+def _dressed(lat: Lattice, T) -> StateVector:
+    """b_0(-1)b_1(-1)1 + 2 b_1(-2)1: modes 1 and 2 in direction 1, which a
+    group's shared annihilation scan contracts."""
+    zero = (0,) * lat.rank
+    return StateVector(
+        lat, T, {FockState(zero, ((0, 1), (1, 1))): 1, FockState(zero, ((1, 2),)): 2}
+    )
+
+
 @st.composite
 def _shared_rest_fields(draw, lat):
     """A vector on lat whose states come in groups b_p(-n) rest over a few
@@ -992,20 +1001,55 @@ class TestPrefixGrouping:
         want = _per_state_sum(a, m, v)
         assert got == want, (m, got.canonical_text(), want.canonical_text())
         assert want.truncated or not got.truncated, m
+        return got, want
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_composite_fields(self, k):
+        # E and F are sums of k exponentials, applied in one pass over v;
+        # on a vector at the truncation some summands exceed their room,
+        # and the flags must then agree exactly
         T = 4
         fields = conformal_vectors(k, T)
-        H = sl2_generators(k, T)[0]
+        H, E, F = sl2_generators(k, T)
         lat = H.lattice
         rng = random.Random(k)
         even = random_state_vector(lat, T, rng, nterms=3, max_weight=2)
         dual = _shifted(random_state_vector(lat, T, rng, nterms=3, max_weight=1), (1,) * k)
-        for a in (fields["omega_aff"], fields["omega_para"], fields["W3"], H):
-            for v in (even, dual):
+        top = StateVector(lat, T, {FockState((2,) + (0,) * (k - 1), ((1, 2), (1, 1))): 1})
+        near = even + top
+        named = {name: fields[name] for name in ("omega_aff", "omega_para", "W3")}
+        named.update(H=H, E=E, F=F)
+        flagged = set()
+        for name, a in named.items():
+            for v in (even, dual, _dressed(lat, T), near):
                 for m in (-1, 0, 1, 2, 3, Q(1, 2)):
-                    self._assert_grouping_is_exact(a, m, v)
+                    got, want = self._assert_grouping_is_exact(a, m, v)
+                    if v is near:
+                        assert got.truncated == want.truncated, (name, m)
+                        if got.truncated:
+                            flagged.add(name)
+        assert flagged == set(named)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_translated_quadratic_field(self, k):
+        # gamma(-2)gamma(-1)1 is half the translate L(-1) of H(-1)H, so its
+        # m-th mode is -m/2 times the (m-1)-st of H(-1)H.  Its groups have
+        # rests b_q(-2) on the vacuum, whose images the creation half reads
+        # from one annihilation scan with the factor C(-j-1, 1)
+        T = 8
+        H = sl2_generators(k, T)[0]
+        lat = H.lattice
+        hh, dhh = mode_apply(H, -1, H), mode_apply(H, -2, H)
+        rng = random.Random(k)
+        vectors = (
+            _dressed(lat, T),
+            random_state_vector(lat, T, rng, nterms=3, max_weight=2),
+            _shifted(random_state_vector(lat, T, rng, nterms=3, max_weight=1), (1,) * k),
+        )
+        for v in vectors:
+            for m in range(-2, 5):
+                got, want = mode_apply(dhh, m, v), mode_apply(hh, m - 1, v).scale(Q(-m, 2))
+                assert got == want and not (got.truncated or want.truncated), m
 
     @given(
         a=_shared_rest_fields(rank_lattice(2)),
@@ -1050,6 +1094,49 @@ class TestPrefixGrouping:
                             c = 0 if isinstance(j, Fraction) else binom(-j - 1, n - 1)
                             want = heisenberg_apply(beta, j, v).scale(c) if c else v.scale(0)
                             assert got == want and got.truncated == want.truncated, (k, n, m)
+
+
+class TestExponentialSums:
+    """mode_apply applies all bare exponentials of a field in one pass over
+    v; exp_mode_apply is the one-exponential case of the same routine."""
+
+    def test_bare_exponential_field_is_exp_mode_apply(self):
+        k, T = 3, 4
+        lat = rank_lattice(k)
+        rng = random.Random(7)
+        even = random_state_vector(lat, T, rng, nterms=3, max_weight=3)
+        dual = _shifted(random_state_vector(lat, T, rng, nterms=3, max_weight=2), (1,) * k)
+        near = StateVector(lat, T, {FockState((2, 0, 0), ((1, 2), (1, 1))): 1})
+        flagged = fractional = False
+        # lattice roots, and a dual point pairing half-integrally with dual
+        # points, whose fractional modes act there
+        for beta in ((2, 0, 0), (0, -2, 0), (-1, 1, -1)):
+            field = StateVector.exponential(lat, beta, T)
+            for v in (even, dual, near):
+                for m in (-2, -1, 0, 1, Q(1, 2), Q(-3, 2), Q(-5, 2)):
+                    got, want = mode_apply(field, m, v), exp_mode_apply(beta, m, v)
+                    assert got == want and got.truncated == want.truncated, (beta, m)
+                    flagged = flagged or got.truncated
+                    fractional = fractional or isinstance(m, Q) and not got.is_zero()
+        assert flagged and fractional
+        # summands of weights 1 and 2: at m = 0 only the second exceeds its
+        # room on near, and that alone flags the sum
+        mixed = StateVector(lat, T, {FockState((2, 0, 0), ()): 1, FockState((0, 2, -2), ()): 1})
+        got = mode_apply(mixed, 0, near)
+        assert not exp_mode_apply((2, 0, 0), 0, near).truncated
+        assert got == _per_state_sum(mixed, 0, near) and got.truncated
+
+    def test_one_ill_defined_summand_raises(self):
+        # <(2, 0), point> is an integer on both points of v, <(0, 1), point>
+        # is 0 on one and 1/2 on the other
+        lat = rank_lattice(2)
+        v = StateVector(lat, 4, {FockState((0, 0), ()): 1, FockState((0, 1), ()): 1})
+        good = StateVector.exponential(lat, (2, 0), 4)
+        bad = StateVector.exponential(lat, (0, 1), 4)
+        assert not mode_apply(good, -1, v).is_zero()
+        for field in (good + bad, bad + good.scale(3)):
+            with pytest.raises(NonIntegralPairing):
+                mode_apply(field, -1, v)
 
 
 class TestRouteIndependence:
