@@ -17,9 +17,12 @@ All coefficients are exact rationals, kept as integer numerators over one
 positive denominator: a vector holds ``num`` (state -> int) and ``den`` with
 the gcd of the numerators prime to ``den``, and every memoised coefficient
 table is one dict of integer numerators with its denominator.  The hot loops
-add and multiply plain ints; `StateVector.terms`, ``coefficient`` and
-``canonical_text`` present the same values as ``Fraction``s, and the public
-constructor takes ints or ``Fraction``s.  One fraction-free elimination,
+work in ints: `_lincomb` sums at the lcm of the denominators, and weights
+are bounded in units of 1/2den (a point a has weight a.a / 2den), so each
+room or recursion bound is floor(c + x / 2den), c one rational per call
+and x an int (`_floor_bound`).  `StateVector.terms`, ``coefficient`` and
+``canonical_text`` present ``Fraction``s, and the public constructor
+takes ints or ``Fraction``s.  One fraction-free elimination,
 `_insert`, reduces primitive integer rows against pivots on their least
 key; the layer bases of `generated_subspace`, `rank` and `nullspace` use it.
 
@@ -33,13 +36,12 @@ by prefix groups: each state b_p(-n) rest is keyed by (n, rest) and a
 key's coefficients fold into one pairing vector beta, so the group costs
 one normally-ordered product beta(-n) with the field of rest.  One
 recursion, `_prefix_mode_apply`, peels one Heisenberg mode per level and
-carries one integer bound, F = floor(wt(v) + wt(field) - m), instead of
-rational weights.  It ends at the lattice exponential or, when the last
-mode sits on the vacuum, at the derivative field of beta(-n)1, one
-Heisenberg mode.  When rest is one mode on the vacuum, as in every
-quadratic group of a conformal vector and in H(-1)H, the creation half
-reads rest's images of v from one annihilation scan of v, not one scan
-per mode number.
+carries one integer bound, F = floor(wt(v) + wt(field) - m).  It ends at
+the lattice exponential or, when the last mode sits on the vacuum, at the
+derivative field of beta(-n)1, one Heisenberg mode.  When rest is one mode
+on the vacuum, as in every quadratic group of a conformal vector and in
+H(-1)H, the creation half reads rest's images of v from one annihilation
+scan of v, not one scan per mode number.
 
 Generated bases are built and reduced in orbit coordinates of the group
 that permutes the lattice basis inside consecutive blocks and fixes the
@@ -117,27 +119,16 @@ def _integral(d: dict) -> tuple[dict, int]:
     return {s: x.numerator * (den // x.denominator) for s, x in d.items() if x}, den
 
 
-def _add_into(acc: dict, den: int, c: int, num: dict, d: int) -> int:
-    """acc/den += c * num/d in place, for int dicts acc and num and an int c;
-    returns the new denominator lcm(den, d), to which acc is rescaled."""
-    L = lcm(den, d)
-    if L != den:
-        f = L // den
-        for s in acc:
-            acc[s] *= f
-    f = c * (L // d)
-    for s, x in num.items():
-        acc[s] = acc.get(s, 0) + f * x
-    return L
-
-
 def _lincomb(pieces) -> tuple[dict, int]:
-    """sum c * num / d over the (c, num, d) pieces, in canonical form."""
+    """sum c * num / d over a list of (c, num, d) pieces, in one pass at the
+    lcm L of the d, as (numerators, L); zeros are kept, nothing cancelled."""
+    L = lcm(*(d for _, _, d in pieces))
     acc: dict = {}
-    den = 1
     for c, num, d in pieces:
-        den = _add_into(acc, den, c, num, d)
-    return _canonical(acc, den)
+        f = c * (L // d)
+        for s, x in num.items():
+            acc[s] = acc.get(s, 0) + f * x
+    return acc, L
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +216,6 @@ def _per_lattice(fn):
     return memoised
 
 
-@_per_lattice
-def _point_weight(lat: Lattice, point) -> Fraction:
-    return lat.point_weight(point)
-
-
 def _dot(a, b) -> int:
     return sum(map(mul, a, b))
 
@@ -242,14 +228,14 @@ def _mode_weight(s: FockState) -> int:
 
 
 def state_weight(lat: Lattice, s: FockState) -> Fraction:
-    return _point_weight(lat, s.point) + _mode_weight(s)
+    return lat.point_weight(s.point) + _mode_weight(s)
 
 
-def _floor_minus_weight(lat: Lattice, c: Fraction, point) -> int:
-    """floor(c - weight(point)), in integers: twice a point weight is its
-    self-pairing numerator over den."""
-    q = 2 * lat.den
-    return (c.numerator * q - _dot(point, point) * c.denominator) // (c.denominator * q)
+def _floor_bound(lat: Lattice, c):
+    """x -> floor(c + x / 2den) on ints x; c, an int or Fraction, is read once."""
+    q, d = 2 * lat.den, c.denominator
+    n, dq = c.numerator * q, d * q
+    return lambda x: (n + x * d) // dq
 
 
 class StateVector:
@@ -304,12 +290,6 @@ class StateVector:
     def weights(self) -> set[Fraction]:
         return {state_weight(self.lattice, s) for s in self.num}
 
-    def max_weight(self) -> Fraction:
-        # twice the weight of a state, over q = 2 den
-        q = 2 * self.lattice.den
-        top = max((_dot(s.point, s.point) + q * _mode_weight(s) for s in self.num), default=0)
-        return Fraction(top, q)
-
     def charge(self) -> Fraction:
         """gamma(0)-eigenvalue; raises if the vector mixes charges."""
         lat = self.lattice
@@ -361,8 +341,7 @@ class StateVector:
     def __add__(self, other: "StateVector") -> "StateVector":
         if self.lattice != other.lattice:
             raise ValueError("cannot add vectors over different lattices")
-        acc = dict(self.num)
-        den = _add_into(acc, self.den, 1, other.num, other.den)
+        acc, den = _lincomb([(1, self.num, self.den), (1, other.num, other.den)])
         truncation = min(self.truncation, other.truncation)
         return self._with(acc, den, self.truncated or other.truncated, truncation)
 
@@ -442,12 +421,13 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
         return v._with(acc, v.den * lat.den)
     step = -n
     flagged = v.truncated
-    # mode weight a result may carry at each point: state_weight + step <= T
+    # mode weight a result may carry at each point a: floor(T - a.a / 2den)
+    bound = _floor_bound(lat, v.truncation)
     room: dict[tuple, int] = {}
     for s, c in v.num.items():
         r = room.get(s.point)
         if r is None:
-            r = room[s.point] = _floor_minus_weight(lat, v.truncation, s.point)
+            r = room[s.point] = bound(-_dot(s.point, s.point))
         if _mode_weight(s) + step > r:
             flagged = True
             continue
@@ -494,7 +474,7 @@ def _creation_poly(lat, beta, a: int) -> tuple[dict, int]:
                     key = _insert_mode(mds, p, t)
                     acc[key] = acc.get(key, 0) + c * b
         pieces.append((1, acc, den * lat.den * a))
-    return _lincomb(pieces)
+    return _canonical(*_lincomb(pieces))
 
 
 @_per_lattice
@@ -523,7 +503,7 @@ def _exp_component(lat, beta, modes: tuple, d: int) -> tuple[dict, int]:
         if a >= 0:
             cnum, cden = _creation_poly(lat, beta, a)
             pieces.append((x, {tuple(sorted(tmds + cmds)): cc for cmds, cc in cnum.items()}, cden))
-    return _lincomb(pieces)
+    return _canonical(*_lincomb(pieces))
 
 
 def _exp_modes(fields, m, v: StateVector) -> StateVector:
@@ -536,15 +516,16 @@ def _exp_modes(fields, m, v: StateVector) -> StateVector:
     must be constant mod 1.
     """
     lat = v.lattice
-    # per lattice point of v and summand: the mode weight a result may
-    # carry under the truncation, floor(T - wt(point) - wt(beta) + m + 1),
-    # the net degree d = -m - 1 - <beta, point> (None if fractional) and
-    # the shifted point, in integers: the pairing is a numerator over den
-    base = -m - 1
-    bn, bd = base.numerator * lat.den, base.denominator * lat.den
+    # per lattice point a of v and summand: the mode weight a result may
+    # carry under the truncation, floor(T + m + 1 - wt(beta) - wt(a)), the
+    # net degree d = -m - 1 - <beta, a> and the shifted point, in integers:
+    # the pairing is a numerator over den.  A fractional d gives no term
+    room = _floor_bound(lat, v.truncation + m)
+    mn, md = m.numerator, m.denominator
+    bn, bd = -(mn + md) * lat.den, md * lat.den
     per_point: dict[tuple, list] = {s.point: [] for s in v.num}
     for beta, c in fields:
-        top = v.truncation - _point_weight(lat, beta) + m + 1
+        x_beta = 2 * lat.den - _dot(beta, beta)
         pairs = {point: _dot(beta, point) for point in per_point}
         if len({x % lat.den for x in pairs.values()}) > 1:
             raise NonIntegralPairing(
@@ -552,21 +533,24 @@ def _exp_modes(fields, m, v: StateVector) -> StateVector:
                 "the pairing with the sector is not constant mod 1"
             )
         for point, pair in pairs.items():
-            d, frac = divmod(bn - pair * base.denominator, bd)
-            room = _floor_minus_weight(lat, top, point)
-            per_point[point].append((beta, c, room, None if frac else d, lat.add(point, beta)))
+            d, frac = divmod(bn - pair * md, bd)
+            if not frac:
+                r = room(x_beta - _dot(point, point))
+                per_point[point].append((beta, c, r, d, lat.add(point, beta)))
     flagged = v.truncated
     parts = []
     for s, x in v.num.items():
         mw = _mode_weight(s)
-        for beta, c, room, d, newpoint in per_point[s.point]:
-            if mw > room:
+        for beta, c, r, d, newpoint in per_point[s.point]:
+            # its entries have mode weight mw + d: none, and no flag, if < 0
+            if mw + d < 0:
+                continue
+            if mw > r:
                 flagged = True
-            # a component's entries have mode weight mw + d, so none for mw + d < 0
-            elif d is not None and mw + d >= 0:
-                cnum, cden = _exp_component(lat, beta, s.modes, d)
-                if cnum:
-                    parts.append((c * x, newpoint, cnum, cden))
+                continue
+            cnum, cden = _exp_component(lat, beta, s.modes, d)
+            if cnum:
+                parts.append((c * x, newpoint, cnum, cden))
     L = lcm(*{cden for *_, cden in parts})
     acc: dict[FockState, int] = {}
     for cx, newpoint, cnum, cden in parts:
@@ -633,8 +617,7 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F, shared=None) 
         if j > 0 and shared is not None:
             return v._with({s: c * x for s, x in shared.get(j, {}).items()}, v.den)
         return heisenberg_apply(beta, j, v).scale(c)
-    acc: dict[FockState, int] = {}
-    den = 1
+    pieces = []
     flagged = v.truncated
     # annihilation half: beta(j), j >= 0, hits v first and lowers every
     # weight by j
@@ -645,7 +628,7 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F, shared=None) 
             continue
         inner = _prefix_mode_apply(rest, point, m - n - j, w, F)
         flagged = flagged or inner.truncated
-        den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
+        pieces.append((_binom_general(-j - 1, n - 1), inner.num, inner.den))
     # creation half: beta(j) for -n >= j > -F, applied last; a rest of one
     # mode on the vacuum reads its annihilations of v from one scan
     leaf = len(rest) == 1 and not any(point) and F > n
@@ -655,8 +638,8 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F, shared=None) 
         if not inner.is_zero() or inner.truncated:
             inner = heisenberg_apply(beta, j, inner)
             flagged = flagged or inner.truncated
-            den = _add_into(acc, den, _binom_general(-j - 1, n - 1), inner.num, inner.den)
-    return v._with(acc, den, flagged)
+            pieces.append((_binom_general(-j - 1, n - 1), inner.num, inner.den))
+    return v._with(*_lincomb(pieces), flagged)
 
 
 def _basis_coords(lat: Lattice, p: int) -> tuple[int, ...]:
@@ -695,22 +678,21 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
         if beta is None:
             beta = groups[key] = [0] * lat.rank
         beta[p] = c * lat.den
-    acc: dict[FockState, int] = {}
-    den = 1
-    flagged = a.truncated or v.truncated
     if exps:
         pieces.append((1, _exp_modes(exps, m, v)))
     if groups:
-        top = v.max_weight() - m
+        # F = floor(wv + wt(beta(-n) rest) - m), with 2den wv the largest
+        # a.a + 2den (mode weight) over the states of v; mode weights are ints
+        bound = _floor_bound(lat, -m)
+        q = 2 * lat.den
+        top = max((_dot(s.point, s.point) + q * _mode_weight(s) for s in v.num), default=0)
         for (n, rest), beta in groups.items():
-            # F = floor(wv + wt(beta(-n) rest) - m), mode weights are integers
-            F = floor(top + _point_weight(lat, rest.point)) + n + _mode_weight(rest)
-            prefix = ((tuple(beta), n),) + tuple((_basis_coords(lat, p), q) for p, q in rest.modes)
+            F = bound(top + _dot(rest.point, rest.point)) + n + _mode_weight(rest)
+            prefix = ((tuple(beta), n),) + tuple((_basis_coords(lat, p), t) for p, t in rest.modes)
             pieces.append((1, _prefix_mode_apply(prefix, rest.point, m, v, F)))
-    for c, piece in pieces:
-        flagged = flagged or piece.truncated
-        den = _add_into(acc, den, c, piece.num, a.den * piece.den)
-    return v._with(acc, den, flagged, min(a.truncation, v.truncation))
+    flagged = a.truncated or v.truncated or any(piece.truncated for _, piece in pieces)
+    num, den = _lincomb([(c, piece.num, a.den * piece.den) for c, piece in pieces])
+    return v._with(num, den, flagged, min(a.truncation, v.truncation))
 
 
 # ---------------------------------------------------------------------------
@@ -1110,15 +1092,15 @@ def generated_subspace(generators, max_weight, seeds=None, budget=None) -> Grade
     commutators of (-1)-modes, so layer w is spanned by the (-1)-modes of
     the generators applied to layer w-1, and only those are applied.  A
     generating set failing the condition (say [H] alone, which is abelian)
-    raises ValueError.  The seeds must share one weight, as the vacuum and
-    the F(0)-orbit of a top level do.  Generators and seeds must each have
-    one charge (gamma(0)-eigenvalue), as H, E, F (charges 0, 2, -2) and the
-    top-level seeds of `affine_module_basis` do; then every candidate
-    g(-1) v has the charge of v plus that of g, known before it is built.
-    The elimination never mixes charges: a row is reduced only against
-    pivots on its own states, which share its charge.  So every layer row
-    is charge-homogeneous, and the charge-q rows of layer w are the reduced
-    span of the charge-q candidates alone.
+    raises ValueError.  The seeds must share one weight, at most max_weight,
+    as the vacuum and the F(0)-orbit of a top level do.  Generators and
+    seeds must each have one charge (gamma(0)-eigenvalue), as H, E, F
+    (charges 0, 2, -2) and the top-level seeds of `affine_module_basis` do;
+    then every candidate g(-1) v has the charge of v plus that of g, known
+    before it is built.  The elimination never mixes charges: a row is
+    reduced only against pivots on its own states, which share its charge.
+    So every layer row is charge-homogeneous, and the charge-q rows of
+    layer w are the reduced span of the charge-q candidates alone.
 
     ``budget`` maps charges lam to ambient weight bounds t(lam) <=
     max_weight.  A row of layer w and charge q reaches charge lam by weight
@@ -1185,6 +1167,8 @@ def generated_subspace(generators, max_weight, seeds=None, budget=None) -> Grade
     if len(seed_weights) != 1:
         raise ValueError("seed vectors must share one weight")
     w0, = seed_weights
+    if w0 > T:
+        raise ValueError(f"seed weight {w0} lies above max_weight {T}")
     for s in seeds:
         insert(w0, s, int(s.charge()))
     for d in range(1, int(T - w0) + 1):

@@ -4,11 +4,12 @@ import ast
 import functools
 import gc
 import itertools
+import pathlib
 import pickle
 import random
 import weakref
 from fractions import Fraction
-from math import factorial, gcd, prod
+from math import factorial, floor, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -31,9 +32,12 @@ from paraferm.lattice_fock import (
     FockState,
     Lattice,
     StateVector,
+    _canonical,
     _commutant_systems,
     _exp_component,
+    _floor_bound,
     _fold,
+    _lincomb,
     affine_module_basis,
     central_charge_of,
     commutant_dims,
@@ -221,6 +225,21 @@ class TestExpApply:
         for table in tables:
             for beta, modes, d in table:
                 assert d >= -sum(n for _, n in modes), (beta, modes, d)
+
+    def test_summands_without_terms_are_not_flagged(self):
+        # exact zeros beyond their room: on b_1(-1)e^(b_1) the net degree
+        # d = -2 of (e^(b_1))_(-1) removes more than the mode weight 1, and
+        # on e^(-gamma/3) the degree of (e^(gamma/3))_(-5) is fractional.
+        # Neither drops a term, so neither is flagged, whatever the truncation
+        s = FockState((2, 0, 0), ((0, 1),))
+        for T in (Q(5, 2), 10):
+            got = exp_mode_apply((2, 0, 0), -1, StateVector(rank_lattice(3), T, {s: 1}))
+            assert got.is_zero() and not got.truncated, T
+        got = exp_mode_apply((2,), -5, StateVector.exponential(gamma_lattice(3), (-2,), 3))
+        assert got.is_zero() and not got.truncated
+        # a summand with terms beyond its room still flags
+        got = exp_mode_apply((2, 0, 0), -3, StateVector(rank_lattice(3), Q(5, 2), {s: 1}))
+        assert got.is_zero() and got.truncated
 
     def test_non_integral_pairing_raises(self):
         lat = gamma_lattice(3)
@@ -462,6 +481,15 @@ class TestGeneratedSubspace:
             with pytest.raises(ValueError):
                 generated_subspace([H, E, F], 2, seeds=seeds)
 
+    def test_seeds_above_max_weight_are_refused(self):
+        # a weight-1 seed under max_weight 1/2 would make a basis that holds
+        # a layer above its own truncation, and kernels read nothing of it
+        H, E, F = sl2_generators(3, 3)
+        with pytest.raises(ValueError):
+            generated_subspace([H, E, F], Q(1, 2), seeds=[E])
+        b = generated_subspace([H, E, F], 1, seeds=[E])
+        assert b.dims() == {1: 1} and commutant_dims(b, 2) == {Q(2, 3): 1}
+
     def test_truncated_seed_makes_a_truncated_basis(self):
         # no layer is generated at max_weight 0, so the seed's flag is the
         # only evidence of a dropped term, and it must reach the basis
@@ -661,11 +689,12 @@ class TestOrbitCoordinates:
     @settings(max_examples=25, deadline=None)
     def test_blocks_of_a_seed_point_are_its_runs(self, x):
         # e^x with x in {0, 2}^r, 2 <= r <= 6 (sl2_generators needs k >= 2):
-        # the blocks are the runs of equal entries
+        # the blocks are the runs of equal entries.  The seed has weight
+        # x.count(2), the max_weight, so no layer above it is generated
         H, E, F = sl2_generators(len(x), 1)
         seed = StateVector.exponential(H.lattice, x, 1)
         runs = tuple(len(list(g)) for _, g in itertools.groupby(x))
-        assert generated_subspace([H, E, F], 0, seeds=[seed]).blocks == runs
+        assert generated_subspace([H, E, F], x.count(2), seeds=[seed]).blocks == runs
 
     def test_fold_table_is_kept_per_group_on_the_lattice(self):
         b = affine_module_basis(3, 1, Q(9, 4))
@@ -1139,6 +1168,78 @@ class TestExponentialSums:
                 mode_apply(field, -1, v)
 
 
+_PIECES = st.lists(
+    st.tuples(
+        st.integers(-3, 3),
+        st.dictionaries(st.integers(0, 3), st.integers(-4, 4), max_size=4),
+        st.integers(1, 12),
+    ),
+    max_size=4,
+)
+_LATTICES = st.builds(
+    lambda k, dual: gamma_lattice(k) if dual else rank_lattice(k),
+    st.integers(2, 4),
+    st.booleans(),
+)
+
+
+class TestIntegerArithmetic:
+    """The mode engine sums in ints (`_lincomb`) and bounds weights in ints
+    (`_floor_bound`); both agree with Fraction arithmetic."""
+
+    @given(pieces=_PIECES)
+    @settings(max_examples=150, deadline=None)
+    def test_lincomb_matches_fraction_sums(self, pieces):
+        want: dict = {}
+        for c, num, d in pieces:
+            for key, x in num.items():
+                want[key] = want.get(key, 0) + Fraction(c * x, d)
+        num, den = _lincomb(pieces)
+        assert den == lcm(*(d for _, _, d in pieces))
+        assert num.keys() == want.keys()
+        assert all(Fraction(x, den) == want[key] for key, x in num.items())
+        cnum, cden = _canonical(num, den)
+        assert {key: Fraction(x, cden) for key, x in cnum.items()} == {
+            key: x for key, x in want.items() if x
+        }
+        assert gcd(cden, *cnum.values()) == 1
+
+    def test_lincomb_of_nothing_and_of_cancelling_pieces(self):
+        assert _lincomb([]) == ({}, 1)
+        assert _canonical(*_lincomb([(1, {0: 1, 1: 3}, 2), (-2, {0: 1, 1: 3}, 4)])) == ({}, 1)
+        assert _canonical(*_lincomb([(3, {0: 2}, 6), (-1, {0: 1, 1: 1}, 4)])) == ({0: 3, 1: -1}, 4)
+
+    @given(
+        lat=_LATTICES,
+        c=st.fractions(-6, 6, max_denominator=7),
+        x=st.integers(-60, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_floor_bound_is_the_floor(self, lat, c, x):
+        assert _floor_bound(lat, c)(x) == floor(c + Fraction(x, 2 * lat.den))
+        if c.denominator == 1:
+            assert _floor_bound(lat, int(c))(x) == floor(c + Fraction(x, 2 * lat.den))
+
+    @given(
+        lat=_LATTICES,
+        T=st.fractions(-2, 6, max_denominator=4),
+        m=st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=6)),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_floor_bound_gives_the_rooms(self, lat, T, m, data):
+        # the rooms of heisenberg_apply, floor(T - wt(a)), and of
+        # _exp_modes, floor(T + m + 1 - wt(beta) - wt(a)), and the bound of
+        # mode_apply, floor(wt(a) + wt(beta) - m), against Fraction weights
+        point = st.tuples(*[st.integers(-2 * lat.den, 2 * lat.den)] * lat.rank)
+        a, beta = data.draw(point), data.draw(point)
+        aa, bb, q = sum(y * y for y in a), sum(y * y for y in beta), 2 * lat.den
+        wa, wb = lat.point_weight(a), lat.point_weight(beta)
+        assert _floor_bound(lat, T)(-aa) == floor(T - wa)
+        assert _floor_bound(lat, T + m)(q - bb - aa) == floor(T + m + 1 - wb - wa)
+        assert _floor_bound(lat, -m)(aa + bb) == floor(wa + wb - m)
+
+
 class TestRouteIndependence:
     """The Fock route computes the coset dimensions on its own: lattice_fock
     takes nothing from the character route or the label arithmetic, and is
@@ -1162,27 +1263,27 @@ class TestRouteIndependence:
                 imported |= {a.name for a in node.names}
         return imported
 
-    def _assert_no_floats(self, module):
-        for node in ast.walk(self._tree(module)):
+    def _assert_no_floats(self, path):
+        for node in ast.walk(ast.parse(path.read_text())):
             assert not (isinstance(node, ast.Constant) and isinstance(node.value, float)), (
-                module.__name__,
+                path.name,
                 node.lineno,
             )
             assert not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "float"
-            ), (module.__name__, node.lineno)
+            ), (path.name, node.lineno)
 
     def test_imports_nothing_from_the_other_routes(self):
         assert not self._imported(paraferm.lattice_fock) & self.OTHER_ROUTES
 
     def test_no_floats(self):
-        self._assert_no_floats(paraferm.lattice_fock)
-
-    def test_character_route_has_no_floats(self):
-        self._assert_no_floats(paraferm.qseries)
-        self._assert_no_floats(paraferm.characters)
+        # every module of the package, found by glob
+        paths = sorted(pathlib.Path(paraferm.lattice_fock.__file__).parent.glob("*.py"))
+        assert {"lattice_fock.py", "qseries.py", "characters.py"} <= {p.name for p in paths}
+        for path in paths:
+            self._assert_no_floats(path)
 
     def test_qseries_imports_nothing_from_lattice_fock(self):
         assert "lattice_fock" not in self._imported(paraferm.qseries)
