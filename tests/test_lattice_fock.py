@@ -1285,6 +1285,10 @@ class TestRouteIndependence:
         for path in paths:
             self._assert_no_floats(path)
 
+    def test_character_route_has_no_floats(self):
+        for module in (paraferm.qseries, paraferm.characters):
+            self._assert_no_floats(pathlib.Path(module.__file__))
+
     def test_qseries_imports_nothing_from_lattice_fock(self):
         assert "lattice_fock" not in self._imported(paraferm.qseries)
 
