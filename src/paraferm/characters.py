@@ -13,15 +13,18 @@ affine Weyl alternating sum: with h = i(i+2)/4(k+2) the top weight,
 graded so that z tracks the Cartan eigenvalue and q the absolute conformal
 weight (after the overall shift by q^h).  Each numerator term divided by
 (1 - z^-2) is a finite symmetric z-block, so the division is exact.
+The character is computed as int rows (`_affine_rows`), which
+`affine_sl2_char` turns into a ZQSeries for its public callers.
 
 String functions are extracted from one charge slice (Kac-Peterson): the
 z^m slice of ch_i is c^i_(m mod 2k) q^(m^2/4k) / prod_{n>=1} (1-q^n), so
 the slice at the least |m| of the string's class, times q^(-m^2/4k) and
 Euler's function prod_{n>=1} (1-q^n), is the string: a plain QSeries, cut
-at T from a character read m^2/4k above T by `_strings`, the one reader.
-The decomposition check compares that character with the sum over the
-strings of (string) x (lattice-coset character), which reads every other
-slice of the class; no check takes supplied strings.
+at T from row m of a character read m^2/4k above T by `_strings`, the one
+reader, which also sums the rows to the z = 1 series.  The decomposition
+check compares that series with the sum over the strings of (string) x
+(lattice-coset character), which reads every other slice of the class; no
+check takes supplied strings.
 The string coefficients must also agree with the kernel dimensions computed
 in the Fock realization (`string_dual_route_check`), which is the central
 oracle of the whole suite.
@@ -42,16 +45,17 @@ def affine_top_weight(k: int, i: int) -> Fraction:
     return Fraction(i * (i + 2), 4 * (k + 2))
 
 
-def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
-    """Character of the i-th integrable level-k module, graded by (Cartan
-    eigenvalue, absolute conformal weight), truncated at q-exponent T."""
+def _affine_rows(k: int, i: int, T) -> tuple[list[Fraction], dict[int, list[int]]]:
+    """The character of the i-th integrable level-k module below T as int
+    rows z -> [c_0, ..., c_E], c_e the coefficient of z^z q^(h+e), and the
+    exponents h + e, e = 0..E (both empty when T <= h)."""
     if k < 1 or not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
     T = _rat(T)
     h = affine_top_weight(k, i)
     Trel = T - h
     if Trel <= 0:
-        return ZQSeries({}, T)
+        return [], {}
     # relative to h every exponent is an integer e = 0..E
     E = ceil(Trel) - 1
     rows: dict[int, list[int]] = {}
@@ -69,8 +73,14 @@ def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
         for t in range(span + 1):
             rows.setdefault(span - 2 * t, [0] * (E + 1))[dep] += sign
     _grid_product(rows, [(a, n) for n in range(1, E + 1) for a in (0, 2, -2)], E)
-    exps = [h + e for e in range(E + 1)]
-    return ZQSeries({(z, exps[e]): c for z, row in rows.items() for e, c in enumerate(row) if c}, T)
+    return [h + e for e in range(E + 1)], rows
+
+
+def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
+    """Character of the i-th integrable level-k module, graded by (Cartan
+    eigenvalue, absolute conformal weight), truncated at q-exponent T."""
+    exps, rows = _affine_rows(k, i, T)
+    return ZQSeries((((z, e), c) for z, row in rows.items() for e, c in zip(exps, row)), T)
 
 
 def _min_charge_rep(k: int, i: int, j: int) -> int:
@@ -79,17 +89,19 @@ def _min_charge_rep(k: int, i: int, j: int) -> int:
     return s if s <= k else s - 2 * k
 
 
-def _strings(k: int, i: int, js, T) -> tuple[ZQSeries, list[QSeries]]:
-    """The one reader of strings: the character of module i read at T plus
-    the largest m^2/4k over the least charges m of js, and the (i, j) string
-    of each j in js, truncated at T like Euler's function."""
+def _strings(k: int, i: int, js, T) -> tuple[QSeries, list[QSeries]]:
+    """The one reader of strings: from the int rows of module i read at T
+    plus the largest m^2/4k over the least charges m of js, the z = 1 series
+    (the column sums) and the (i, j) string of each j in js, cut at T."""
     if k < 1 or not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
     T = _rat(T)
     ms = [_min_charge_rep(k, i, j) for j in js]
-    ch = affine_sl2_char(k, i, T + max(Fraction(m * m, 4 * k) for m in ms))
+    exps, rows = _affine_rows(k, i, T + max(Fraction(m * m, 4 * k) for m in ms))
+    z1 = QSeries(zip(exps, map(sum, zip(*rows.values()))), T)
     euler = euler_function(T)
-    strings = [ch.charge_slice(m).shift(Fraction(-m * m, 4 * k)) * euler for m in ms]
+    strings = [QSeries(((e - Fraction(m * m, 4 * k), c) for e, c in zip(exps, rows.get(m, ()))), T)
+               * euler for m in ms]
     for j, string in zip(js, strings):
         for e, c in string.terms.items():
             if c < 0:
@@ -99,7 +111,7 @@ def _strings(k: int, i: int, js, T) -> tuple[ZQSeries, list[QSeries]]:
             raise IdentityFailed(
                 f"string (k={k}, i={i}, j={j}) has leading coefficient {lead[1]} != 1"
             )
-    return ch, strings
+    return z1, strings
 
 
 def string_function(k: int, i: int, j: int, T) -> QSeries:
@@ -122,13 +134,12 @@ def all_string_functions(k: int, i: int, T) -> list[QSeries]:
 
 
 def decomposition_check_lki(k: int, i: int, max_weight) -> Report:
-    """Exact equality of graded dimensions: the full module character equals
-    the sum over j of (coset character) x (string function), charges folded.
+    """Exact equality of graded dimensions: the full module character at
+    z = 1 equals the sum over j of (coset character) x (string function).
     The character and the k strings are one read, so every charge slice the
     strings need is exact below max_weight."""
     T = _rat(max_weight)
-    ch, strings = _strings(k, i, range(k), T)
-    lhs = ch.specialize_z1().truncate(T)
+    lhs, strings = _strings(k, i, range(k), T)
     rhs = QSeries({}, T)
     for j, string in enumerate(strings):
         rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), T) * string

@@ -151,6 +151,10 @@ class Lattice:
     # memo tables of the mode computations on this lattice, see _per_lattice
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
+    def __post_init__(self):
+        if self.rank < 1 or self.den < 1:
+            raise ValueError(f"need rank >= 1 and den >= 1, got rank={self.rank}, den={self.den}")
+
     def __reduce__(self):
         # pickle the lattice without its tables
         return (Lattice, (self.rank, self.den))
@@ -191,12 +195,21 @@ def gamma_lattice(k: int) -> Lattice:
 class FockState(NamedTuple):
     """Lattice exponential dressed with creation modes.
 
-    ``modes`` is a sorted tuple of (direction p, mode n >= 1) pairs, repeated
-    with multiplicity; it represents prod b_p(-n) applied to e^point.
+    ``point`` has one coordinate per direction, and ``modes`` is a sorted
+    tuple of (direction p, mode n >= 1) pairs, 0 <= p < rank, repeated with
+    multiplicity; it represents prod b_p(-n) applied to e^point.
     """
 
     point: tuple[int, ...]
     modes: tuple[tuple[int, int], ...]
+
+
+def _coords(lat: Lattice, beta) -> tuple[int, ...]:
+    """beta as a tuple; ValueError unless it has one coordinate per direction."""
+    beta = tuple(beta)
+    if len(beta) != lat.rank:
+        raise ValueError(f"{beta} has {len(beta)} coordinates, the lattice rank is {lat.rank}")
+    return beta
 
 
 def _per_lattice(fn):
@@ -247,7 +260,8 @@ class StateVector:
     ``Fraction`` coefficients.  Immutable by convention; all operations
     return fresh vectors.  The ``truncated`` flag is sticky: it is set
     whenever a creation result was dropped for exceeding the truncation, in
-    this vector or any ancestor.
+    this vector or any ancestor.  The constructor raises ValueError on a
+    state that does not fit the lattice (see `FockState`).
     """
 
     __slots__ = ("lattice", "truncation", "num", "den", "truncated", "_terms")
@@ -257,6 +271,12 @@ class StateVector:
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for s, c in items:
+                _coords(lattice, s.point)
+                modes = s.modes
+                if not (isinstance(modes, tuple) and list(modes) == sorted(modes)
+                        and all(0 <= p < lattice.rank and n >= 1 for p, n in modes)):
+                    raise ValueError(f"modes {modes!r}: need a sorted tuple of (p, n), "
+                                     f"0 <= p < {lattice.rank}, n >= 1")
                 acc[s] = acc.get(s, 0) + _rat(c)
         self.lattice = lattice
         self.truncation = _rat(truncation)
@@ -401,7 +421,7 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
     creation result beyond the truncation is dropped and flagged.
     """
     lat = v.lattice
-    beta = tuple(beta)
+    beta = _coords(lat, beta)
     # <beta, b_p> = beta[p], <beta, point> = pairing / den and beta =
     # sum_p beta[p] b_p / den
     acc: dict[FockState, int] = {}
@@ -563,7 +583,7 @@ def _exp_modes(fields, m, v: StateVector) -> StateVector:
 
 def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
     """Single mode (e^beta)_m of the lattice vertex operator (`_exp_modes`)."""
-    return _exp_modes(((tuple(beta), 1),), _exact(m), v)
+    return _exp_modes(((_coords(v.lattice, beta), 1),), _exact(m), v)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,9 +1045,8 @@ class GradedBasis:
     t(lam), and the basis was built inside the charge cone of that budget
     (see `generated_subspace`): charge lam is complete up to t(lam), other
     charges and weights only in part.  `bound` says how far a charge may be
-    read and the kernels read no further; `dims` raises ValueError on such
-    a basis, and `charge_dims` reports only the (weight, charge) pairs
-    inside the budget.
+    read and the kernels read no further, and `charge_dims` reports only
+    the (weight, charge) pairs inside the budget.
     """
 
     lattice: Lattice
@@ -1038,13 +1057,6 @@ class GradedBasis:
     aff_offset: Fraction = Fraction(0)
     truncated: bool = False
     budget: dict[int, Fraction] | None = None
-
-    def dims(self) -> dict[Fraction, int]:
-        """Dimension per ambient weight; raises ValueError on a basis built
-        inside a budget, which holds some charges only in part."""
-        if self.budget is not None:
-            raise ValueError("a cone-restricted basis has no complete weight dimensions")
-        return {w: len(rows) for w, rows in sorted(self.layers.items()) if rows}
 
     def bound(self, charge: int) -> Fraction:
         """The ambient weight up to which the charge is complete: its budget,
@@ -1340,9 +1352,10 @@ def singular_space_dimension(k: int) -> int:
     conformal vector inside the weight-3 slice of the commutant, the weight
     of W3: the kernel vectors minus the rank of their L(1) and L(2) images.
     omega_para is fixed by S_k, so the images of the kernel's orbit totals
-    are folded, one row per kernel vector."""
+    are folded, one row per kernel vector.  The basis holds charge 0 alone,
+    the one the kernel reads."""
     omega = _omegas(k, *sl2_generators(k, 3))["omega_para"]
-    basis = affine_module_basis(k, 0, 3)
+    basis = affine_module_basis(k, 0, 3, budget={0: 3})
     images = []
     for v in commutant_kernel(basis, 0).get(3, []):
         row: dict[tuple, Fraction] = {}

@@ -5,6 +5,9 @@ both entries exact rationals, together with a hard truncation T: every
 stored exponent is < T, and arithmetic never pretends to know more.  The
 truncation of a sum or product is the minimum of the operand truncations.
 A product is computed on an integer grid and converted back once per term.
+A sum, a theta series and a geometric multiple hand raw (key, coefficient)
+pairs, repeated keys, zeros and terms at or above the truncation included,
+to the one normaliser, the constructor.
 
 The module also provides the standard character building blocks: the
 Heisenberg (free boson) character and its inverse, Euler's function, the
@@ -12,8 +15,9 @@ theta series of a rescaled rank-one coset and their product (the character
 of a lattice coset module).
 
 :class:`ZQSeries` is the two-variable variant graded by an integer charge
-exponent in z and a rational conformal weight in q; it carries the
-two-variable affine characters.
+exponent in z and a rational conformal weight in q.  It exists only for the
+callers of `characters.affine_sl2_char`; the strings and the z = 1 series
+are read from the character's int rows.
 
 No floating point is used anywhere; exponent and coefficient arithmetic is
 exact.
@@ -37,10 +41,10 @@ def _rat(x) -> Fraction:
 
 
 class _Series:
-    """The accumulate loop and equality of both series types: a subclass
-    supplies `_key`, which normalises a term's key and returns it with its
-    q-exponent.  Terms at or above the truncation and zero sums are
-    dropped."""
+    """The one normaliser and the equality of both series types: the
+    constructor sums raw (key, coefficient) pairs, a dict or any iterable,
+    over keys that a subclass's `_key` normalises and returns with their
+    q-exponent.  Terms at or above the truncation and zero sums are dropped."""
 
     __slots__ = ("terms", "truncation")
 
@@ -124,11 +128,8 @@ class QSeries(_Series):
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        T = min(self.truncation, other.truncation)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return QSeries(acc, T)
+        return QSeries([*self.terms.items(), *other.terms.items()],
+                       min(self.truncation, other.truncation))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         """Product truncated at T, the smaller truncation, on an integer grid:
@@ -158,10 +159,6 @@ class QSeries(_Series):
         """Multiply by q^delta: exponents and truncation move together."""
         d = _rat(delta)
         return QSeries._normal({e + d: c for e, c in self.terms.items()}, self.truncation + d)
-
-    def truncate(self, truncation) -> "QSeries":
-        T = min(self.truncation, _rat(truncation))
-        return QSeries._normal({e: c for e, c in self.terms.items() if e < T}, T)
 
     def inverse(self) -> "QSeries":
         """Inverse of a series with nonzero constant term, up to truncation.
@@ -264,19 +261,10 @@ def coset_theta(k: int, s: int, T) -> QSeries:
     if not 0 <= s < 2 * k:
         raise BadResidue(f"residue s={s} out of range 0..{2 * k - 1}")
     T = _rat(T)
-    if T <= 0:
-        return QSeries({}, T)
-    terms: dict[Fraction, Fraction] = {}
-    # |2kn+s| < sqrt(4kT)
-    bound = isqrt(int(4 * k * T)) + 2 * k + 1
-    n = -(bound // (2 * k)) - 1
-    while 2 * k * n + s <= bound:
-        m = 2 * k * n + s
-        e = Fraction(m * m, 4 * k)
-        if e < T:
-            terms[e] = terms.get(e, 0) + 1
-        n += 1
-    return QSeries(terms, T)
+    # every m = 2kn+s with m^2 < 4kT has |m| <= b (none when T <= 0)
+    b = isqrt(max(int(4 * k * T), 0)) + 1
+    ms = range(-b + (s + b) % (2 * k), b + 1, 2 * k)
+    return QSeries(((Fraction(m * m, 4 * k), 1) for m in ms), T)
 
 
 def lattice_coset_char(k: int, s: int, T) -> QSeries:
@@ -313,34 +301,9 @@ class ZQSeries(_Series):
         qexp = _rat(qexp)
         if qexp <= 0:
             raise ValueError("geometric factor needs positive q-exponent")
-        out = dict(self.terms)
         T = self.truncation
-        # process source terms in increasing q-order so new terms cascade
-        frontier = sorted(self.terms.items(), key=lambda kv: kv[0][1])
-        while frontier:
-            nxt = []
-            for (z, e), c in frontier:
-                e2 = e + qexp
-                if e2 >= T:
-                    continue
-                key = (z + zexp, e2)
-                out[key] = out.get(key, 0) + c
-                nxt.append((key, c))
-            frontier = nxt
-        return ZQSeries(out, T)
-
-    def specialize_z1(self) -> QSeries:
-        """Forget the charge grading: sum over all z-powers."""
-        acc: dict[Fraction, Fraction] = {}
-        for (_, e), c in self.terms.items():
-            acc[e] = acc.get(e, 0) + c
-        return QSeries(acc, self.truncation)
-
-    def charge_slice(self, m: int) -> QSeries:
-        """The z^m slice: the coefficient of z^m, a series in q."""
-        return QSeries._normal(
-            {e: c for (z, e), c in self.terms.items() if z == m}, self.truncation
-        )
+        return ZQSeries((((z + n * zexp, e + n * qexp), c) for (z, e), c in self.terms.items()
+                         for n in range(ceil((T - e) / qexp))), T)
 
     def __repr__(self):
         return f"ZQSeries({len(self.terms)} terms; T={self.truncation})"

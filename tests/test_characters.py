@@ -21,7 +21,7 @@ from oracles import colored_partitions_table as colored_partitions
 from paraferm.errors import BadLabel
 from paraferm.fusion_identify import para_normalize
 from paraferm.lattice_fock import affine_module_basis
-from paraferm.qseries import QSeries, ZQSeries
+from paraferm.qseries import QSeries, ZQSeries, euler_function
 
 Q = Fraction
 
@@ -38,15 +38,20 @@ def _edit_strings(monkeypatch, edit):
     monkeypatch.setattr(paraferm.characters, "_strings", edited)
 
 
+def _summed_over_z(ch: ZQSeries) -> QSeries:
+    """The z = 1 specialisation of ch: its terms summed over the charge."""
+    return QSeries([(e, c) for (_, e), c in ch.terms.items()], ch.truncation)
+
+
 class TestAffineChar:
     def test_vacuum_module_low_dims(self):
-        ch = affine_sl2_char(3, 0, 4).specialize_z1()
+        ch = _summed_over_z(affine_sl2_char(3, 0, 4))
         assert {int(e): int(c) for e, c in ch.terms.items()} == {0: 1, 1: 3, 2: 9, 3: 22}
 
     def test_pbw_oracle_below_the_ideal(self):
         # graded dimension equals 3-colored partitions strictly below k+1
         for k in (3, 4, 5):
-            ch = affine_sl2_char(k, 0, k + 1).specialize_z1()
+            ch = _summed_over_z(affine_sl2_char(k, 0, k + 1))
             for w in range(k + 1):
                 assert ch.coefficient(w) == colored_partitions(w, 3)
 
@@ -146,6 +151,26 @@ class TestStringFunctions:
                 assert st.truncation == T, (k, i, j)
                 assert st == string_function(k, i, j, T), (k, i, j)
 
+    def test_reader_matches_the_public_character(self):
+        # each string is the z^m slice of affine_sl2_char read m^2/4k above
+        # T, shifted by -m^2/4k and times Euler's function, and the z = 1
+        # series is that character summed over z and cut at T; m is the
+        # charge in (-k, k] of the class i-2j mod 2k
+        for k in range(1, 7):
+            for i in range(k + 1):
+                ms = [
+                    next(m for m in range(1 - k, k + 1) if (m - i + 2 * j) % (2 * k) == 0)
+                    for j in range(k)
+                ]
+                h = affine_top_weight(k, i)
+                for T in (Q(0), h, h + Q(1, 7), Q(7, 3), Q(8)):
+                    z1, strings = paraferm.characters._strings(k, i, range(k), T)
+                    ch = affine_sl2_char(k, i, T + max(Q(m * m, 4 * k) for m in ms))
+                    for j, (m, string) in enumerate(zip(ms, strings)):
+                        row = [(e - Q(m * m, 4 * k), c) for (z, e), c in ch.terms.items() if z == m]
+                        assert string == QSeries(row, T) * euler_function(T), (k, i, T, j)
+                    assert z1 == QSeries(_summed_over_z(ch).terms, T), (k, i, T)
+
     def test_serialization_table(self):
         st = string_function(3, 1, 0, 4)
         assert st.leading()[0] == Fraction(1, 15)
@@ -193,17 +218,16 @@ class TestDecomposition:
         # between them keeps the z = 1 specialisation but not the z^1 slice
         # the string is read from
         k, i = 3, 1
-        real = paraferm.characters.affine_sl2_char
-        e = affine_top_weight(k, i) + 6
+        real = paraferm.characters._affine_rows
 
         def moved(k, i, T):
-            ch = real(k, i, T)
-            terms = dict(ch.terms)
-            terms[(1, e)] -= 1
-            terms[(7, e)] = terms.get((7, e), 0) + 1
-            return ZQSeries(terms, ch.truncation)
+            exps, rows = real(k, i, T)
+            # the exponent h + 6
+            rows[1][6] -= 1
+            rows.setdefault(7, [0] * len(exps))[6] += 1
+            return exps, rows
 
-        monkeypatch.setattr(paraferm.characters, "affine_sl2_char", moved)
+        monkeypatch.setattr(paraferm.characters, "_affine_rows", moved)
         r = decomposition_check_lki(k, i, 10)
         assert r.status == "fail"
         assert r.details[0]["witness"] == {

@@ -67,6 +67,11 @@ from paraferm.qseries import lattice_coset_char
 Q = Fraction
 
 
+def _layer_dims(b) -> dict[Fraction, int]:
+    """The number of rows per ambient weight of a basis."""
+    return {w: len(rows) for w, rows in sorted(b.layers.items()) if rows}
+
+
 class TestLatticeBasics:
     def test_gamma_norm(self):
         for k in (2, 3, 4, 5):
@@ -90,6 +95,56 @@ class TestLatticeBasics:
         lat = rank_lattice(3)
         s = FockState((2, 0, 0), ((0, 2), (1, 1)))
         assert state_weight(lat, s) == 4
+
+
+class TestIllShapedInput:
+    """The Fock API refuses input that does not fit the lattice instead of
+    computing on a misread shape."""
+
+    def test_heisenberg_beta_of_wrong_length(self):
+        # (0, 0, 0, 2) used to create b_3(-1)1, a direction rank 3 lacks
+        vac = StateVector.vacuum(rank_lattice(3), 4)
+        for beta in ((0, 0, 0, 2), (2, 0)):
+            for n in (-1, 0, 1):
+                with pytest.raises(ValueError):
+                    heisenberg_apply(beta, n, vac)
+
+    def test_exponential_beta_of_wrong_length(self):
+        # (2, 0) used to give the rank-2 point (2, 0) in a rank-3 space
+        vac = StateVector.vacuum(rank_lattice(3), 4)
+        for beta in ((2, 0), (2, 0, 0, 0)):
+            with pytest.raises(ValueError):
+                exp_mode_apply(beta, -1, vac)
+
+    def test_unsorted_modes_are_refused(self):
+        # b_1(-1)b_0(-1)1 - b_0(-1)b_1(-1)1 = 0, but under two keys it was
+        # a nonzero vector
+        lat, pt = rank_lattice(3), (0, 0, 0)
+        with pytest.raises(ValueError):
+            StateVector(
+                lat, 4, {FockState(pt, ((1, 1), (0, 1))): 1, FockState(pt, ((0, 1), (1, 1))): -1}
+            )
+        with pytest.raises(ValueError):
+            StateVector(lat, 4, [(FockState(pt, [(0, 1)]), 1)])
+        sorted_modes = FockState(pt, ((0, 1), (0, 1), (1, 1)))
+        assert StateVector(lat, 4, {sorted_modes: 1}).coefficient(sorted_modes) == 1
+
+    def test_modes_and_points_must_fit_the_lattice(self):
+        # a mode n = 0 was accepted, as were directions and points off the lattice
+        lat, pt = rank_lattice(3), (0, 0, 0)
+        for state in (
+            FockState(pt, ((0, 0),)),
+            FockState(pt, ((1, -1),)),
+            FockState(pt, ((3, 1),)),
+            FockState(pt, ((-1, 1),)),
+            FockState((0, 0), ()),
+            FockState((0, 0, 0, 0), ()),
+        ):
+            with pytest.raises(ValueError):
+                StateVector(lat, 4, {state: 1})
+        for rank_, den in ((0, 2), (-1, 2), (3, 0), (3, -2)):
+            with pytest.raises(ValueError):
+                Lattice(rank_, den)
 
 
 class TestHeisenbergApply:
@@ -457,18 +512,36 @@ class TestSingularVector:
         for k in (3, 4, 5):
             assert singular_space_dimension(k) == 1
 
+    def test_singular_space_is_read_from_charge_zero_alone(self, monkeypatch):
+        # the basis holds charge 0 up to weight 3, the one charge the kernel
+        # reads; the whole module gives the same dimension
+        real = paraferm.lattice_fock.affine_module_basis
+        budgets = []
+
+        def recording(*args, budget=None):
+            budgets.append(budget)
+            return real(*args, budget=budget)
+
+        monkeypatch.setattr(paraferm.lattice_fock, "affine_module_basis", recording)
+        budgeted = [singular_space_dimension(k) for k in range(3, 7)]
+        assert budgets == [{0: 3}] * 4
+        monkeypatch.setattr(
+            paraferm.lattice_fock, "affine_module_basis", lambda *args, budget=None: real(*args)
+        )
+        assert [singular_space_dimension(k) for k in range(3, 7)] == budgeted
+
 
 class TestGeneratedSubspace:
     def test_vacuum_module_dims_match_pbw_below_the_ideal(self):
         # no relation below weight k+1, so dims are 3-colored partitions
         for k in (3, 4):
             b = affine_module_basis(k, 0, min(k, 3))
-            for w, d in b.dims().items():
+            for w, d in _layer_dims(b).items():
                 assert d == colored_partitions(int(w), 3)
 
     def test_k3_explicit_dims(self):
         b = affine_module_basis(3, 0, 4)
-        dims = {int(w): d for w, d in b.dims().items()}
+        dims = {int(w): d for w, d in _layer_dims(b).items()}
         assert dims[0] == 1 and dims[1] == 3 and dims[2] == 9 and dims[3] == 22
         # the ideal enters at weight k+1 = 4: strictly below the PBW count
         assert dims[4] < colored_partitions(4, 3)
@@ -488,7 +561,7 @@ class TestGeneratedSubspace:
         with pytest.raises(ValueError):
             generated_subspace([H, E, F], Q(1, 2), seeds=[E])
         b = generated_subspace([H, E, F], 1, seeds=[E])
-        assert b.dims() == {1: 1} and commutant_dims(b, 2) == {Q(2, 3): 1}
+        assert _layer_dims(b) == {1: 1} and commutant_dims(b, 2) == {Q(2, 3): 1}
 
     def test_truncated_seed_makes_a_truncated_basis(self):
         # no layer is generated at max_weight 0, so the seed's flag is the
@@ -504,7 +577,7 @@ class TestGeneratedSubspace:
         for k in (2, 3, 4):
             for i in range(k + 1):
                 want = all_modes_affine_dims(k, i, 3)
-                assert affine_module_basis(k, i, 3).dims() == want, (k, i)
+                assert _layer_dims(affine_module_basis(k, i, 3)) == want, (k, i)
 
     def test_generators_must_close_under_zero_mode_brackets(self):
         # [H]: H(0)H = 0, so the (-1)-mode of H alone misses H(-2); [H, E]:
@@ -520,13 +593,13 @@ class TestGeneratedSubspace:
         cases = [(k, i, Q(i, 4) + d) for k, i in ((3, 1), (3, 2), (4, 2)) for d in (1, 0)]
         for k, i, T in cases + [(3, 0, Q(1, 2))]:
             b = affine_module_basis(k, i, T)
-            top = min(b.dims())
-            assert b.dims()[top] == i + 1
+            top = min(_layer_dims(b))
+            assert _layer_dims(b)[top] == i + 1
             assert top == Q(i, 4)
             # measured conformal weight of the top level
             assert top - b.aff_offset == Q(i * (i + 2), 4 * (k + 2))
             if T < 1:
-                assert b.dims() == {top: i + 1} and not b.truncated
+                assert _layer_dims(b) == {top: i + 1} and not b.truncated
 
 
 class TestCommutantKernel:
@@ -633,7 +706,7 @@ class TestOrbitCoordinates:
             full = _trivial_group_basis(monkeypatch, k, i, T)
             assert orbit.blocks == tuple(b for b in (i, k - i) if b)
             assert full.blocks == (1,) * k
-            assert orbit.dims() == full.dims(), (k, i)
+            assert _layer_dims(orbit) == _layer_dims(full), (k, i)
             assert orbit.charge_dims() == full.charge_dims(), (k, i)
             assert (orbit.aff_offset, orbit.truncated) == (full.aff_offset, full.truncated)
             for charge in range(-2 * k, 2 * k + 1):
@@ -780,8 +853,9 @@ class TestChargeCone:
     def test_dims_raise_and_charge_dims_keep_to_the_budget(self):
         for case in self.CASES:
             budget, cone, full = _cone_and_full(*case)
+            # a charge outside the budget has no dimensions to read
             with pytest.raises(ValueError):
-                cone.dims()
+                commutant_dims(cone, max(budget) + 1)
             want = {
                 (w, q): d
                 for (w, q), d in full.charge_dims().items()
@@ -863,7 +937,7 @@ class TestGoldenDumps:
 
     def test_graded_dims_table(self):
         b = affine_module_basis(3, 0, 2)
-        assert b.dims() == {0: 1, 1: 3, 2: 9}
+        assert _layer_dims(b) == {0: 1, 1: 3, 2: 9}
         assert b.truncated is False
 
 
@@ -1044,7 +1118,7 @@ class TestPrefixGrouping:
         rng = random.Random(k)
         even = random_state_vector(lat, T, rng, nterms=3, max_weight=2)
         dual = _shifted(random_state_vector(lat, T, rng, nterms=3, max_weight=1), (1,) * k)
-        top = StateVector(lat, T, {FockState((2,) + (0,) * (k - 1), ((1, 2), (1, 1))): 1})
+        top = StateVector(lat, T, {FockState((2,) + (0,) * (k - 1), ((1, 1), (1, 2))): 1})
         near = even + top
         named = {name: fields[name] for name in ("omega_aff", "omega_para", "W3")}
         named.update(H=H, E=E, F=F)
@@ -1135,7 +1209,7 @@ class TestExponentialSums:
         rng = random.Random(7)
         even = random_state_vector(lat, T, rng, nterms=3, max_weight=3)
         dual = _shifted(random_state_vector(lat, T, rng, nterms=3, max_weight=2), (1,) * k)
-        near = StateVector(lat, T, {FockState((2, 0, 0), ((1, 2), (1, 1))): 1})
+        near = StateVector(lat, T, {FockState((2, 0, 0), ((1, 1), (1, 2))): 1})
         flagged = fractional = False
         # lattice roots, and a dual point pairing half-integrally with dual
         # points, whose fractional modes act there

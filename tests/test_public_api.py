@@ -5,8 +5,10 @@ knob whose name starts with an underscore is a hidden option.  And every
 public module-level function and class is reached: `src/paraferm` uses it
 outside its own definition, the benchmark pins it (`perfbench/tracer.py`
 wraps it or `perfbench/probes.py` imports it), or `KEPT` gives the reason
-it stays.  Methods are not covered, since their names collide across
-classes.
+it stays.  So is every public method or property of a public class: `src`
+reads `.name` outside the member's own definition, `perfbench/tracer.py`
+wraps `module.Class.name`, or `KEPT` gives the reason.  A method counts as
+reached by any `.name`, whichever class the object belongs to.
 """
 
 import ast
@@ -24,6 +26,12 @@ ROOT = Path(__file__).resolve().parents[1]
 KEPT = {
     "characters.w_minimal_central_charge": "the W3 x W3 check compares c(omega_para) with it",
     "fusion_identify.enumerate_w_simples": "the fusion-ring check enumerates the W labels",
+    "lattice_fock.GradedBasis.charge_dims": "the dual route compares it with the affine "
+    "character (ROADMAP direction 4)",
+    "fusion_identify.ParaLabel.topweight": "the W3 zero-mode check reads it (ROADMAP direction 2)",
+    "fusion_identify.WLabel.topweight": "the W3 zero-mode check reads it (ROADMAP direction 2)",
+    "fusion_identify.ParaLabel.twist": "the fusion-ring check applies it (ROADMAP direction 5)",
+    "fusion_identify.WLabel.twist": "the fusion-ring check applies it (ROADMAP direction 5)",
 }
 
 
@@ -41,19 +49,28 @@ def _public_objects():
                 yield info.name, name, obj
 
 
-def _public_callables():
+def _public_members():
+    """(module, class name, defining class, member name, function) for each
+    public method and property getter of a public class, those inherited
+    from a private base of the package included."""
     for mod, name, obj in _public_objects():
-        if inspect.isfunction(obj):
-            yield f"paraferm.{mod}.{name}", obj
+        if not inspect.isclass(obj):
             continue
-        # methods inherited from a private base of the package count too
         for cls in obj.__mro__:
             if not cls.__module__.startswith("paraferm."):
                 continue
             for meth, fn in vars(cls).items():
-                fn = getattr(fn, "__func__", fn)
+                fn = fn.fget if isinstance(fn, property) else getattr(fn, "__func__", fn)
                 if not meth.startswith("_") and inspect.isfunction(fn):
-                    yield f"paraferm.{mod}.{name}.{meth}", fn
+                    yield mod, name, cls.__name__, meth, fn
+
+
+def _public_callables():
+    for mod, name, obj in _public_objects():
+        if inspect.isfunction(obj):
+            yield f"paraferm.{mod}.{name}", obj
+    for mod, name, _, meth, fn in _public_members():
+        yield f"paraferm.{mod}.{name}.{meth}", fn
 
 
 def test_no_public_callable_takes_a_private_parameter():
@@ -68,36 +85,39 @@ def test_no_public_callable_takes_a_private_parameter():
     assert bad == []
 
 
-def _identifiers(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield from sub.name.split(".")
+def _uses_in_src() -> dict[str, set[tuple[bool, tuple[str, ...]]]]:
+    """Per identifier in `src/paraferm`, each place it occurs: whether as an
+    attribute (`.name`), and where, as the module followed by the names of
+    the enclosing definitions, outermost first."""
+    uses: dict[str, set] = {}
 
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                uses.setdefault(child.id, set()).add((False, where))
+            elif isinstance(child, ast.Attribute):
+                uses.setdefault(child.attr, set()).add((True, where))
+            elif isinstance(child, ast.alias):
+                for part in child.name.split("."):
+                    uses.setdefault(part, set()).add((False, where))
+            defines = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, where + (child.name,) if defines else where)
 
-def _uses_in_src() -> dict[str, set[tuple[str, str]]]:
-    """Per identifier in `src/paraferm`, the (module, enclosing top-level
-    definition or "") pairs it occurs in."""
-    uses: dict[str, set[tuple[str, str]]] = {}
     for path in (ROOT / "src" / "paraferm").glob("*.py"):
-        for stmt in ast.parse(path.read_text()).body:
-            owner = getattr(stmt, "name", "")
-            for ident in _identifiers(stmt):
-                uses.setdefault(ident, set()).add((path.stem, owner))
+        visit(ast.parse(path.read_text()), (path.stem,))
     return uses
 
 
 def _benchmark_pins() -> set[str]:
     """module.name of every function `perfbench/tracer.py` wraps or
-    `perfbench/probes.py` imports; both files are read, never written."""
+    `perfbench/probes.py` imports, and module.Class.name of every method
+    the tracer wraps; both files are read, never written."""
     path = ROOT / "perfbench" / "tracer.py"
     tracer = types.ModuleType("tracer")
     tracer.__file__ = str(path)
     exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
-    pins = {".".join(name.split(".")[:2]) for name, _ in tracer.LAYERS}
+    pins = {name for name, _ in tracer.LAYERS}
+    pins |= {".".join(name.split(".")[:2]) for name in pins}
     probes = ast.parse((ROOT / "perfbench" / "probes.py").read_text())
     for node in ast.walk(probes):
         if isinstance(node, ast.ImportFrom) and node.module.startswith("paraferm."):
@@ -108,14 +128,28 @@ def _benchmark_pins() -> set[str]:
 
 def test_every_public_name_is_reached():
     public = [(mod, name) for mod, name, _ in _public_objects()]
-    assert len(public) > 50
-    assert set(KEPT) <= {f"{mod}.{name}" for mod, name in public}
+    members = [(mod, name, owner, meth) for mod, name, owner, meth, _ in _public_members()]
+    assert len(public) > 50 and len(members) > 40
+    dotted = {f"{mod}.{name}" for mod, name in public}
+    dotted |= {f"{mod}.{name}.{meth}" for mod, name, _, meth in members}
+    assert set(KEPT) <= dotted
     uses = _uses_in_src()
     pins = _benchmark_pins()
     unreached = []
     for mod, name in public:
-        dotted = f"{mod}.{name}"
         # a use inside the name's own definition (say, recursion) is no caller
-        if not (uses.get(name, set()) - {(mod, name)} or dotted in pins or dotted in KEPT):
-            unreached.append(dotted)
+        if not (
+            any(where[:2] != (mod, name) for _, where in uses.get(name, ()))
+            or f"{mod}.{name}" in pins
+            or f"{mod}.{name}" in KEPT
+        ):
+            unreached.append(f"{mod}.{name}")
+    for mod, name, owner, meth in members:
+        # only `.meth` reaches a method, and not from inside its own body
+        if not (
+            any(attr and where[:3] != (mod, owner, meth) for attr, where in uses.get(meth, ()))
+            or f"{mod}.{name}.{meth}" in pins
+            or f"{mod}.{name}.{meth}" in KEPT
+        ):
+            unreached.append(f"{mod}.{name}.{meth}")
     assert unreached == []

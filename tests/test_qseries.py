@@ -166,28 +166,15 @@ class TestNormalResults:
     normal store them as they are; the public constructor, given the same
     terms, changes nothing."""
 
-    @given(a=series(), b=series(), d=_COEFFICIENTS, T=_COEFFICIENTS)
+    @given(a=series(), b=series(), d=_COEFFICIENTS)
     @settings(max_examples=80, deadline=None)
-    def test_results_are_normal(self, a, b, d, T):
-        results = [a * b, a.shift(d), a.truncate(T + 4), a.truncate(T)]
+    def test_results_are_normal(self, a, b, d):
+        results = [a * b, a.shift(d)]
         for r in results:
             assert _renormalised(r) == r
             for e, x in r.terms.items():
                 assert type(e) is Fraction and type(x) is Fraction and x
             assert type(r.truncation) is Fraction
-
-    @given(
-        terms=st.dictionaries(
-            st.tuples(st.integers(-4, 4), st.fractions(0, 6, max_denominator=3)),
-            _COEFFICIENTS, max_size=8,
-        ),
-        m=st.integers(-4, 4),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_charge_slice_is_normal(self, terms, m):
-        r = ZQSeries(terms, 5).charge_slice(m)
-        assert _renormalised(r) == r
-        assert r == QSeries({e: c for (z, e), c in terms.items() if z == m}, 5)
 
 
 # exponents with denominators 1..5 mixed in one operand, negative ones
@@ -321,6 +308,17 @@ class TestCosetTheta:
             for s in range(1, 2 * k):
                 assert coset_theta(k, s, 9) == coset_theta(k, 2 * k - s, 9)
 
+    def test_equals_the_sum_over_a_wide_range(self):
+        # every residue, against sum_n q^((2kn+s)^2/4k) over |n| <= 40, far
+        # beyond the truncations, T <= 0 and off-grid T included
+        for k in range(1, 6):
+            for s in range(2 * k):
+                for T in (Q(-3), 0, Q(1, 7), 1, Q(9, 2), Q(12)):
+                    brute = QSeries(
+                        [(Q((2 * k * n + s) ** 2, 4 * k), 1) for n in range(-40, 41)], T
+                    )
+                    assert coset_theta(k, s, T) == brute, (k, s, T)
+
     def test_nonpositive_truncation_is_empty(self):
         # as heisenberg_char(1, T) and euler_function(T) are: no exponent
         # lies below T
@@ -356,11 +354,6 @@ class TestLatticeCosetChar:
 
 
 class TestZQSeries:
-    def test_mul_and_specialize(self):
-        # (z q^(1/2) + z^-1 q^(1/2))^2, written out
-        b = ZQSeries({(2, 1): 1, (0, 1): 2, (-2, 1): 1}, 4)
-        assert b.specialize_z1() == S({1: 4}, 4)
-
     def test_geometric_inverse(self):
         g = ZQSeries({(0, 0): 1}, 4).mul_geometric_inverse(2, 1)
         assert g.coefficient(0, 0) == 1
@@ -382,8 +375,19 @@ class TestZQSeries:
             with pytest.raises(TypeError):
                 ZQSeries(terms, T)
 
-    def test_charge_slice(self):
-        a = ZQSeries({(0, 0): 1, (6, 3): 2, (2, 1): 5}, 4)
-        assert a.charge_slice(0) + a.charge_slice(6) == S({0: 1, 3: 2}, 4)
-        assert a.charge_slice(2) == S({1: 5}, 4)
-        assert a.charge_slice(4) == S({}, 4)
+    @given(
+        terms=st.dictionaries(
+            st.tuples(st.integers(-4, 4), st.fractions(-2, 6, max_denominator=3)),
+            _COEFFICIENTS, max_size=8,
+        ),
+        T=st.sampled_from([Q(-1), Q(3), Q(7, 2), Q(5)]),
+        zexp=st.integers(-3, 3),
+        qexp=st.fractions(0, 3, max_denominator=4).filter(bool),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_geometric_inverse_undone_by_its_factor(self, terms, T, zexp, qexp):
+        # g = x / (1 - z^zexp q^qexp) satisfies g - z^zexp q^qexp g = x below T
+        x = ZQSeries(terms, T)
+        g = x.mul_geometric_inverse(zexp, qexp)
+        shifted = [((z + zexp, e + qexp), -c) for (z, e), c in g.terms.items()]
+        assert ZQSeries([*g.terms.items(), *shifted], T) == x
