@@ -33,15 +33,14 @@ point) pair's room, degree and shifted point are worked out once, in
 integers, each component comes from one memo, and everything is added
 into one integer dict over one common denominator.  The other states go
 by prefix groups: each state b_p(-n) rest is keyed by (n, rest) and a
-key's coefficients fold into one pairing vector beta, so the group costs
-one normally-ordered product beta(-n) with the field of rest.  One
-recursion, `_prefix_mode_apply`, peels one Heisenberg mode per level and
-carries one integer bound, F = floor(wt(v) + wt(field) - m).  It ends at
-the lattice exponential or, when the last mode sits on the vacuum, at the
-derivative field of beta(-n)1, one Heisenberg mode.  When rest is one mode
-on the vacuum, as in every quadratic group of a conformal vector and in
-H(-1)H, the creation half reads rest's images of v from one annihilation
-scan of v, not one scan per mode number.
+key's coefficients fold into one pairing vector beta.  Every group whose
+rest is one mode b_q(-n')1, as in a conformal vector's quadratic part and
+in H(-1)H, joins one more pass (`_pair_modes`), which enumerates only the
+terms of beta(-n) b_q(-n')1 that each state of v yields.  Other groups go
+by one recursion, `_prefix_mode_apply`, peeling one Heisenberg mode per
+level under one integer bound, F = floor(wt(v) + wt(field) - m), down to
+the lattice exponential, the pair pass or the derivative field of
+beta(-n)1, one Heisenberg mode.
 
 Generated bases are built and reduced in orbit coordinates of the group
 that permutes the lattice basis inside consecutive blocks and fixes the
@@ -60,7 +59,8 @@ of the Fock vectors, and the commutant kernels stay in these coordinates.
 A global weight truncation bounds every stored state; creation results
 beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
 is a flag, never an exception), so a check consuming flagged vectors can
-only report success up to truncation.
+only report success up to truncation.  The pair pass flags per state s of
+v: a dropped term flags when the first operator's image of s is nonzero.
 """
 
 from __future__ import annotations
@@ -598,11 +598,72 @@ def _binom_general(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
-def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F, shared=None) -> StateVector:
+def _pair_modes(pairs, m, v: StateVector) -> StateVector:
+    """sum of the m-th modes of the fields of beta(-n) delta(-n2)1 over the
+    (beta, n, delta, n2) of pairs, beta and delta nonzero in lattice
+    coordinates, in one pass over v; m is `_exact`, fractional m gives 0.
+    With c0 = m - n - n2 + 1 the mode is sum_{j + j2 = c0} C(-j-1, n-1)
+    C(-j2-1, n2-1) beta(j) delta(j2), ordered as in `_prefix_mode_apply`: a
+    state s yields (A) beta(j), j = 0 or a mode of s, then delta(c0 - j), and
+    (B) delta(j2), j2 >= c0 + n a mode of s, 0 or a creation, then
+    beta(c0 - j2).  Each term has mode weight mw(s) - c0: one room test."""
+    if isinstance(m, Fraction):
+        return v._with({}, 1)
+    D, binom, bound = v.lattice.den, _binom_general, _floor_bound(v.lattice, v.truncation)
+    pairs = [(beta, n, delta, n2, m - n - n2 + 1) for beta, n, delta, n2 in pairs]
+    flagged = v.truncated
+    # per point: its room, each pair's zero modes and mode tuple -> numerator
+    # over v.den den^2 (an annihilation's int factor is multiplied by den)
+    per_point: dict[tuple, tuple] = {}
+    for (point, modes), x in v.num.items():
+        if point not in per_point:
+            per_point[point] = (bound(-_dot(point, point)),
+                                [(_dot(p[0], point), _dot(p[2], point)) for p in pairs], {})
+        room, zeros, out = per_point[point]
+        excess = sum(map(_mode_n, modes)) - room
+        # the distinct modes (p, t) of s, their multiplicities, s less one copy
+        dist = [(*pt, modes.count(pt), modes[:i] + modes[i + 1:])
+                for i, pt in enumerate(modes) if not i or pt != modes[i - 1]]
+        for (beta, n, delta, n2, c0), (zb, zd) in zip(pairs, zeros):
+            lo, over = c0 + n, c0 < excess
+            # (coefficient, vector, zero mode, j, modes): vector(j) acts second
+            terms = [(x * zb * binom(-c0 - 1, n2 - 1) * binom(-1, n - 1), delta, zd, c0, modes)]
+            for p, t, r, rest in dist:
+                if beta[p]:
+                    c = binom(t - c0 - 1, n2 - 1) * binom(-t - 1, n - 1)
+                    terms.append((x * r * t * beta[p] * D * c, delta, zd, c0 - t, rest))
+                if t >= lo and delta[p]:
+                    c = binom(-t - 1, n2 - 1) * binom(t - c0 - 1, n - 1)
+                    terms.append((x * r * t * delta[p] * D * c, beta, zb, c0 - t, rest))
+            for j2 in range(lo, 1):
+                c = x * binom(-j2 - 1, n2 - 1) * binom(j2 - c0 - 1, n - 1)
+                terms += [(c * zd, beta, zb, c0, modes)] if not j2 else [
+                    (c * d, beta, zb, c0 - j2, _insert_mode(modes, q, -j2))
+                    for q, d in enumerate(delta) if d]
+            for c, vec, z, j, rest in terms:
+                if c and j > 0:
+                    for idx, t, f in _contractions(rest, vec):
+                        if t == j:
+                            key = rest[:idx] + rest[idx + 1:]
+                            out[key] = out.get(key, 0) + c * f * D
+                elif c and j == 0:
+                    out[rest] = out.get(rest, 0) + c * z
+                elif c and over:
+                    flagged = True
+                elif c:
+                    for p, b in enumerate(vec):
+                        if b:
+                            key = _insert_mode(rest, p, -j)
+                            out[key] = out.get(key, 0) + c * b
+    num = {FockState(pt, mds): c for pt, (*_, out) in per_point.items() for mds, c in out.items()}
+    return v._with(num, v.den * D * D, flagged)
+
+
+def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVector:
     """Apply the m-th mode of the field of beta_1(-n_1) ... beta_r(-n_r) e^point
     to v, prefix = ((beta_1, n_1), ...) with each beta in lattice coordinates;
     F = floor(wv + wt(field) - m) is an integer bound, wv an upper bound on
-    the weights of v (unread for an empty prefix).
+    the weights of v (read only where a mode is peeled).
 
     An empty prefix is the field of e^point, `exp_mode_apply`, or the
     identity when point is 0.  Otherwise the m-th mode is
@@ -618,24 +679,22 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F, shared=None) 
     j <= -F leaves rest_(m') v below the vacuum.  When rest is the vacuum,
     rest_(m') is the identity at m' = -1 and zero elsewhere, so the field is
     the derivative field alone and only j = m - n + 1 survives: one
-    Heisenberg mode, none for fractional m.  It always lies in the range of
-    the loops, since j <= -F would need wv < 0.  When rest is one mode on
-    the vacuum, the creation half passes its children the annihilations of
-    v by that mode, shared (`_annihilations`), which they read for j > 0.
+    Heisenberg mode, none for fractional m.  When rest is one mode on the
+    vacuum, the two modes go to the pair pass, `_pair_modes`.
     """
     if not prefix:
         if any(point):
             return exp_mode_apply(point, m, v)
         return v if m == -1 else v._with({}, 1)
     (beta, n), rest = prefix[0], prefix[1:]
+    if len(rest) == 1 and not any(point):
+        return _pair_modes([(beta, n, *rest[0])], m, v)
     if not rest and not any(point):
         j = m - n + 1
         c = 0 if isinstance(j, Fraction) else _binom_general(-j - 1, n - 1)
         # C vanishes for -n < j < 0, the gap between the two halves
         if not c:
             return v._with({}, 1)
-        if j > 0 and shared is not None:
-            return v._with({s: c * x for s, x in shared.get(j, {}).items()}, v.den)
         return heisenberg_apply(beta, j, v).scale(c)
     pieces = []
     flagged = v.truncated
@@ -649,12 +708,9 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F, shared=None) 
         inner = _prefix_mode_apply(rest, point, m - n - j, w, F)
         flagged = flagged or inner.truncated
         pieces.append((_binom_general(-j - 1, n - 1), inner.num, inner.den))
-    # creation half: beta(j) for -n >= j > -F, applied last; a rest of one
-    # mode on the vacuum reads its annihilations of v from one scan
-    leaf = len(rest) == 1 and not any(point) and F > n
-    rest_hits = _annihilations(rest[0][0], v.num) if leaf else None
+    # creation half: beta(j) for -n >= j > -F, applied last
     for j in range(-n, -F, -1):
-        inner = _prefix_mode_apply(rest, point, m - n - j, v, F + j, rest_hits)
+        inner = _prefix_mode_apply(rest, point, m - n - j, v, F + j)
         if not inner.is_zero() or inner.truncated:
             inner = heisenberg_apply(beta, j, inner)
             flagged = flagged or inner.truncated
@@ -672,11 +728,11 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     The states of a are applied by prefix groups: every state b_p(-n) rest
     (b_p(-n) its first mode) is keyed by (n, rest), and the numerators c_p
     of a key make one pairing vector beta = sum_p c_p b_p (coordinate
-    c_p den at p), so the group costs one `_prefix_mode_apply` of beta(-n)
-    rest.  H = gamma(-1)1 is one group, the quadratic part of a conformal
-    vector one per rest b_q(-1).  Each group's bound F is computed once,
-    here.  The bare exponentials of a are applied together in one pass over
-    v (`_exp_modes`), and the vacuum's field is the identity.
+    c_p den at p).  The groups whose rest is one mode on the vacuum (the
+    quadratic part of a conformal vector has one per rest b_q(-1)) share
+    one `_pair_modes` pass; each other group costs one `_prefix_mode_apply`
+    of beta(-n) rest, its bound F computed here, from one scan of v.  The bare exponentials of
+    a share one pass (`_exp_modes`), and the vacuum's field is the identity.
     """
     if a.lattice != v.lattice:
         raise ValueError("operator and argument live over different lattices")
@@ -700,16 +756,22 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
         beta[p] = c * lat.den
     if exps:
         pieces.append((1, _exp_modes(exps, m, v)))
-    if groups:
-        # F = floor(wv + wt(beta(-n) rest) - m), with 2den wv the largest
-        # a.a + 2den (mode weight) over the states of v; mode weights are ints
-        bound = _floor_bound(lat, -m)
-        q = 2 * lat.den
-        top = max((_dot(s.point, s.point) + q * _mode_weight(s) for s in v.num), default=0)
-        for (n, rest), beta in groups.items():
-            F = bound(top + _dot(rest.point, rest.point)) + n + _mode_weight(rest)
-            prefix = ((tuple(beta), n),) + tuple((_basis_coords(lat, p), t) for p, t in rest.modes)
-            pieces.append((1, _prefix_mode_apply(prefix, rest.point, m, v, F)))
+    pairs, top = [], None
+    for (n, rest), beta in groups.items():
+        prefix = ((tuple(beta), n),) + tuple((_basis_coords(lat, p), t) for p, t in rest.modes)
+        if len(prefix) == 2 and not any(rest.point):
+            pairs.append(prefix[0] + prefix[1])
+            continue
+        if top is None:
+            # F = floor(wv + wt(beta(-n) rest) - m), with 2den wv the largest
+            # a.a + 2den (mode weight) over the states of v; mode weights are ints
+            bound = _floor_bound(lat, -m)
+            q = 2 * lat.den
+            top = max((_dot(s.point, s.point) + q * _mode_weight(s) for s in v.num), default=0)
+        F = bound(top + _dot(rest.point, rest.point)) + n + _mode_weight(rest)
+        pieces.append((1, _prefix_mode_apply(prefix, rest.point, m, v, F)))
+    if pairs:
+        pieces.append((1, _pair_modes(pairs, m, v)))
     flagged = a.truncated or v.truncated or any(piece.truncated for _, piece in pieces)
     num, den = _lincomb([(c, piece.num, a.den * piece.den) for c, piece in pieces])
     return v._with(num, den, flagged, min(a.truncation, v.truncation))

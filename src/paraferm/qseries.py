@@ -293,9 +293,6 @@ class ZQSeries(_Series):
         e = _rat(e)
         return (int(z), e), e
 
-    def coefficient(self, z: int, e) -> Fraction:
-        return self.terms.get((z, _rat(e)), Fraction(0))
-
     def mul_geometric_inverse(self, zexp: int, qexp) -> "ZQSeries":
         """Multiply by (1 - z^zexp q^qexp)^(-1) with qexp > 0."""
         qexp = _rat(qexp)

@@ -6,7 +6,7 @@ separate construction, never through the code paths under test.
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, isqrt, perm
+from math import ceil, comb, isqrt, perm
 
 from paraferm.fusion_identify import (
     enumerate_simples,
@@ -20,6 +20,7 @@ from paraferm.lattice_fock import (
     heisenberg_apply,
     mode_apply,
     sl2_generators,
+    state_weight,
 )
 from paraferm.qseries import QSeries, ZQSeries
 
@@ -170,6 +171,52 @@ def symbol_product_coefficient(m: int, r: int, n: int) -> int:
     """Coefficient [n]_r - (-1)^r [m]_r of J^(m+n-r) in the r-th symbol
     product of J^m with J^n, for m, n >= 0 (perm(n, r) = [n]_r there)."""
     return perm(n, r) - (-1) ** r * perm(m, r)
+
+
+def heisenberg_field_mode(prefix, m, v: StateVector) -> StateVector:
+    """The m-th mode of the field of beta_1(-n_1) ... beta_r(-n_r)1 on v,
+    prefix = ((beta_1, n_1), ...) with each beta in lattice coordinates, from
+    the iterate formula in public `heisenberg_apply` calls.  The field of
+    beta(-n) rest has the m-th mode
+
+        sum_{j <= -n} C(-j-1, n-1) beta(j) rest_(m-n-j)
+      + sum_{j >= 0}  C(-j-1, n-1) rest_(m-n-j) beta(j),
+
+    the vacuum's field is the identity (so with rest = 1 only j = m - n + 1
+    is left), and a fractional m gives zero.  j runs over the explicit window
+    |j| <= W, W = ceil(weight of the state) + n_1 + ... + n_r + |m| + 1,
+    outside which every term vanishes.  Each state of v is taken alone, at
+    every level, so a dropped creation flags the result exactly when it hits
+    a state it leaves nonzero."""
+    lat, T = v.lattice, v.truncation
+    total = StateVector(lat, T, truncated=v.truncated)
+    if Q(m).denominator != 1:
+        return total
+    for s, c in v.terms.items():
+        u = StateVector(lat, T, {s: c}, v.truncated)
+        if not prefix:
+            total = total + (u if m == -1 else u.scale(0))
+            continue
+        (beta, n), rest = prefix[0], prefix[1:]
+        W = ceil(state_weight(lat, s)) + sum(nn for _, nn in prefix) + abs(m) + 1
+        # with rest the vacuum, only rest_(-1) is nonzero
+        for j in range(-W, W + 1) if rest else [m - n + 1]:
+            if -n < j < 0 or abs(j) > W:
+                continue
+            if j < 0:
+                piece = heisenberg_apply(beta, j, heisenberg_field_mode(rest, m - n - j, u))
+            else:
+                piece = heisenberg_field_mode(rest, m - n - j, heisenberg_apply(beta, j, u))
+            total = total + piece.scale(_binomial(-j - 1, n - 1))
+    return total
+
+
+def _binomial(a: int, b: int) -> Fraction:
+    """a (a-1) ... (a-b+1) / b! for any integer a, b >= 0."""
+    num = 1
+    for t in range(b):
+        num *= a - t
+    return Q(num, perm(b))
 
 
 def all_modes_affine_dims(k: int, i: int, max_weight) -> dict[Fraction, int]:

@@ -98,7 +98,7 @@ class TestAffineChar:
             ch = affine_sl2_char(k, i, wmax + Q(1, 2))
             realized = basis.charge_dims()
             for (w, lam), d in realized.items():
-                assert ch.coefficient(int(lam), w) == d, (k, i, w, lam)
+                assert q_slice(ch, w).get(int(lam), 0) == d, (k, i, w, lam)
             total_char = sum(
                 c for (_, e), c in ch.terms.items() if e <= max(w for w, _ in realized)
             )

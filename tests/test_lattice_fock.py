@@ -12,13 +12,14 @@ from fractions import Fraction
 from math import factorial, floor, gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     all_modes_affine_dims,
     commutant_kernel_oracle,
     expand,
+    heisenberg_field_mode,
     rref_nullspace,
     sector_graded_dims,
     theta_involution,
@@ -32,6 +33,7 @@ from paraferm.lattice_fock import (
     FockState,
     Lattice,
     StateVector,
+    _basis_coords,
     _canonical,
     _commutant_systems,
     _exp_component,
@@ -1067,8 +1069,8 @@ def _shifted(v: StateVector, parity) -> StateVector:
 
 
 def _dressed(lat: Lattice, T) -> StateVector:
-    """b_0(-1)b_1(-1)1 + 2 b_1(-2)1: modes 1 and 2 in direction 1, which a
-    group's shared annihilation scan contracts."""
+    """b_0(-1)b_1(-1)1 + 2 b_1(-2)1: modes 1 and 2 in direction 1, which the
+    pair pass contracts with either operator of a group, first or second."""
     zero = (0,) * lat.rank
     return StateVector(
         lat, T, {FockState(zero, ((0, 1), (1, 1))): 1, FockState(zero, ((1, 2),)): 2}
@@ -1096,8 +1098,10 @@ def _shared_rest_fields(draw, lat):
 class TestPrefixGrouping:
     """mode_apply applies the states of a field in groups b_p(-n) rest that
     share a rest.  The value is the sum of the single-state applications;
-    the truncated flag can only be clearer, where single-state pieces cancel
-    exactly."""
+    the truncated flag can only be clearer: a group flags where the operator
+    acting first leaves a state (the pair pass) or an intermediate vector
+    (the recursion) nonzero, and the single-state pieces of that image can
+    cancel within the group."""
 
     def _assert_grouping_is_exact(self, a, m, v):
         got = mode_apply(a, m, v)
@@ -1137,8 +1141,8 @@ class TestPrefixGrouping:
     def test_translated_quadratic_field(self, k):
         # gamma(-2)gamma(-1)1 is half the translate L(-1) of H(-1)H, so its
         # m-th mode is -m/2 times the (m-1)-st of H(-1)H.  Its groups have
-        # rests b_q(-2) on the vacuum, whose images the creation half reads
-        # from one annihilation scan with the factor C(-j-1, 1)
+        # rests b_q(-1) and b_q(-2) on the vacuum, so the pair pass meets a
+        # second mode number 2, with the factor C(-j-1, 1), on either side
         T = 8
         H = sl2_generators(k, T)[0]
         lat = H.lattice
@@ -1197,6 +1201,124 @@ class TestPrefixGrouping:
                             c = 0 if isinstance(j, Fraction) else binom(-j - 1, n - 1)
                             want = heisenberg_apply(beta, j, v).scale(c) if c else v.scale(0)
                             assert got == want and got.truncated == want.truncated, (k, n, m)
+
+
+@st.composite
+def _sector_vectors(draw, lat, T, max_states=3):
+    """Up to max_states states of weight at most T, all in one sector: the
+    points are even, or shifted by one drawn parity vector into the dual.
+    Modes are drawn until a draw stops or no room is left, so states often
+    reach T."""
+    parity = draw(st.tuples(*[st.integers(0, 1)] * lat.rank))
+    terms = {}
+    for _ in range(draw(st.integers(1, max_states))):
+        point = tuple(lat.den * draw(st.integers(-1, 1)) + e for e in parity)
+        room = T - lat.point_weight(point)
+        modes = []
+        while room >= 1 and draw(st.booleans()):
+            t = draw(st.integers(1, floor(room)))
+            modes.append((draw(st.integers(0, lat.rank - 1)), t))
+            room -= t
+        if room >= 0:
+            terms[FockState(point, tuple(sorted(modes)))] = draw(
+                st.fractions(-3, 3, max_denominator=4).filter(bool))
+    return StateVector(lat, T, terms)
+
+
+def _field_mode_number(draw, weight):
+    """A mode number m of a field of the given weight, c0 = m - weight + 1
+    from -4 to 3 (c0 = 0 included), or that m plus 1/2."""
+    m = weight - 1 + draw(st.integers(-4, 3))
+    return m + Q(1, 2) if draw(st.booleans()) else m
+
+
+class TestHeisenbergFieldOracle:
+    """mode_apply on Heisenberg fields against `heisenberg_field_mode`, the
+    iterate formula in public heisenberg_apply calls, one state at a time."""
+
+    @given(data=st.data(), k=st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_general_pairs(self, data, k):
+        # beta(-n) delta(-n2)1 for any nonzero beta, delta: mode_apply splits
+        # it into groups with other pairing vectors, so only values compare
+        lat = rank_lattice(k)
+        vec = st.tuples(*[st.integers(-2, 2)] * k).filter(any)
+        beta, delta = data.draw(vec), data.draw(vec)
+        n, n2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        m = _field_mode_number(data.draw, n + n2)
+        v = data.draw(_sector_vectors(lat, 3))
+        vac = StateVector.vacuum(lat, 8)
+        a = heisenberg_apply(beta, -n, heisenberg_apply(delta, -n2, vac))
+        got = mode_apply(a, m, v)
+        want = heisenberg_field_mode(((beta, n), (delta, n2)), m, v)
+        assert got == want, (m, got.canonical_text(), want.canonical_text())
+
+    @given(data=st.data(), k=st.integers(2, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_pair_flags_at_the_truncation(self, data, k):
+        # one state c b_p(-n) b_q(-n2)1 is one group, and v reaches T: the
+        # flags are decided per state of v on both sides and must agree
+        lat = rank_lattice(k)
+        p, q = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+        n, n2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        c = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+        m = _field_mode_number(data.draw, n + n2)
+        v = data.draw(_sector_vectors(lat, 3))
+        a = StateVector(lat, 8, {FockState((0,) * k, tuple(sorted(((p, n), (q, n2))))): c})
+        got = mode_apply(a, m, v)
+        prefix = ((_basis_coords(lat, p), n), (_basis_coords(lat, q), n2))
+        want = heisenberg_field_mode(prefix, m, v).scale(c)
+        assert got == want and got.truncated == want.truncated, (m, got.truncated)
+
+    @given(
+        modes=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 2)), min_size=3, max_size=3),
+        c0=st.integers(-4, 3),
+        half=st.booleans(),
+        v=_sector_vectors(rank_lattice(2), 3, max_states=1),
+    )
+    # on the vacuum only the creation half of the peeled mode yields terms,
+    # and at c0 = -4 each of them lies above T
+    @example(modes=[(0, 1), (0, 1), (1, 1)], c0=-4, half=False,
+             v=StateVector.vacuum(rank_lattice(2), 3))
+    @settings(max_examples=30, deadline=None)
+    def test_cubic_state(self, modes, c0, half, v):
+        # b_p(-n1) b_q(-n2) b_r(-n3)1: the recursion peels one mode and hands
+        # the rest to the pair pass; on one state of v the flags agree
+        lat = v.lattice
+        modes = tuple(sorted(modes))
+        m = sum(t for _, t in modes) - 1 + c0 + (Q(1, 2) if half else 0)
+        got = mode_apply(StateVector(lat, 8, {FockState((0, 0), modes): 1}), m, v)
+        want = heisenberg_field_mode(tuple((_basis_coords(lat, p), t) for p, t in modes), m, v)
+        assert got == want and got.truncated == want.truncated, (modes, m)
+
+    def test_cubic_rest_reaches_the_pair_pass(self, monkeypatch):
+        calls = []
+        pair_modes = paraferm.lattice_fock._pair_modes
+
+        def spy(pairs, m, v):
+            calls.append(len(pairs))
+            return pair_modes(pairs, m, v)
+
+        monkeypatch.setattr(paraferm.lattice_fock, "_pair_modes", spy)
+        lat = rank_lattice(2)
+        a = StateVector(lat, 8, {FockState((0, 0), ((0, 1), (1, 1), (1, 2))): 1})
+        v = StateVector(lat, 3, {FockState((2, 0), ((1, 1),)): 1})
+        mode_apply(a, 1, v)
+        assert calls and set(calls) == {1}
+
+    def test_flagged_and_clear_cases(self):
+        # b_0(-1)b_1(-1)1 on b_0(-3)1 at T = 3: m = 0 creates weight 1 and
+        # is dropped, m = 1 keeps the weight, m = 3/2 is zero and clear
+        lat = rank_lattice(2)
+        a = StateVector(lat, 8, {FockState((0, 0), ((0, 1), (1, 1))): 1})
+        v = StateVector(lat, 3, {FockState((0, 0), ((0, 3),)): 1})
+        prefix = ((_basis_coords(lat, 0), 1), (_basis_coords(lat, 1), 1))
+        seen = set()
+        for m in (0, 1, Q(3, 2)):
+            got, want = mode_apply(a, m, v), heisenberg_field_mode(prefix, m, v)
+            assert got == want and got.truncated == want.truncated, m
+            seen.add(got.truncated)
+        assert seen == {True, False}
 
 
 class TestExponentialSums:
