@@ -34,13 +34,14 @@ integers, each component comes from one memo, and everything is added
 into one integer dict over one common denominator.  The other states go
 by prefix groups: each state b_p(-n) rest is keyed by (n, rest) and a
 key's coefficients fold into one pairing vector beta.  Every group whose
-rest is one mode b_q(-n')1, as in a conformal vector's quadratic part and
-in H(-1)H, joins one more pass (`_pair_modes`), which enumerates only the
-terms of beta(-n) b_q(-n')1 that each state of v yields.  Other groups go
-by one recursion, `_prefix_mode_apply`, peeling one Heisenberg mode per
-level under one integer bound, F = floor(wt(v) + wt(field) - m), down to
-the lattice exponential, the pair pass or the derivative field of
-beta(-n)1, one Heisenberg mode.
+rest is the vacuum or one mode b_q(-n')1, as in H, in a conformal
+vector's quadratic part and in H(-1)H, joins one more pass
+(`_vacuum_modes`, whose one-mode case is `heisenberg_apply`), which
+enumerates only the terms of beta(-n)1 or beta(-n) b_q(-n')1 that each
+state of v yields.  Other groups go by one recursion,
+`_prefix_mode_apply`, peeling one Heisenberg mode per level under one
+integer bound, F = floor(wt(v) + wt(field) - m), down to the lattice
+exponential or to two modes on the vacuum.
 
 Generated bases are built and reduced in orbit coordinates of the group
 that permutes the lattice basis inside consecutive blocks and fixes the
@@ -59,8 +60,9 @@ of the Fock vectors, and the commutant kernels stay in these coordinates.
 A global weight truncation bounds every stored state; creation results
 beyond it are dropped and recorded in a sticky ``truncated`` flag (overflow
 is a flag, never an exception), so a check consuming flagged vectors can
-only report success up to truncation.  The pair pass flags per state s of
-v: a dropped term flags when the first operator's image of s is nonzero.
+only report success up to truncation.  `_vacuum_modes` flags per state s
+of v: a dropped term flags when its coefficient on s is nonzero, for a pair
+when the operator acting first leaves s nonzero.
 """
 
 from __future__ import annotations
@@ -418,44 +420,13 @@ def heisenberg_apply(beta, n: int, v: StateVector) -> StateVector:
 
     n > 0 annihilates (contract against matching creation modes with factor
     n <beta, b_p>), n = 0 multiplies by <beta, point>, n < 0 creates; a
-    creation result beyond the truncation is dropped and flagged.
+    creation result beyond the truncation is dropped and flagged.  beta(n)
+    is the n-th mode of the field of beta(-1)1, so this is the one-group
+    call of `_vacuum_modes`; ValueError unless n is an int.
     """
-    lat = v.lattice
-    beta = _coords(lat, beta)
-    # <beta, b_p> = beta[p], <beta, point> = pairing / den and beta =
-    # sum_p beta[p] b_p / den
-    acc: dict[FockState, int] = {}
-    if n > 0:
-        # only the copies of b_p(-n) contract with beta(n)
-        for s, c in v.num.items():
-            for idx, nn, f in _contractions(s.modes, beta):
-                if nn == n:
-                    key = FockState(s.point, s.modes[:idx] + s.modes[idx + 1:])
-                    acc[key] = acc.get(key, 0) + c * f
-        return v._with(acc, v.den)
-    if n == 0:
-        for s, c in v.num.items():
-            pair = _dot(beta, s.point)
-            if pair:
-                acc[s] = c * pair
-        return v._with(acc, v.den * lat.den)
-    step = -n
-    flagged = v.truncated
-    # mode weight a result may carry at each point a: floor(T - a.a / 2den)
-    bound = _floor_bound(lat, v.truncation)
-    room: dict[tuple, int] = {}
-    for s, c in v.num.items():
-        r = room.get(s.point)
-        if r is None:
-            r = room[s.point] = bound(-_dot(s.point, s.point))
-        if _mode_weight(s) + step > r:
-            flagged = True
-            continue
-        for p, b in enumerate(beta):
-            if b:
-                key = FockState(s.point, _insert_mode(s.modes, p, step))
-                acc[key] = acc.get(key, 0) + c * b
-    return v._with(acc, v.den * lat.den, flagged)
+    if not isinstance(n, int):
+        raise ValueError(f"mode number {n!r}: need an int")
+    return _vacuum_modes([(_coords(v.lattice, beta), 1)], n, v)
 
 
 def _annihilations(beta, num: dict) -> dict[int, dict]:
@@ -598,63 +569,76 @@ def _binom_general(a: int, b: int) -> int:
     return (-1) ** b * comb(b - a - 1, b)
 
 
-def _pair_modes(pairs, m, v: StateVector) -> StateVector:
-    """sum of the m-th modes of the fields of beta(-n) delta(-n2)1 over the
-    (beta, n, delta, n2) of pairs, beta and delta nonzero in lattice
-    coordinates, in one pass over v; m is `_exact`, fractional m gives 0.
-    With c0 = m - n - n2 + 1 the mode is sum_{j + j2 = c0} C(-j-1, n-1)
-    C(-j2-1, n2-1) beta(j) delta(j2), ordered as in `_prefix_mode_apply`: a
-    state s yields (A) beta(j), j = 0 or a mode of s, then delta(c0 - j), and
-    (B) delta(j2), j2 >= c0 + n a mode of s, 0 or a creation, then
-    beta(c0 - j2).  Each term has mode weight mw(s) - c0: one room test."""
+def _vacuum_modes(groups, m, v: StateVector) -> StateVector:
+    """sum of the m-th modes of the fields of beta(-n)1 and beta(-n) delta(-n2)1
+    over the groups (beta, n) and (beta, n, delta, n2), beta and delta in
+    lattice coordinates (nonzero in a pair), in one pass over v; m is `_exact`,
+    fractional m gives 0.  With c0 = m + 1 less the group's mode numbers,
+    beta(-n)1 gives the one term C(-c0-1, n-1) beta(c0) of its derivative
+    field, and the pair sum_{j + j2 = c0} C(-j-1, n-1) C(-j2-1, n2-1) beta(j)
+    delta(j2), ordered as in `_prefix_mode_apply`: a state s yields (A)
+    beta(j), j = 0 or a mode of s, then delta(c0 - j), and (B) delta(j2),
+    j2 >= c0 + n a mode of s, 0 or a creation, then beta(c0 - j2).  The
+    operator acting last contracts, takes its zero mode or creates; each
+    term of a group has mode weight mw(s) - c0: one room test per group."""
     if isinstance(m, Fraction):
         return v._with({}, 1)
     D, binom, bound = v.lattice.den, _binom_general, _floor_bound(v.lattice, v.truncation)
-    pairs = [(beta, n, delta, n2, m - n - n2 + 1) for beta, n, delta, n2 in pairs]
+    # one mode: (beta, c0, den C(-c0-1, n-1)); a pair: (beta, n, delta, n2, c0)
+    ones, pairs = [], []
+    for beta, n, *second in groups:
+        c0 = m - n + 1
+        if second:
+            pairs.append((beta, n, *second, c0 - second[1]))
+        else:
+            ones.append((beta, c0, D * binom(-c0 - 1, n - 1)))
     flagged = v.truncated
-    # per point: its room, each pair's zero modes and mode tuple -> numerator
-    # over v.den den^2 (an annihilation's int factor is multiplied by den)
+    # per point: its room, each group's zero modes and mode tuple -> numerator
+    # over v.den den^2 (annihilation factors and one-mode coefficients times den)
     per_point: dict[tuple, tuple] = {}
     for (point, modes), x in v.num.items():
         if point not in per_point:
-            per_point[point] = (bound(-_dot(point, point)),
+            per_point[point] = (bound(-_dot(point, point)), [_dot(g[0], point) for g in ones],
                                 [(_dot(p[0], point), _dot(p[2], point)) for p in pairs], {})
-        room, zeros, out = per_point[point]
+        room, zones, zpairs, out = per_point[point]
         excess = sum(map(_mode_n, modes)) - room
+        # (coefficient, vector, zero mode, j, modes, over): vector(j) acts
+        # last, and over marks a group whose creations exceed the room
+        terms = [(x * c, beta, z, c0, modes, c0 < excess) for (beta, c0, c), z in zip(ones, zones)]
         # the distinct modes (p, t) of s, their multiplicities, s less one copy
         dist = [(*pt, modes.count(pt), modes[:i] + modes[i + 1:])
-                for i, pt in enumerate(modes) if not i or pt != modes[i - 1]]
-        for (beta, n, delta, n2, c0), (zb, zd) in zip(pairs, zeros):
+                for i, pt in enumerate(modes) if not i or pt != modes[i - 1]] if pairs else ()
+        for (beta, n, delta, n2, c0), (zb, zd) in zip(pairs, zpairs):
             lo, over = c0 + n, c0 < excess
-            # (coefficient, vector, zero mode, j, modes): vector(j) acts second
-            terms = [(x * zb * binom(-c0 - 1, n2 - 1) * binom(-1, n - 1), delta, zd, c0, modes)]
+            c = x * zb * binom(-c0 - 1, n2 - 1) * binom(-1, n - 1)
+            terms.append((c, delta, zd, c0, modes, over))
             for p, t, r, rest in dist:
                 if beta[p]:
                     c = binom(t - c0 - 1, n2 - 1) * binom(-t - 1, n - 1)
-                    terms.append((x * r * t * beta[p] * D * c, delta, zd, c0 - t, rest))
+                    terms.append((x * r * t * beta[p] * D * c, delta, zd, c0 - t, rest, over))
                 if t >= lo and delta[p]:
                     c = binom(-t - 1, n2 - 1) * binom(t - c0 - 1, n - 1)
-                    terms.append((x * r * t * delta[p] * D * c, beta, zb, c0 - t, rest))
+                    terms.append((x * r * t * delta[p] * D * c, beta, zb, c0 - t, rest, over))
             for j2 in range(lo, 1):
                 c = x * binom(-j2 - 1, n2 - 1) * binom(j2 - c0 - 1, n - 1)
-                terms += [(c * zd, beta, zb, c0, modes)] if not j2 else [
-                    (c * d, beta, zb, c0 - j2, _insert_mode(modes, q, -j2))
+                terms += [(c * zd, beta, zb, c0, modes, over)] if not j2 else [
+                    (c * d, beta, zb, c0 - j2, _insert_mode(modes, q, -j2), over)
                     for q, d in enumerate(delta) if d]
-            for c, vec, z, j, rest in terms:
-                if c and j > 0:
-                    for idx, t, f in _contractions(rest, vec):
-                        if t == j:
-                            key = rest[:idx] + rest[idx + 1:]
-                            out[key] = out.get(key, 0) + c * f * D
-                elif c and j == 0:
-                    out[rest] = out.get(rest, 0) + c * z
-                elif c and over:
-                    flagged = True
-                elif c:
-                    for p, b in enumerate(vec):
-                        if b:
-                            key = _insert_mode(rest, p, -j)
-                            out[key] = out.get(key, 0) + c * b
+        for c, vec, z, j, rest, over in terms:
+            if c and j > 0:
+                for idx, t, f in _contractions(rest, vec):
+                    if t == j:
+                        key = rest[:idx] + rest[idx + 1:]
+                        out[key] = out.get(key, 0) + c * f * D
+            elif c and j == 0:
+                out[rest] = out.get(rest, 0) + c * z
+            elif c and over:
+                flagged = True
+            elif c:
+                for p, b in enumerate(vec):
+                    if b:
+                        key = _insert_mode(rest, p, -j)
+                        out[key] = out.get(key, 0) + c * b
     num = {FockState(pt, mds): c for pt, (*_, out) in per_point.items() for mds, c in out.items()}
     return v._with(num, v.den * D * D, flagged)
 
@@ -663,10 +647,11 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVecto
     """Apply the m-th mode of the field of beta_1(-n_1) ... beta_r(-n_r) e^point
     to v, prefix = ((beta_1, n_1), ...) with each beta in lattice coordinates;
     F = floor(wv + wt(field) - m) is an integer bound, wv an upper bound on
-    the weights of v (read only where a mode is peeled).
+    the weights of v.
 
-    An empty prefix is the field of e^point, `exp_mode_apply`, or the
-    identity when point is 0.  Otherwise the m-th mode is
+    An empty prefix is the field of e^point, point nonzero, and goes to
+    `exp_mode_apply`; two modes on the vacuum go to `_vacuum_modes`.
+    Otherwise the m-th mode is
 
         sum_{j<=-n} C(-j-1, n-1) beta(j) rest_(m-n-j)
       + sum_{j>=0}  C(-j-1, n-1) rest_(m-n-j) beta(j),
@@ -676,26 +661,13 @@ def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVecto
     without its first mode.  rest_(m') w has weight below F' = floor(wt(w) +
     wt(rest) - m'), so an annihilation child (w = beta(j) v, m' = m - n - j)
     keeps the bound F, a creation child (w = v) has F + j, and a creation
-    j <= -F leaves rest_(m') v below the vacuum.  When rest is the vacuum,
-    rest_(m') is the identity at m' = -1 and zero elsewhere, so the field is
-    the derivative field alone and only j = m - n + 1 survives: one
-    Heisenberg mode, none for fractional m.  When rest is one mode on the
-    vacuum, the two modes go to the pair pass, `_pair_modes`.
+    j <= -F leaves rest_(m') v below the vacuum.
     """
     if not prefix:
-        if any(point):
-            return exp_mode_apply(point, m, v)
-        return v if m == -1 else v._with({}, 1)
+        return exp_mode_apply(point, m, v)
+    if len(prefix) == 2 and not any(point):
+        return _vacuum_modes([prefix[0] + prefix[1]], m, v)
     (beta, n), rest = prefix[0], prefix[1:]
-    if len(rest) == 1 and not any(point):
-        return _pair_modes([(beta, n, *rest[0])], m, v)
-    if not rest and not any(point):
-        j = m - n + 1
-        c = 0 if isinstance(j, Fraction) else _binom_general(-j - 1, n - 1)
-        # C vanishes for -n < j < 0, the gap between the two halves
-        if not c:
-            return v._with({}, 1)
-        return heisenberg_apply(beta, j, v).scale(c)
     pieces = []
     flagged = v.truncated
     # annihilation half: beta(j), j >= 0, hits v first and lowers every
@@ -728,11 +700,12 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     The states of a are applied by prefix groups: every state b_p(-n) rest
     (b_p(-n) its first mode) is keyed by (n, rest), and the numerators c_p
     of a key make one pairing vector beta = sum_p c_p b_p (coordinate
-    c_p den at p).  The groups whose rest is one mode on the vacuum (the
-    quadratic part of a conformal vector has one per rest b_q(-1)) share
-    one `_pair_modes` pass; each other group costs one `_prefix_mode_apply`
-    of beta(-n) rest, its bound F computed here, from one scan of v.  The bare exponentials of
-    a share one pass (`_exp_modes`), and the vacuum's field is the identity.
+    c_p den at p).  The groups whose rest is the vacuum or one mode on it
+    (H, and the quadratic part of a conformal vector, one per rest b_q(-1))
+    share one `_vacuum_modes` pass; each other group costs one
+    `_prefix_mode_apply` of beta(-n) rest, its bound F computed here, from
+    one scan of v.  The bare exponentials of a share one pass
+    (`_exp_modes`), and the vacuum's field is the identity.
     """
     if a.lattice != v.lattice:
         raise ValueError("operator and argument live over different lattices")
@@ -745,8 +718,8 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
         if not s.modes:
             if any(s.point):
                 exps.append((s.point, c))
-            else:
-                pieces.append((c, _prefix_mode_apply((), s.point, m, v, None)))
+            elif m == -1:
+                pieces.append((c, v))
             continue
         p, n = s.modes[0]
         key = (n, FockState(s.point, s.modes[1:]))
@@ -756,11 +729,11 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
         beta[p] = c * lat.den
     if exps:
         pieces.append((1, _exp_modes(exps, m, v)))
-    pairs, top = [], None
+    vacuum_groups, top = [], None
     for (n, rest), beta in groups.items():
         prefix = ((tuple(beta), n),) + tuple((_basis_coords(lat, p), t) for p, t in rest.modes)
-        if len(prefix) == 2 and not any(rest.point):
-            pairs.append(prefix[0] + prefix[1])
+        if len(prefix) <= 2 and not any(rest.point):
+            vacuum_groups.append(sum(prefix, ()))
             continue
         if top is None:
             # F = floor(wv + wt(beta(-n) rest) - m), with 2den wv the largest
@@ -770,8 +743,8 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
             top = max((_dot(s.point, s.point) + q * _mode_weight(s) for s in v.num), default=0)
         F = bound(top + _dot(rest.point, rest.point)) + n + _mode_weight(rest)
         pieces.append((1, _prefix_mode_apply(prefix, rest.point, m, v, F)))
-    if pairs:
-        pieces.append((1, _pair_modes(pairs, m, v)))
+    if vacuum_groups:
+        pieces.append((1, _vacuum_modes(vacuum_groups, m, v)))
     flagged = a.truncated or v.truncated or any(piece.truncated for _, piece in pieces)
     num, den = _lincomb([(c, piece.num, a.den * piece.den) for c, piece in pieces])
     return v._with(num, den, flagged, min(a.truncation, v.truncation))

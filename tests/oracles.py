@@ -17,7 +17,6 @@ from paraferm.fusion_identify import (
 from paraferm.lattice_fock import (
     FockState,
     StateVector,
-    heisenberg_apply,
     mode_apply,
     sl2_generators,
     state_weight,
@@ -173,10 +172,37 @@ def symbol_product_coefficient(m: int, r: int, n: int) -> int:
     return perm(n, r) - (-1) ** r * perm(m, r)
 
 
+def heisenberg_mode(beta, j: int, u: StateVector) -> StateVector:
+    """The Heisenberg mode beta(j) on u, beta in lattice coordinates, in
+    Fractions one state at a time: j > 0 removes each copy of b_p(-j) with
+    factor j <beta, b_p> = j beta[p], j = 0 multiplies by <beta, point>, and
+    j < 0 adds b_p(j) with coefficient beta[p] / den; a created state of
+    weight above the truncation is dropped and flags the result."""
+    lat, T = u.lattice, u.truncation
+    terms: dict[FockState, Fraction] = {}
+    flagged = u.truncated
+    for s, c in u.terms.items():
+        if j > 0:
+            for i, (p, t) in enumerate(s.modes):
+                if t == j:
+                    key = FockState(s.point, s.modes[:i] + s.modes[i + 1:])
+                    terms[key] = terms.get(key, 0) + c * j * beta[p]
+        elif j == 0:
+            pair = Q(sum(b * a for b, a in zip(beta, s.point)), lat.den)
+            terms[s] = terms.get(s, 0) + c * pair
+        elif state_weight(lat, s) - j > T:
+            flagged = True
+        else:
+            for p, b in enumerate(beta):
+                key = FockState(s.point, tuple(sorted(s.modes + ((p, -j),))))
+                terms[key] = terms.get(key, 0) + c * Q(b, lat.den)
+    return StateVector(lat, T, terms, flagged)
+
+
 def heisenberg_field_mode(prefix, m, v: StateVector) -> StateVector:
     """The m-th mode of the field of beta_1(-n_1) ... beta_r(-n_r)1 on v,
     prefix = ((beta_1, n_1), ...) with each beta in lattice coordinates, from
-    the iterate formula in public `heisenberg_apply` calls.  The field of
+    the iterate formula in `heisenberg_mode` calls.  The field of
     beta(-n) rest has the m-th mode
 
         sum_{j <= -n} C(-j-1, n-1) beta(j) rest_(m-n-j)
@@ -204,9 +230,9 @@ def heisenberg_field_mode(prefix, m, v: StateVector) -> StateVector:
             if -n < j < 0 or abs(j) > W:
                 continue
             if j < 0:
-                piece = heisenberg_apply(beta, j, heisenberg_field_mode(rest, m - n - j, u))
+                piece = heisenberg_mode(beta, j, heisenberg_field_mode(rest, m - n - j, u))
             else:
-                piece = heisenberg_field_mode(rest, m - n - j, heisenberg_apply(beta, j, u))
+                piece = heisenberg_field_mode(rest, m - n - j, heisenberg_mode(beta, j, u))
             total = total + piece.scale(_binomial(-j - 1, n - 1))
     return total
 
@@ -367,7 +393,7 @@ def commutant_kernel_oracle(basis, charge) -> dict[Fraction, list[StateVector]]:
         rows: dict[tuple, dict[int, Fraction]] = {}
         for t, v in enumerate(cands):
             for m in range(1, int(w) + 2):
-                for s, c in heisenberg_apply(gamma, m, v).terms.items():
+                for s, c in heisenberg_mode(gamma, m, v).terms.items():
                     rows.setdefault((m, s), {})[t] = c
         vecs = []
         for x in rref_nullspace(list(rows.values()), len(cands)):

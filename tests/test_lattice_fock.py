@@ -20,11 +20,13 @@ from oracles import (
     commutant_kernel_oracle,
     expand,
     heisenberg_field_mode,
+    heisenberg_mode,
     rref_nullspace,
     sector_graded_dims,
     theta_involution,
 )
 from oracles import colored_partitions_table as colored_partitions
+import oracles
 import paraferm.characters
 import paraferm.lattice_fock
 import paraferm.qseries
@@ -110,6 +112,14 @@ class TestIllShapedInput:
             for n in (-1, 0, 1):
                 with pytest.raises(ValueError):
                     heisenberg_apply(beta, n, vac)
+
+    def test_heisenberg_mode_number_must_be_an_int(self):
+        # n = -1/2 used to create the mode (0, 1/2), and n = -1.0 the mode
+        # (0, 1.0): neither is a FockState
+        vac = StateVector.vacuum(rank_lattice(2), 4)
+        for n in (Q(-1, 2), -1.0, Q(1, 2), Q(-1)):
+            with pytest.raises(ValueError):
+                heisenberg_apply((2, 0), n, vac)
 
     def test_exponential_beta_of_wrong_length(self):
         # (2, 0) used to give the rank-2 point (2, 0) in a rank-3 space
@@ -1174,7 +1184,7 @@ class TestPrefixGrouping:
         # the field of beta(-n)1 is the derivative field
         # sum_j C(-j-1, n-1) beta(j) z^(-j-n): its m-th mode is the one
         # Heisenberg mode j = m - n + 1, zero for fractional m, with the
-        # flags of heisenberg_apply; beta = gamma, n = 1 is H = gamma(-1)1
+        # flags of the oracle's beta(j); beta = gamma, n = 1 is H = gamma(-1)1
         def binom(a, b):
             return Fraction(prod(range(a - b + 1, a + 1)), factorial(b))
 
@@ -1199,7 +1209,7 @@ class TestPrefixGrouping:
                             got = mode_apply(field, m, v)
                             j = m - n + 1
                             c = 0 if isinstance(j, Fraction) else binom(-j - 1, n - 1)
-                            want = heisenberg_apply(beta, j, v).scale(c) if c else v.scale(0)
+                            want = heisenberg_mode(beta, j, v).scale(c) if c else v.scale(0)
                             assert got == want and got.truncated == want.truncated, (k, n, m)
 
 
@@ -1234,7 +1244,8 @@ def _field_mode_number(draw, weight):
 
 class TestHeisenbergFieldOracle:
     """mode_apply on Heisenberg fields against `heisenberg_field_mode`, the
-    iterate formula in public heisenberg_apply calls, one state at a time."""
+    iterate formula in the oracle's own Heisenberg modes, one state at a
+    time."""
 
     @given(data=st.data(), k=st.integers(2, 3))
     @settings(max_examples=60, deadline=None)
@@ -1256,17 +1267,19 @@ class TestHeisenbergFieldOracle:
     @given(data=st.data(), k=st.integers(2, 3))
     @settings(max_examples=80, deadline=None)
     def test_pair_flags_at_the_truncation(self, data, k):
-        # one state c b_p(-n) b_q(-n2)1 is one group, and v reaches T: the
-        # flags are decided per state of v on both sides and must agree
+        # one state c b_p(-n) b_q(-n2)1 or c b_p(-n)1 is one group, and v
+        # reaches T: the flags are decided per state of v on both sides and
+        # must agree
         lat = rank_lattice(k)
-        p, q = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
-        n, n2 = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        direction, number = st.integers(0, k - 1), st.integers(1, 3)
+        modes = [(data.draw(direction), data.draw(number))
+                 for _ in range(data.draw(st.integers(1, 2)))]
         c = data.draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
-        m = _field_mode_number(data.draw, n + n2)
+        m = _field_mode_number(data.draw, sum(t for _, t in modes))
         v = data.draw(_sector_vectors(lat, 3))
-        a = StateVector(lat, 8, {FockState((0,) * k, tuple(sorted(((p, n), (q, n2))))): c})
+        a = StateVector(lat, 8, {FockState((0,) * k, tuple(sorted(modes))): c})
         got = mode_apply(a, m, v)
-        prefix = ((_basis_coords(lat, p), n), (_basis_coords(lat, q), n2))
+        prefix = tuple((_basis_coords(lat, p), t) for p, t in modes)
         want = heisenberg_field_mode(prefix, m, v).scale(c)
         assert got == want and got.truncated == want.truncated, (m, got.truncated)
 
@@ -1291,20 +1304,50 @@ class TestHeisenbergFieldOracle:
         want = heisenberg_field_mode(tuple((_basis_coords(lat, p), t) for p, t in modes), m, v)
         assert got == want and got.truncated == want.truncated, (modes, m)
 
-    def test_cubic_rest_reaches_the_pair_pass(self, monkeypatch):
+    def _spy_vacuum_modes(self, monkeypatch):
+        """The group shapes (2 for one mode, 4 for a pair) of each
+        `_vacuum_modes` call, heisenberg_apply's included."""
         calls = []
-        pair_modes = paraferm.lattice_fock._pair_modes
+        vacuum_modes = paraferm.lattice_fock._vacuum_modes
 
-        def spy(pairs, m, v):
-            calls.append(len(pairs))
-            return pair_modes(pairs, m, v)
+        def spy(groups, m, v):
+            calls.append(tuple(len(g) for g in groups))
+            return vacuum_modes(groups, m, v)
 
-        monkeypatch.setattr(paraferm.lattice_fock, "_pair_modes", spy)
+        monkeypatch.setattr(paraferm.lattice_fock, "_vacuum_modes", spy)
+        return calls
+
+    def test_cubic_rest_reaches_the_pair_pass(self, monkeypatch):
+        calls = self._spy_vacuum_modes(monkeypatch)
         lat = rank_lattice(2)
         a = StateVector(lat, 8, {FockState((0, 0), ((0, 1), (1, 1), (1, 2))): 1})
         v = StateVector(lat, 3, {FockState((2, 0), ((1, 1),)): 1})
         mode_apply(a, 1, v)
-        assert calls and set(calls) == {1}
+        assert (4,) in calls and set(calls) <= {(2,), (4,)}
+
+    def test_vacuum_groups_take_one_pass(self, monkeypatch):
+        # H, E, F and the conformal vectors hold bare exponentials and groups
+        # of one or two modes on the vacuum: none reaches the recursion or
+        # its scan of v for the bound F, and a field with one-mode and pair
+        # groups takes one pass for all of them
+        k, T = 3, 4
+        H, E, F = sl2_generators(k, T)
+        lat = H.lattice
+        fields = [H, E, F] + [conformal_vectors(k, T)[name] for name in
+                              ("omega_aff", "omega_h", "omega_para")]
+        mixed = mode_apply(H, -1, H) + heisenberg_apply(lat.gamma(), -2, StateVector.vacuum(lat, T))
+        v = random_state_vector(lat, T, random.Random(5), nterms=3, max_weight=2)
+
+        def recursion(*args):
+            raise AssertionError("_prefix_mode_apply was called")
+
+        monkeypatch.setattr(paraferm.lattice_fock, "_prefix_mode_apply", recursion)
+        for a in fields:
+            for m in range(-1, 3):
+                mode_apply(a, m, v)
+        calls = self._spy_vacuum_modes(monkeypatch)
+        mode_apply(mixed, 0, v)
+        assert calls == [(4,) * k + (2,)]
 
     def test_flagged_and_clear_cases(self):
         # b_0(-1)b_1(-1)1 on b_0(-3)1 at T = 3: m = 0 creates weight 1 and
@@ -1487,6 +1530,23 @@ class TestRouteIndependence:
 
     def test_qseries_imports_nothing_from_lattice_fock(self):
         assert "lattice_fock" not in self._imported(paraferm.qseries)
+
+    def test_oracles_stay_off_the_mode_engine(self):
+        # the Heisenberg oracles, and the oracles.py functions they call,
+        # apply no mode through lattice_fock, and no private name is imported
+        defs = {f.name: f for f in self._tree(oracles).body if isinstance(f, ast.FunctionDef)}
+        todo, seen = ["heisenberg_field_mode", "commutant_kernel_oracle"], set()
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            called = {node.func.id for node in ast.walk(defs[name])
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+            assert not called & {"heisenberg_apply", "mode_apply"}, name
+            todo += sorted(called & defs.keys() - seen)
+        assert "heisenberg_mode" in seen
+        for node in ast.walk(self._tree(oracles)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("paraferm"):
+                assert not [a.name for a in node.names if a.name.startswith("_")], node.module
 
     def test_characters_imports_nothing_from_fusion_identify(self):
         # the dual route compares two series; no label-side weight enters it
