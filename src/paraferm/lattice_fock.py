@@ -38,10 +38,10 @@ rest is the vacuum or one mode b_q(-n')1, as in H, in a conformal
 vector's quadratic part and in H(-1)H, joins one more pass
 (`_vacuum_modes`, whose one-mode case is `heisenberg_apply`), which
 enumerates only the terms of beta(-n)1 or beta(-n) b_q(-n')1 that each
-state of v yields.  Other groups go by one recursion,
-`_prefix_mode_apply`, peeling one Heisenberg mode per level under one
-integer bound, F = floor(wt(v) + wt(field) - m), down to the lattice
-exponential or to two modes on the vacuum.
+state of v yields.  Each other group goes to `_prefix_mode_apply`, which
+peels beta(-n) under one integer bound, F = floor(wt(v) + wt(field) - m),
+and applies rest's field through `mode_apply`: one dispatcher routes every
+part of a field.
 
 Generated bases are built and reduced in orbit coordinates of the group
 that permutes the lattice basis inside consecutive blocks and fixes the
@@ -576,8 +576,8 @@ def _vacuum_modes(groups, m, v: StateVector) -> StateVector:
     fractional m gives 0.  With c0 = m + 1 less the group's mode numbers,
     beta(-n)1 gives the one term C(-c0-1, n-1) beta(c0) of its derivative
     field, and the pair sum_{j + j2 = c0} C(-j-1, n-1) C(-j2-1, n2-1) beta(j)
-    delta(j2), ordered as in `_prefix_mode_apply`: a state s yields (A)
-    beta(j), j = 0 or a mode of s, then delta(c0 - j), and (B) delta(j2),
+    delta(j2), ordered by `_prefix_mode_apply`'s two halves: a state s yields
+    (A) beta(j), j = 0 or a mode of s, then delta(c0 - j), and (B) delta(j2),
     j2 >= c0 + n a mode of s, 0 or a creation, then beta(c0 - j2).  The
     operator acting last contracts, takes its zero mode or creates; each
     term of a group has mode weight mw(s) - c0: one room test per group."""
@@ -643,51 +643,34 @@ def _vacuum_modes(groups, m, v: StateVector) -> StateVector:
     return v._with(num, v.den * D * D, flagged)
 
 
-def _prefix_mode_apply(prefix: tuple, point, m, v: StateVector, F) -> StateVector:
-    """Apply the m-th mode of the field of beta_1(-n_1) ... beta_r(-n_r) e^point
-    to v, prefix = ((beta_1, n_1), ...) with each beta in lattice coordinates;
-    F = floor(wv + wt(field) - m) is an integer bound, wv an upper bound on
-    the weights of v.
-
-    An empty prefix is the field of e^point, point nonzero, and goes to
-    `exp_mode_apply`; two modes on the vacuum go to `_vacuum_modes`.
-    Otherwise the m-th mode is
+def _prefix_mode_apply(beta, n: int, rest: StateVector, m, v: StateVector, F) -> StateVector:
+    """Apply the m-th mode of the field of beta(-n) rest to v, beta in lattice
+    coordinates and rest a one-state vector; F = floor(wv + wt(field) - m),
+    wv an upper bound on the weights of v.  The m-th mode is
 
         sum_{j<=-n} C(-j-1, n-1) beta(j) rest_(m-n-j)
       + sum_{j>=0}  C(-j-1, n-1) rest_(m-n-j) beta(j),
 
     the two halves of the normally-ordered product of the n-th derivative
-    field of beta = beta_1, n = n_1, with the field of rest, the state
-    without its first mode.  rest_(m') w has weight below F' = floor(wt(w) +
-    wt(rest) - m'), so an annihilation child (w = beta(j) v, m' = m - n - j)
-    keeps the bound F, a creation child (w = v) has F + j, and a creation
-    j <= -F leaves rest_(m') v below the vacuum.
+    field of beta with the field of rest; each rest_(m') is a `mode_apply`.
+    rest_(m') v has weight below F + j, so a creation j <= -F leaves it
+    below the vacuum.
     """
-    if not prefix:
-        return exp_mode_apply(point, m, v)
-    if len(prefix) == 2 and not any(point):
-        return _vacuum_modes([prefix[0] + prefix[1]], m, v)
-    (beta, n), rest = prefix[0], prefix[1:]
     pieces = []
-    flagged = v.truncated
     # annihilation half: beta(j), j >= 0, hits v first and lowers every
     # weight by j
     hits = _annihilations(beta, v.num)
     for j in (0, *hits):
         w = v._with(hits[j], v.den) if j else heisenberg_apply(beta, 0, v)
-        if w.is_zero():
-            continue
-        inner = _prefix_mode_apply(rest, point, m - n - j, w, F)
-        flagged = flagged or inner.truncated
-        pieces.append((_binom_general(-j - 1, n - 1), inner.num, inner.den))
+        if not w.is_zero():
+            pieces.append((_binom_general(-j - 1, n - 1), mode_apply(rest, m - n - j, w)))
     # creation half: beta(j) for -n >= j > -F, applied last
     for j in range(-n, -F, -1):
-        inner = _prefix_mode_apply(rest, point, m - n - j, v, F + j)
+        inner = mode_apply(rest, m - n - j, v)
         if not inner.is_zero() or inner.truncated:
-            inner = heisenberg_apply(beta, j, inner)
-            flagged = flagged or inner.truncated
-            pieces.append((_binom_general(-j - 1, n - 1), inner.num, inner.den))
-    return v._with(*_lincomb(pieces), flagged)
+            pieces.append((_binom_general(-j - 1, n - 1), heisenberg_apply(beta, j, inner)))
+    flagged = any(piece.truncated for _, piece in pieces)
+    return v._with(*_lincomb([(c, piece.num, piece.den) for c, piece in pieces]), flagged)
 
 
 def _basis_coords(lat: Lattice, p: int) -> tuple[int, ...]:
@@ -702,10 +685,10 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
     of a key make one pairing vector beta = sum_p c_p b_p (coordinate
     c_p den at p).  The groups whose rest is the vacuum or one mode on it
     (H, and the quadratic part of a conformal vector, one per rest b_q(-1))
-    share one `_vacuum_modes` pass; each other group costs one
-    `_prefix_mode_apply` of beta(-n) rest, its bound F computed here, from
-    one scan of v.  The bare exponentials of a share one pass
-    (`_exp_modes`), and the vacuum's field is the identity.
+    share one `_vacuum_modes` pass; each other group, beta(-n) and the
+    one-state vector rest, costs one `_prefix_mode_apply`, which sends rest
+    back here, with F from one scan of v.  The bare exponentials of a share
+    one pass (`_exp_modes`), and the vacuum's field is the identity.
     """
     if a.lattice != v.lattice:
         raise ValueError("operator and argument live over different lattices")
@@ -731,9 +714,9 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
         pieces.append((1, _exp_modes(exps, m, v)))
     vacuum_groups, top = [], None
     for (n, rest), beta in groups.items():
-        prefix = ((tuple(beta), n),) + tuple((_basis_coords(lat, p), t) for p, t in rest.modes)
-        if len(prefix) <= 2 and not any(rest.point):
-            vacuum_groups.append(sum(prefix, ()))
+        if len(rest.modes) < 2 and not any(rest.point):
+            second = (y for p, t in rest.modes for y in (_basis_coords(lat, p), t))
+            vacuum_groups.append((tuple(beta), n, *second))
             continue
         if top is None:
             # F = floor(wv + wt(beta(-n) rest) - m), with 2den wv the largest
@@ -742,7 +725,9 @@ def mode_apply(a: StateVector, m, v: StateVector) -> StateVector:
             q = 2 * lat.den
             top = max((_dot(s.point, s.point) + q * _mode_weight(s) for s in v.num), default=0)
         F = bound(top + _dot(rest.point, rest.point)) + n + _mode_weight(rest)
-        pieces.append((1, _prefix_mode_apply(prefix, rest.point, m, v, F)))
+        # at v's truncation, not a's: the children drop creations where v's passes do
+        rest = a._with({rest: 1}, 1, False, v.truncation)
+        pieces.append((1, _prefix_mode_apply(beta, n, rest, m, v, F)))
     if vacuum_groups:
         pieces.append((1, _vacuum_modes(vacuum_groups, m, v)))
     flagged = a.truncated or v.truncated or any(piece.truncated for _, piece in pieces)

@@ -161,7 +161,8 @@ class QSeries(_Series):
         return QSeries._normal({e + d: c for e, c in self.terms.items()}, self.truncation + d)
 
     def inverse(self) -> "QSeries":
-        """Inverse of a series with nonzero constant term, up to truncation.
+        """Inverse, up to truncation, of a series with nonzero constant term
+        and no term below q^0 (else ValueError; `divide` shifts first).
 
         All exponents of one series and its truncation lie on a grid (1/D)Z;
         the inverse is solved term by term on that grid.
@@ -169,6 +170,8 @@ class QSeries(_Series):
         a0 = self.terms.get(Fraction(0))
         if not a0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
+        if min(self.terms) < 0:
+            raise ValueError(f"cannot invert a series with a term at q^{min(self.terms)}")
         D = lcm(self.truncation.denominator, *(e.denominator for e in self.terms))
         # support of the positive-exponent part, in grid units
         supp = sorted((int(e * D), c) for e, c in self.terms.items() if e > 0)

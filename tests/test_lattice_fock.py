@@ -1213,6 +1213,51 @@ class TestPrefixGrouping:
                             assert got == want and got.truncated == want.truncated, (k, n, m)
 
 
+class TestW3Field:
+    """The groups of W3 recurse: the rest of each state b_r(-n)e^(b_p-b_q)
+    is a bare exponential, that of each b_p(-1)b_q(-1)b_r(-1)1 two modes on
+    the vacuum, and in L(-1)W3 a rest can carry a mode on a nonzero point,
+    so the recursion nests.  Two identities of W3 check it against other
+    fields, with nothing flagged, on an even vector, a dual vector and an
+    exponential with a mode."""
+
+    T = 6
+
+    def _fields_and_vectors(self, k):
+        cv = conformal_vectors(k, self.T)
+        lat = cv["W3"].lattice
+        rng = random.Random(k)
+        vectors = (
+            random_state_vector(lat, self.T, rng, nterms=3, max_weight=2),
+            _shifted(random_state_vector(lat, self.T, rng, nterms=3, max_weight=1), (1,) * k),
+            StateVector(lat, self.T, {FockState((0, 2, -2) + (0,) * (k - 3), ((0, 1),)): 1}),
+        )
+        return cv, vectors
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_w3_modes_commute_with_heisenberg(self, k):
+        # W3 lies in the commutant of the Heisenberg subalgebra
+        cv, vectors = self._fields_and_vectors(k)
+        w3 = cv["W3"]
+        gam = w3.lattice.gamma()
+        for v in vectors:
+            for n in range(-1, 3):
+                for m in range(4):
+                    lhs = heisenberg_apply(gam, n, mode_apply(w3, m, v))
+                    rhs = mode_apply(w3, m, heisenberg_apply(gam, n, v))
+                    assert lhs == rhs and not (lhs.truncated or rhs.truncated), (n, m)
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_translation_covariance(self, k):
+        # (L(-1)W3)_(m) = -m W3_(m-1), L(-1) the zero mode of omega_aff
+        cv, vectors = self._fields_and_vectors(k)
+        dw3 = mode_apply(cv["omega_aff"], 0, cv["W3"])
+        for v in vectors:
+            for m in range(4):
+                got, want = mode_apply(dw3, m, v), mode_apply(cv["W3"], m - 1, v).scale(-m)
+                assert got == want and not (got.truncated or want.truncated), m
+
+
 @st.composite
 def _sector_vectors(draw, lat, T, max_states=3):
     """Up to max_states states of weight at most T, all in one sector: the
@@ -1477,6 +1522,35 @@ class TestIntegerArithmetic:
         assert _floor_bound(lat, T)(-aa) == floor(T - wa)
         assert _floor_bound(lat, T + m)(q - bb - aa) == floor(T + m + 1 - wb - wa)
         assert _floor_bound(lat, -m)(aa + bb) == floor(wa + wb - m)
+
+
+class TestOneDispatcher:
+    """mode_apply alone decides how each part of a field is applied: the
+    composite-field recursion hands the rest of its group back to it, and
+    the exponential and vacuum passes are reached only from mode_apply and
+    their one-call wrappers."""
+
+    PASSES = {"_exp_modes": {"mode_apply", "exp_mode_apply"},
+              "_vacuum_modes": {"mode_apply", "heisenberg_apply"}}
+
+    def _names(self, node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    def test_recursion_goes_through_mode_apply(self):
+        tree = ast.parse(pathlib.Path(paraferm.lattice_fock.__file__).read_text())
+        body, = [f for f in tree.body if getattr(f, "name", None) == "_prefix_mode_apply"]
+        names = self._names(body)
+        assert "mode_apply" in names and "_prefix_mode_apply" not in names
+        assert not names & {"exp_mode_apply", *self.PASSES}
+
+    def test_passes_are_reached_from_mode_apply_only(self):
+        # every reference, not only calls; a module-level one has owner None
+        tree = ast.parse(pathlib.Path(paraferm.lattice_fock.__file__).read_text())
+        owners = {name: set() for name in self.PASSES}
+        for stmt in tree.body:
+            for name in self._names(stmt) & owners.keys():
+                owners[name].add(getattr(stmt, "name", None))
+        assert owners == self.PASSES
 
 
 class TestRouteIndependence:

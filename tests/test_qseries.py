@@ -1,6 +1,7 @@
 """Ring arithmetic, inversion and the character building blocks."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,13 @@ class TestInverse:
     def test_zero_constant_term_raises(self):
         with pytest.raises(ZeroConstantTerm):
             S({1: 1}, 4).inverse()
+
+    def test_terms_below_q0_raise(self):
+        # the solver reads only positive exponents: q^-1 + 1 must not invert to 1
+        for terms, low in (({-1: 1, 0: 1}, "q^-1"), ({Q(-1, 2): 3, 0: 1, 1: 1}, "q^-1/2")):
+            with pytest.raises(ValueError, match=re.escape(low)):
+                QSeries(terms, 3).inverse()
+        assert S({-1: 1, 0: 1}, 3).divide(S({-1: 1, 0: 1}, 3)) == S({0: 1}, 4)
 
     def test_inverse_randomized(self):
         rng = random.Random(7)
