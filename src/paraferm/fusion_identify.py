@@ -17,7 +17,8 @@ weight times 2k(k+2), and every top-weight comparison here compares ints.
 Both families carry a Z_k simple-current action and an order-two twist;
 `identify` reconstructs the only two weight-preserving, current-equivariant
 matchings between the families by the minimal-top-weight / integrality
-induction, one matching per admissible image of the first current.
+induction, one matching per admissible image of the first current.  The
+induction runs on the labels' ints, (k, i, j) -> (k, a, b); each label is built once.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ class ParaLabel(namedtuple("ParaLabel", "k i j")):
     @property
     def topweight_num(self) -> int:
         """P(i,j), the top weight times 2k(k+2)."""
-        k, i, j = self
-        return k * (i - 2 * j) - (i - 2 * j) ** 2 + 2 * k * (i - j + 1) * j
+        return _para_topweight_num(*self)
 
     @property
     def topweight(self) -> Fraction:
@@ -83,8 +83,7 @@ class WLabel(namedtuple("WLabel", "k a b")):
     def topweight_num(self) -> int:
         """The top weight times 2k(k+2), evaluated on the canonical order
         (smaller residue in the quadratic slot)."""
-        k, a, b = self
-        return -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
+        return _w_topweight_num(*self)
 
     @property
     def topweight(self) -> Fraction:
@@ -98,6 +97,14 @@ class WLabel(namedtuple("WLabel", "k a b")):
         """Fusion with the p-th simple current: {a,b} -> {a+p, b+p}."""
         _check_current(self.k, p)
         return w_label(self.k, self.a + p, self.b + p)
+
+
+def _para_topweight_num(k: int, i: int, j: int) -> int:
+    return k * (i - 2 * j) - (i - 2 * j) ** 2 + 2 * k * (i - j + 1) * j
+
+
+def _w_topweight_num(k: int, a: int, b: int) -> int:
+    return -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
 
 
 def _check_current(k: int, p: int) -> None:
@@ -124,10 +131,10 @@ def w_label(k: int, a: int, b: int) -> WLabel:
 
 
 def enumerate_simples(k: int) -> list[ParaLabel]:
-    """The k(k+1)/2 canonical coset labels."""
+    """The k(k+1)/2 canonical coset labels, built without ParaLabel's check."""
     if k < 2:
         raise BadLabel("need k >= 2")
-    return [ParaLabel(k, i, j) for i in range(1, k + 1) for j in range(i)]
+    return [tuple.__new__(ParaLabel, (k, i, j)) for i in range(1, k + 1) for j in range(i)]
 
 
 def enumerate_w_simples(k: int) -> list[WLabel]:
@@ -148,13 +155,15 @@ class Bijection:
     mapping: dict[ParaLabel, WLabel] = field(repr=False)
 
     def preserves_topweights(self) -> bool:
-        return all(p.topweight_num == w.topweight_num for p, w in self.mapping.items())
+        return all(
+            _para_topweight_num(*p) == _w_topweight_num(*w) for p, w in self.mapping.items()
+        )
 
     def to_obj(self) -> dict:
         return {
             "k": self.k,
             "form": self.form,
-            "pairs": [[[p.i, p.j], [w.a, w.b]] for p, w in sorted(self.mapping.items())],
+            "pairs": [[[i, j], [a, b]] for (_, i, j), (_, a, b) in sorted(self.mapping.items())],
         }
 
 
@@ -200,17 +209,16 @@ def identify(k: int) -> list[Bijection]:
     last W current; each choice propagates through the stages i = 1 ..
     floor(k/2), where the candidate pair of minimal top weight is pruned by
     the integrality obstruction and the survivor is spread over the stage
-    by current equivariance.
+    by current equivariance.  The induction runs on the canonical ints,
+    (k, i, j) -> (k, a, b); each matching's labels are built once, at the end.
     """
     if k < 3:
         raise BadLabel("identification needs k >= 3")
     labels = enumerate_simples(k)
     results: list[Bijection] = []
     for sigma in (1, -1):
-        mapping: dict[ParaLabel, WLabel] = {}
         # currents, the classes of (0, j) and {j, j}: stage 0
-        for j in range(k):
-            mapping[para_normalize(k, 0, j)] = w_label(k, sigma * j, sigma * j)
+        ints = {(k, k, j): (k, sigma * j % k, sigma * j % k) for j in range(k)}
         for p in range(1, k // 2 + 1):
             cands = _stage_candidates(k, p)
             survivors = [c for c in cands if _obstruction_integral(k, p, sigma, c)]
@@ -220,20 +228,22 @@ def identify(k: int) -> list[Bijection]:
                 raise AmbiguousIdentification(
                     f"stage-{p} assignment not unique at k={k}: {survivors}"
                 )
-            seed_image = survivors[0]
+            _, a0, b0 = survivors[0]
             for j in range(k):
-                para = para_normalize(k, p, j)
-                image = seed_image.current((sigma * j) % k)
-                prev = mapping.get(para)
-                if prev is not None and prev != image:
+                # para_normalize(k, p, j), and the survivor's (sigma j)-th current
+                key = (k, p, j) if j < p else (k, k - p, j - p)
+                a, b = (a0 + sigma * j) % k, (b0 + sigma * j) % k
+                image = (k, a, b) if a <= b else (k, b, a)
+                if (prev := ints.setdefault(key, image)) != image:
                     raise NoIdentification(
-                        f"inconsistent images for {para} at k={k}: {prev} vs {image}"
+                        f"inconsistent images for {ParaLabel(*key)} at k={k}: "
+                        f"{WLabel(*prev)} vs {WLabel(*image)}"
                     )
-                mapping[para] = image
-        if set(mapping) != set(labels) or len(set(mapping.values())) != len(labels):
+        if ints.keys() != set(labels) or len(set(ints.values())) != len(labels):
             raise NoIdentification(f"stage assembly is not a bijection at k={k}")
-        ordered = {lab: mapping[lab] for lab in labels}
-        results.append(Bijection(k, "form1" if sigma == 1 else "form2", ordered))
+        # a label equals and hashes as its ints; the images skip WLabel's check
+        mapping = {lab: tuple.__new__(WLabel, ints[lab]) for lab in labels}
+        results.append(Bijection(k, "form1" if sigma == 1 else "form2", mapping))
     return results
 
 
@@ -257,11 +267,15 @@ def topweight_match_check(k: int) -> Report:
 
 
 def identify_check(k: int) -> Report:
-    """`identify` finds exactly two matchings, and both preserve top weights."""
-    bijs = identify(k)
+    """`identify` finds exactly two weight-preserving matchings; an error fails the first entry."""
+    try:
+        bijs = identify(k)
+        found = {"count": len(bijs)}
+    except (NoIdentification, AmbiguousIdentification) as err:
+        bijs, found = [], {"error": type(err).__name__, "message": str(err)}
     moved = [b.to_obj() for b in bijs if not b.preserves_topweights()]
     entries = [
-        ("exactly two identifications", len(bijs) == 2, {"count": len(bijs)}),
+        ("exactly two identifications", len(bijs) == 2, found),
         ("both preserve top weights", not moved, {"bijections": moved} if moved else None),
         ("bijections", True, {"bijections": [b.to_obj() for b in bijs]}),
     ]

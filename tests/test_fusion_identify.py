@@ -1,16 +1,21 @@
 """Label arithmetic, top-weight formulas, group actions, identification."""
 
+import json
 from fractions import Fraction
 import pytest
 
+import paraferm.fusion_identify
 from oracles import brute_force_identifications, form1_map, form2_map
-from paraferm.errors import BadLabel
+from paraferm.cli import main
+from paraferm.errors import BadLabel, NoIdentification
 from paraferm.fusion_identify import (
+    Bijection,
     ParaLabel,
     WLabel,
     enumerate_simples,
     enumerate_w_simples,
     identify,
+    identify_check,
     para_normalize,
     w_label,
 )
@@ -202,8 +207,9 @@ class TestIdentify:
             assert len(bijs) == 2
             assert {b.form for b in bijs} == {"form1", "form2"}
 
+    # the levels of the benchmark's character-route workload
     def test_matches_closed_forms(self):
-        for k in range(3, 9):
+        for k in range(3, 41):
             by_form = {b.form: b.mapping for b in identify(k)}
             assert by_form["form1"] == form1_map(k)
             assert by_form["form2"] == form2_map(k)
@@ -213,7 +219,7 @@ class TestIdentify:
         assert b1.mapping[para_normalize(3, 1, 0)] == w_label(3, 0, 2)
 
     def test_form2_is_theta_conjugate_of_form1(self):
-        for k in range(3, 9):
+        for k in range(3, 41):
             by_form = {b.form: b.mapping for b in identify(k)}
             f1, f2 = by_form["form1"], by_form["form2"]
             for lab in enumerate_simples(k):
@@ -248,3 +254,80 @@ class TestIdentify:
         obj = b.to_obj()
         assert obj["k"] == 4 and obj["form"] == "form1"
         assert len(obj["pairs"]) == 10
+
+
+class TestIdentifyCheck:
+    @pytest.mark.parametrize(
+        "integral, error, message",
+        [
+            (False, "NoIdentification", "no consistent stage-1 assignment at k=4"),
+            (
+                True,
+                "AmbiguousIdentification",
+                "stage-1 assignment not unique at k=4: "
+                "[WLabel(k=4, a=0, b=3), WLabel(k=4, a=0, b=1)]",
+            ),
+        ],
+        ids=["no-survivor", "two-survivors"],
+    )
+    def test_failed_search_fails_the_check(self, monkeypatch, capsys, integral, error, message):
+        monkeypatch.setattr(
+            paraferm.fusion_identify, "_obstruction_integral", lambda k, p, sigma, cand: integral
+        )
+        first = {
+            "name": "exactly two identifications",
+            "ok": False,
+            "witness": {"error": error, "message": message},
+        }
+        report = identify_check(4)
+        assert report.status == "fail"
+        assert report.details[0] == first
+        assert main(["identify", "--k", "4"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "fail" and out["details"][0] == first
+
+    @pytest.mark.parametrize(
+        "stage, seed, message",
+        [
+            (2, (0, 1), "inconsistent images for M[2,0] at k=4: W[0,1] vs W[2,3]"),
+            (1, (0, 0), "stage assembly is not a bijection at k=4"),
+        ],
+        ids=["inconsistent", "not-a-bijection"],
+    )
+    def test_assembly_errors_name_the_labels(self, monkeypatch, stage, seed, message):
+        # force `seed` as the one survivor of `stage`
+        candidates = paraferm.fusion_identify._stage_candidates
+        integral = paraferm.fusion_identify._obstruction_integral
+        monkeypatch.setattr(
+            paraferm.fusion_identify,
+            "_stage_candidates",
+            lambda k, p: [w_label(k, *seed)] if p == stage else candidates(k, p),
+        )
+        monkeypatch.setattr(
+            paraferm.fusion_identify,
+            "_obstruction_integral",
+            lambda k, p, sigma, cand: p == stage or integral(k, p, sigma, cand),
+        )
+        with pytest.raises(NoIdentification) as err:
+            identify(4)
+        assert str(err.value) == message
+        witness = {"error": "NoIdentification", "message": message}
+        assert identify_check(4).details[0]["witness"] == witness
+
+    def test_moved_topweight_fails_with_the_bijection(self, monkeypatch):
+        form1 = identify(4)[0]
+        mapping = dict(form1.mapping)
+        a, b = ParaLabel(4, 1, 0), ParaLabel(4, 4, 0)
+        assert mapping[a].topweight != mapping[b].topweight
+        mapping[a], mapping[b] = mapping[b], mapping[a]
+        moved = Bijection(4, "form1", mapping)
+        assert form1.preserves_topweights() and not moved.preserves_topweights()
+        monkeypatch.setattr(paraferm.fusion_identify, "identify", lambda k: [moved, form1])
+        report = identify_check(4)
+        assert report.status == "fail"
+        entry = next(d for d in report.details if d["name"] == "both preserve top weights")
+        assert entry == {
+            "name": "both preserve top weights",
+            "ok": False,
+            "witness": {"bijections": [moved.to_obj()]},
+        }
