@@ -19,12 +19,17 @@ The character is computed as int rows (`_affine_rows`), which
 String functions are extracted from one charge slice (Kac-Peterson): the
 z^m slice of ch_i is c^i_(m mod 2k) q^(m^2/4k) / prod_{n>=1} (1-q^n), so
 the slice at the least |m| of the string's class, times q^(-m^2/4k) and
-Euler's function prod_{n>=1} (1-q^n), is the string: a plain QSeries, cut
-at T from row m of a character read m^2/4k above T by `_strings`, the one
-reader, which also sums the rows to the z = 1 series.  The decomposition
-check compares that series with the sum over the strings of (string) x
-(lattice-coset character), which reads every other slice of the class; no
-check takes supplied strings.
+Euler's function prod_{n>=1} (1-q^n), is the string, cut at T from row m
+of a character read m^2/4k above T by `_strings`, the one reader, which
+also sums the rows to the z = 1 series.  Every series the reader and the
+decomposition check handle lies on the grid h + Z: the z = 1 series, each
+string (offset h - m^2/4k) and each theta_(i-2j) x string_j.  So the reader
+returns int lists, each with the offset of its first entry, and the check
+compares the z = 1 series with eta^-1 x sum_j theta_(i-2j) x string_j
+entry by entry, which reads every other slice of the class; no check takes
+supplied strings.  One private converter, `_series`, turns the int form
+into the QSeries that `string_function`, `all_string_functions` and the
+dual route hand out and compare.
 The string coefficients must also agree with the kernel dimensions computed
 in the Fock realization (`string_dual_route_check`), which is the central
 oracle of the whole suite.
@@ -37,7 +42,8 @@ from math import ceil, isqrt
 
 from . import lattice_fock
 from .errors import BadLabel, IdentityFailed
-from .qseries import QSeries, ZQSeries, _grid_product, _rat, euler_function, lattice_coset_char
+from .qseries import (QSeries, ZQSeries, _grid_product, _rat, coset_theta, euler_function,
+                      heisenberg_char)
 from .report import Report, make_report
 
 
@@ -83,35 +89,62 @@ def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
     return ZQSeries((((z, e), c) for z, row in rows.items() for e, c in zip(exps, row)), T)
 
 
+# a series on o + Z as (o, [c_0, c_1, ...]), c_e the coefficient of q^(o + e)
+_Ints = tuple[Fraction, list[int]]
+
+
 def _min_charge_rep(k: int, i: int, j: int) -> int:
     """The charge m of least |m| in the class i-2j mod 2k (m = k, not -k)."""
     s = (i - 2 * j) % (2 * k)
     return s if s <= k else s - 2 * k
 
 
-def _strings(k: int, i: int, js, T) -> tuple[QSeries, list[QSeries]]:
-    """The one reader of strings: from the int rows of module i read at T
-    plus the largest m^2/4k over the least charges m of js, the z = 1 series
-    (the column sums) and the (i, j) string of each j in js, cut at T."""
+def _strings(k: int, i: int, js, T) -> tuple[_Ints, list[_Ints]]:
+    """The one reader of strings, on ints: from the int rows of module i
+    read at T plus the largest m^2/4k over the least charges m of js, the
+    z = 1 series (the column sums) as (h, ints) and the (i, j) string of
+    each j in js as (h - m^2/4k, ints), row m times the pentagonal terms of
+    `euler_function`.  A pair (o, c) stands for sum_e c[e] q^(o + e), one
+    entry per step below T.  A string with a negative entry, or whose first
+    nonzero entry is not 1, raises IdentityFailed."""
     if k < 1 or not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
     T = _rat(T)
     ms = [_min_charge_rep(k, i, j) for j in js]
     exps, rows = _affine_rows(k, i, T + max(Fraction(m * m, 4 * k) for m in ms))
-    z1 = QSeries(zip(exps, map(sum, zip(*rows.values()))), T)
-    euler = euler_function(T)
-    strings = [QSeries(((e - Fraction(m * m, 4 * k), c) for e, c in zip(exps, rows.get(m, ()))), T)
-               * euler for m in ms]
-    for j, string in zip(js, strings):
-        for e, c in string.terms.items():
+    h = affine_top_weight(k, i)
+    z1 = (h, [sum(col) for col in zip(*rows.values())][: max(ceil(T - h), 0)])
+    # Euler's function as (exponent, sign) ints, far enough for every string
+    euler = [(e.numerator, c.numerator) for e, c in euler_function(len(exps)).terms.items()]
+    strings = []
+    for j, m in zip(js, ms):
+        offset = h - Fraction(m * m, 4 * k)
+        # the entries e with offset + e < T; row m reaches that far
+        n = max(ceil(T - offset), 0)
+        row = rows.get(m, [0] * n)
+        string = [0] * n
+        for p, sign in euler:
+            for e in range(p, n):
+                string[e] += sign * row[e - p]
+        for e, c in enumerate(string):
             if c < 0:
-                raise IdentityFailed(f"string (k={k}, i={i}, j={j}) has coefficient {c} < 0 at {e}")
-        lead = string.leading()
-        if lead is not None and lead[1] != 1:
+                raise IdentityFailed(
+                    f"string (k={k}, i={i}, j={j}) has coefficient {c} < 0 at {offset + e}"
+                )
+        lead = next((c for c in string if c), 1)
+        if lead != 1:
             raise IdentityFailed(
-                f"string (k={k}, i={i}, j={j}) has leading coefficient {lead[1]} != 1"
+                f"string (k={k}, i={i}, j={j}) has leading coefficient {lead} != 1"
             )
+        strings.append((offset, string))
     return z1, strings
+
+
+def _series(offset: Fraction, ints: list[int], T) -> QSeries:
+    """The QSeries sum_e ints[e] q^(offset + e) truncated at T, every
+    entry below T: the one converter from the int form of `_strings` to
+    the series the public string functions and the dual route use."""
+    return QSeries._normal({offset + e: Fraction(c) for e, c in enumerate(ints) if c}, _rat(T))
 
 
 def string_function(k: int, i: int, j: int, T) -> QSeries:
@@ -119,13 +152,13 @@ def string_function(k: int, i: int, j: int, T) -> QSeries:
     (i, j mod k), read from one charge slice: with m the least charge of the
     class i-2j mod 2k, the z^m slice of ch_i times q^(-m^2/4k) and Euler's
     function prod_{n>=1} (1-q^n), exact below T and truncated there."""
-    return _strings(k, i, [j], T)[1][0]
+    return _series(*_strings(k, i, [j], T)[1][0], T)
 
 
 def all_string_functions(k: int, i: int, T) -> list[QSeries]:
     """The k strings of module i, indexed by j, each exact below T and
     truncated there, read from one character."""
-    return _strings(k, i, range(k), T)[1]
+    return [_series(*string, T) for string in _strings(k, i, range(k), T)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -137,23 +170,42 @@ def decomposition_check_lki(k: int, i: int, max_weight) -> Report:
     """Exact equality of graded dimensions: the full module character at
     z = 1 equals the sum over j of (coset character) x (string function).
     The character and the k strings are one read, so every charge slice the
-    strings need is exact below max_weight."""
+    strings need is exact below max_weight.
+
+    Both sides lie on h + Z and are compared as int lists, entry by entry:
+    the rhs is eta^-1 x sum_j theta_(i-2j) x string_j, theta read from
+    `coset_theta` and eta^-1 once from `heisenberg_char(1, .)`.  String j
+    starts at h - m^2/4k, m the least charge of its class, and every
+    exponent m'^2/4k of theta, m' in that class, exceeds m^2/4k by an
+    integer.  Only the witness is made of Fractions."""
     T = _rat(max_weight)
-    lhs, strings = _strings(k, i, range(k), T)
-    rhs = QSeries({}, T)
-    for j, string in enumerate(strings):
-        rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), T) * string
-    bad = lhs.disagreements(rhs)
+    (h, lhs), strings = _strings(k, i, range(k), T)
+    n = len(lhs)
+    acc = [0] * n
+    for j, (offset, string) in enumerate(strings):
+        # shift = m^2/4k: q^(m'^2/4k) x string_j starts d = m'^2/4k - shift
+        # steps above h
+        shift = h - offset
+        for e, c in coset_theta(k, (i - 2 * j) % (2 * k), shift + n).terms.items():
+            d, c = int(e - shift), c.numerator
+            for x, y in zip(range(d, n), string):
+                acc[x] += c * y
+    eta_inv = [0] * n
+    for e, c in heisenberg_char(1, n).terms.items():
+        eta_inv[e.numerator] = c.numerator
+    rhs = [sum(eta_inv[p] * acc[e - p] for p in range(e + 1)) for e in range(n)]
+    bad = next((e for e in range(n) if lhs[e] != rhs[e]), None)
     witness = None
-    if bad:
-        e = bad[0]
+    if bad is not None:
         witness = {
-            "first_failing_exponent": e, "lhs": lhs.coefficient(e), "rhs": rhs.coefficient(e)
+            "first_failing_exponent": h + bad,
+            "lhs": Fraction(lhs[bad]),
+            "rhs": Fraction(rhs[bad]),
         }
     return make_report(
         "lki-decomposition" if i else "lk0-decomposition",
         {"k": k, "i": i, "max_weight": T},
-        [(f"module {i} decomposition to weight {T}", not bad, witness)],
+        [(f"module {i} decomposition to weight {T}", bad is None, witness)],
         identity="graded dimensions of the affine module equal the coset-sum",
     )
 
@@ -199,7 +251,8 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     top = max(*budget.values(), Fraction(i, 4))
     basis = lattice_fock.affine_module_basis(k, i, top, budget=budget)
     entries = []
-    for jj, st in zip(js, _strings(k, i, js, T)[1]):
+    for jj, string in zip(js, _strings(k, i, js, T)[1]):
+        st = _series(*string, T)
         ker = QSeries(lattice_fock.commutant_dims(basis, lams[jj]), T)
         mism = [
             {"weight": w, "string": int(st.coefficient(w)), "kernel": int(ker.coefficient(w))}

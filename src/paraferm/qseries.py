@@ -5,9 +5,13 @@ both entries exact rationals, together with a hard truncation T: every
 stored exponent is < T, and arithmetic never pretends to know more.  The
 truncation of a sum or product is the minimum of the operand truncations.
 A product is computed on an integer grid and converted back once per term.
-A sum, a theta series and a geometric multiple hand raw (key, coefficient)
-pairs, repeated keys, zeros and terms at or above the truncation included,
-to the one normaliser, the constructor.
+A sum and a geometric multiple hand raw (key, coefficient) pairs, repeated
+keys, zeros and terms at or above the truncation included, to the one
+normaliser, the constructor.  The character building blocks make their
+terms normal as they go (distinct exponents below T, nonzero Fraction
+coefficients) and skip it, so a caller that reads their terms as ints,
+like the string reader and the decomposition check, runs no series
+arithmetic.
 
 The module also provides the standard character building blocks: the
 Heisenberg (free boson) character and its inverse, Euler's function, the
@@ -240,20 +244,27 @@ def heisenberg_char(rank: int, T) -> QSeries:
         raise ValueError("rank must be a non-negative integer")
     T = _rat(T)
     E = ceil(T) - 1
+    if E < 0:
+        return QSeries._normal({}, T)
     factors = [(0, n) for n in range(1, E + 1) for _ in range(rank)]
-    return QSeries(enumerate(_grid_product({0: [1] + [0] * E}, factors, E)[0]), T)
+    row = _grid_product({0: [1] + [0] * E}, factors, E)[0]
+    return QSeries._normal({Fraction(e): Fraction(c) for e, c in enumerate(row) if c}, T)
 
 
 def euler_function(T) -> QSeries:
     """Euler's function prod_{n>=1} (1-q^n) = 1/heisenberg_char(1, T), by the
-    pentagonal number theorem: sum_{n in Z} (-1)^n q^(n(3n-1)/2)."""
+    pentagonal number theorem: sum_{n in Z} (-1)^n q^(n(3n-1)/2), its
+    terms by ascending exponent."""
     T = _rat(T)
     terms, n = {}, 0
     # n and -n give the pentagonal numbers n(3n-1)/2 and n(3n+1)/2, one sign
     while n * (3 * n - 1) // 2 < T:
-        terms[n * (3 * n - 1) // 2] = terms[n * (3 * n + 1) // 2] = -1 if n % 2 else 1
+        sign = Fraction(-1 if n % 2 else 1)
+        for e in (n * (3 * n - 1) // 2, n * (3 * n + 1) // 2):
+            if e < T:
+                terms[Fraction(e)] = sign
         n += 1
-    return QSeries(terms, T)
+    return QSeries._normal(terms, T)
 
 
 def coset_theta(k: int, s: int, T) -> QSeries:
@@ -264,10 +275,15 @@ def coset_theta(k: int, s: int, T) -> QSeries:
     if not 0 <= s < 2 * k:
         raise BadResidue(f"residue s={s} out of range 0..{2 * k - 1}")
     T = _rat(T)
-    # every m = 2kn+s with m^2 < 4kT has |m| <= b (none when T <= 0)
-    b = isqrt(max(int(4 * k * T), 0)) + 1
-    ms = range(-b + (s + b) % (2 * k), b + 1, 2 * k)
-    return QSeries(((Fraction(m * m, 4 * k), 1) for m in ms), T)
+    bound = 4 * k * T
+    # every m = 2kn+s with m^2 < 4kT has |m| <= b (none when T <= 0); m
+    # and -m may both lie in the class
+    b = isqrt(max(int(bound), 0)) + 1
+    squares: dict[int, int] = {}
+    for m in range(-b + (s + b) % (2 * k), b + 1, 2 * k):
+        if m * m < bound:
+            squares[m * m] = squares.get(m * m, 0) + 1
+    return QSeries._normal({Fraction(sq, 4 * k): Fraction(c) for sq, c in squares.items()}, T)
 
 
 def lattice_coset_char(k: int, s: int, T) -> QSeries:

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import ceil, comb, isqrt, perm
 
+from paraferm.characters import affine_sl2_char, all_string_functions
 from paraferm.fusion_identify import (
     enumerate_simples,
     enumerate_w_simples,
@@ -21,7 +22,7 @@ from paraferm.lattice_fock import (
     sl2_generators,
     state_weight,
 )
-from paraferm.qseries import QSeries, ZQSeries
+from paraferm.qseries import QSeries, ZQSeries, lattice_coset_char
 
 Q = Fraction
 
@@ -107,6 +108,23 @@ def q_slice(series: ZQSeries, e) -> dict[int, Fraction]:
     """The z-polynomial of series at the q-exponent e."""
     e = Q(e)
     return {z: c for (z, ee), c in series.terms.items() if ee == e}
+
+
+def decomposition_by_series(k: int, i: int, T) -> dict | None:
+    """The decomposition of module i as series arithmetic: the public
+    character at z = 1 against the sum over j of `lattice_coset_char` times
+    the public string, each product and sum a QSeries.  None when the two
+    agree below T, else the first failing exponent with both coefficients."""
+    T = Q(T)
+    lhs = QSeries([(e, c) for (_, e), c in affine_sl2_char(k, i, T).terms.items()], T)
+    rhs = QSeries({}, T)
+    for j, string in enumerate(all_string_functions(k, i, T)):
+        rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), T) * string
+    bad = lhs.disagreements(rhs)
+    if not bad:
+        return None
+    e = bad[0]
+    return {"first_failing_exponent": e, "lhs": lhs.coefficient(e), "rhs": rhs.coefficient(e)}
 
 
 def brute_force_identifications(k: int) -> list[dict]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from math import ceil
 
 import pytest
 
@@ -16,26 +17,34 @@ from paraferm.characters import (
     string_function,
     w_minimal_central_charge,
 )
-from oracles import affine_char_cascade, q_slice
+from oracles import affine_char_cascade, decomposition_by_series, q_slice
 from oracles import colored_partitions_table as colored_partitions
-from paraferm.errors import BadLabel
+from paraferm.characters import _series
+from paraferm.errors import BadLabel, IdentityFailed
 from paraferm.fusion_identify import para_normalize
 from paraferm.lattice_fock import affine_module_basis
-from paraferm.qseries import QSeries, ZQSeries, euler_function
+from paraferm.qseries import QSeries, ZQSeries, _Series, euler_function
 
 Q = Fraction
 
 
 def _edit_strings(monkeypatch, edit):
-    """Sabotage: every string read through `_strings` is replaced by
-    edit(j, string) before a check sees it."""
+    """Sabotage: the ints of every string read through `_strings` are
+    replaced by edit(j, ints) before a check sees them; offsets are kept."""
     real = paraferm.characters._strings
 
     def edited(k, i, js, T):
-        ch, strings = real(k, i, js, T)
-        return ch, [edit(j, st) for j, st in zip(js, strings)]
+        z1, strings = real(k, i, js, T)
+        return z1, [(offset, edit(j, ints)) for j, (offset, ints) in zip(js, strings)]
 
     monkeypatch.setattr(paraferm.characters, "_strings", edited)
+
+
+def _edit_string_series(monkeypatch, edit):
+    """Sabotage at the public boundary: every string the int reader hands
+    out as a QSeries is replaced by edit(string), which may leave h + Z."""
+    real = paraferm.characters._series
+    monkeypatch.setattr(paraferm.characters, "_series", lambda *a: edit(real(*a)))
 
 
 def _summed_over_z(ch: ZQSeries) -> QSeries:
@@ -166,10 +175,44 @@ class TestStringFunctions:
                 for T in (Q(0), h, h + Q(1, 7), Q(7, 3), Q(8)):
                     z1, strings = paraferm.characters._strings(k, i, range(k), T)
                     ch = affine_sl2_char(k, i, T + max(Q(m * m, 4 * k) for m in ms))
-                    for j, (m, string) in enumerate(zip(ms, strings)):
+                    for j, (m, (offset, ints)) in enumerate(zip(ms, strings)):
+                        # one int per step of h - m^2/4k + Z below T
+                        assert offset == h - Q(m * m, 4 * k), (k, i, T, j)
+                        assert len(ints) == max(ceil(T - offset), 0), (k, i, T, j)
+                        assert all(type(c) is int for c in ints), (k, i, T, j)
                         row = [(e - Q(m * m, 4 * k), c) for (z, e), c in ch.terms.items() if z == m]
-                        assert string == QSeries(row, T) * euler_function(T), (k, i, T, j)
-                    assert z1 == QSeries(_summed_over_z(ch).terms, T), (k, i, T)
+                        expected = QSeries(row, T) * euler_function(T)
+                        assert _series(offset, ints, T) == expected, (k, i, T, j)
+                    assert z1[0] == h and len(z1[1]) == max(ceil(T - h), 0), (k, i, T)
+                    assert _series(*z1, T) == QSeries(_summed_over_z(ch).terms, T), (k, i, T)
+
+    @pytest.mark.parametrize(
+        "i, m, edit, message",
+        [
+            (0, 0, lambda row: row[:3] + [row[3] - 100] + row[4:],
+             "string (k=3, i=0, j=0) has coefficient -98 < 0 at 3"),
+            (1, 1, lambda row: row[:2] + [row[2] - 100] + row[3:],
+             "string (k=3, i=1, j=0) has coefficient -98 < 0 at 31/15"),
+            (0, 0, lambda row: [2 * c for c in row],
+             "string (k=3, i=0, j=0) has leading coefficient 2 != 1"),
+        ],
+        ids=["negative", "negative_off_z", "leading_two"],
+    )
+    def test_reader_refuses_a_bad_string(self, monkeypatch, i, m, edit, message):
+        # row m of the character is edited before the reader sees it; the
+        # messages are those of the series reader the int reader replaced
+        real = paraferm.characters._affine_rows
+
+        def edited(k, i, T):
+            exps, rows = real(k, i, T)
+            rows[m] = edit(rows[m])
+            return exps, rows
+
+        monkeypatch.setattr(paraferm.characters, "_affine_rows", edited)
+        for read in (lambda: string_function(3, i, 0, 10), lambda: all_string_functions(3, i, 10)):
+            with pytest.raises(IdentityFailed) as err:
+                read()
+            assert str(err.value) == message
 
     def test_serialization_table(self):
         st = string_function(3, 1, 0, 4)
@@ -191,15 +234,16 @@ class TestDecomposition:
     def test_dropping_one_string_fails_at_its_total_weight(self, monkeypatch):
         # removing the j=1 summand leaves a defect at coset-top + string-top
         # = 1/k + (k-1)/k = 1
-        _edit_strings(monkeypatch, lambda j, st: QSeries({}, st.truncation) if j == 1 else st)
+        _edit_strings(monkeypatch, lambda j, ints: [] if j == 1 else ints)
         r = decomposition_check_lki(3, 0, 6)
         assert r.status == "fail"
         witness = r.details[0]["witness"]
         assert witness["first_failing_exponent"] == Q(1)
 
     def test_mutated_coefficient_fails(self, monkeypatch):
+        # string (3, 0, 0) starts at q^0, so its entry 2 is the one at q^2
         _edit_strings(
-            monkeypatch, lambda j, st: st + QSeries({2: 1}, st.truncation) if j == 0 else st
+            monkeypatch, lambda j, ints: ints[:2] + [ints[2] + 1] + ints[3:] if j == 0 else ints
         )
         r = decomposition_check_lki(3, 0, 6)
         assert r.status == "fail"
@@ -237,6 +281,73 @@ class TestDecomposition:
         }
 
 
+    def test_failing_report_bytes(self, monkeypatch):
+        # string j = 1 dropped: the bytes the series formulation wrote, the
+        # exponent and both coefficients Fractions (JSON strings)
+        _edit_strings(monkeypatch, lambda j, ints: [] if j == 1 else ints)
+        assert decomposition_check_lki(3, 0, 6).to_json() == (
+            '{"check":"lk0-decomposition","details":[{"name":"module 0 decomposition to '
+            'weight 6","ok":false,"witness":{"first_failing_exponent":"1","lhs":"3","rhs":"2"}}],'
+            '"identity":"graded dimensions of the affine module equal the coset-sum",'
+            '"params":{"i":0,"k":3,"max_weight":"6"},"status":"fail"}'
+        )
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_agrees_with_the_series_formulation(self, k):
+        # verdict and witness, types included, against the sum over j of
+        # lattice_coset_char x string in QSeries arithmetic, on the true
+        # strings and on sabotaged ones
+        def bump(e):
+            return lambda j, ints: [c + 1 if j == 0 and n == e else c for n, c in enumerate(ints)]
+
+        sabotages = [
+            None,
+            lambda j, ints: [] if j == 1 else ints,
+            bump(2),
+            bump(5),
+            lambda j, ints: ints[:-1] + [ints[-1] - 1] if j == k - 1 and ints else ints,
+            lambda j, ints: [2 * c for c in ints] if j == k // 2 else ints,
+        ]
+        failed = 0
+        for edit in sabotages:
+            with pytest.MonkeyPatch.context() as mp:
+                if edit is not None:
+                    _edit_strings(mp, edit)
+                for i in range(k + 1):
+                    for T in (Q(1), Q(7, 2), Q(10), Q(19, 2)):
+                        r = decomposition_check_lki(k, i, T)
+                        expected = decomposition_by_series(k, i, T)
+                        assert (r.status == "pass") == (expected is None), (k, i, T)
+                        if edit is None:
+                            assert expected is None, (k, i, T)
+                        if expected is not None:
+                            failed += 1
+                            witness = r.details[0]["witness"]
+                            assert witness == expected, (k, i, T)
+                            assert {key: type(v) for key, v in witness.items()} == {
+                                key: Fraction for key in expected
+                            }
+        assert failed >= 4 * (k + 1)
+
+    def test_builds_no_series(self, monkeypatch):
+        # the check runs on int lists: no QSeries product, sum or constructor
+        calls = []
+        for cls, name in ((QSeries, "__mul__"), (QSeries, "__add__"), (_Series, "__init__")):
+            real = getattr(cls, name)
+
+            def spy(*args, real=real, name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(cls, name, spy)
+        QSeries({0: 1}, 2) * QSeries({1: 1}, 2) + QSeries({}, 2)
+        assert set(calls) == {"__add__", "__init__", "__mul__"}
+        calls.clear()
+        for k, i in ((3, 0), (3, 1), (4, 2), (6, 5)):
+            assert decomposition_check_lki(k, i, 10).status == "pass"
+        assert calls == []
+
+
 class TestDualRoute:
     def test_k3_all_sectors(self):
         for i in range(4):
@@ -268,14 +379,31 @@ class TestDualRoute:
         # sabotage: one unit added to the string one weight above its top,
         # below it, or half a unit off its grid must fail the entry, with
         # that weight as the one mismatch of the witness
-        _edit_strings(
-            monkeypatch, lambda j, st: st + QSeries({st.leading()[0] + shift: 1}, st.truncation)
+        _edit_string_series(
+            monkeypatch, lambda st: st + QSeries({st.leading()[0] + shift: 1}, st.truncation)
         )
         r = string_dual_route_check(3, 0, 3, j=0)
         assert r.status == "fail"
         assert r.details[0]["witness"] == {
             "mismatches": [{"weight": shift, "string": 1, "kernel": 0}]
         }
+
+    def test_failing_report_bytes(self, monkeypatch):
+        # string (3, 0, 1) starts at q^(-1/3); its entry 2, at q^(5/3), is
+        # bumped: the bytes the series reader gave, the weight a Fraction
+        # and both counts ints
+        _edit_strings(
+            monkeypatch, lambda j, ints: ints[:2] + [ints[2] + 1] + ints[3:] if j == 1 else ints
+        )
+        assert string_dual_route_check(3, 0, 3).to_json() == (
+            '{"check":"string-dual-route","details":[{"name":"string (i=0, j=0) equals kernel '
+            'dimensions below 3","ok":true},{"name":"string (i=0, j=1) equals kernel dimensions '
+            'below 3","ok":false,"witness":{"mismatches":[{"kernel":1,"string":2,'
+            '"weight":"5/3"}]}},'
+            '{"name":"string (i=0, j=2) equals kernel dimensions below 3","ok":true}],"identity":'
+            '"two independent computations of the coset graded dimensions","params":{"i":0,"j":'
+            '"all","k":3,"max_weight":"3"},"status":"fail"}'
+        )
 
     def test_basis_is_built_inside_the_budget_of_the_read_charges(self, monkeypatch):
         # (4, 1): the strings j = 0..3 read charges 1, -1, -3, 3, each up to

@@ -11,7 +11,9 @@ wraps `module.Class.name`, or `KEPT` gives the reason.  Where several
 public classes define a member name, a `.name` reaches the member of class
 C only from a top-level definition that names C, itself or through the
 return annotation of a function it calls; so a use on a `QSeries` does not
-reach `StateVector.coefficient`.
+reach `StateVector.coefficient`, and a use on a `WLabel` does not reach
+`ParaLabel.current`: a method's return annotation counts only where its
+own class is named.
 """
 
 import ast
@@ -34,6 +36,7 @@ KEPT = {
     "fusion_identify.ParaLabel.topweight": "the W3 zero-mode check reads it (ROADMAP direction 2)",
     "fusion_identify.WLabel.topweight": "the W3 zero-mode check reads it (ROADMAP direction 2)",
     "fusion_identify.ParaLabel.twist": "the fusion-ring check applies it (ROADMAP direction 5)",
+    "fusion_identify.ParaLabel.current": "the fusion-ring check applies it (ROADMAP direction 5)",
     "fusion_identify.WLabel.twist": "the fusion-ring check applies it (ROADMAP direction 5)",
 }
 
@@ -111,22 +114,51 @@ def _uses_in_src() -> dict[str, set[tuple[bool, tuple[str, ...]]]]:
     return uses
 
 
+def _returns_in_src() -> dict[tuple[str | None, str], set[str]]:
+    """Per function of `src/paraferm`, keyed by (defining class or None,
+    name), the names in its return annotation."""
+    returns: dict[tuple[str | None, str], set[str]] = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.returns:
+                    names = {n.id for n in ast.walk(child.returns) if isinstance(n, ast.Name)}
+                    returns.setdefault((owner, child.name), set()).update(names)
+                visit(child, None)
+            else:
+                visit(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    for path in (ROOT / "src" / "paraferm").glob("*.py"):
+        visit(ast.parse(path.read_text()), None)
+    return returns
+
+
 def _named_in_src() -> dict[tuple[str, ...], set[str]]:
     """Per top-level definition of `src/paraferm` (module, name), the names
     it uses, its own name, and the names in the return annotations of the
-    functions it uses."""
-    returns: dict[str, set[str]] = {}
-    for path in (ROOT / "src" / "paraferm").glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
-                names = {n.id for n in ast.walk(node.returns) if isinstance(n, ast.Name)}
-                returns.setdefault(node.name, set()).update(names)
+    functions it uses: of a function outside a class by any use of its
+    name, of a method of class C by a `.name` use only where C is named, so
+    a chain of calls names one class after another."""
+    returns = _returns_in_src()
     named: dict[tuple[str, ...], set[str]] = {}
+    attrs: dict[tuple[str, ...], set[str]] = {}
     for ident, places in _uses_in_src().items():
-        for _, where in places:
+        for attr, where in places:
             scope = named.setdefault(where[:2], set(where[1:2]))
             scope.add(ident)
-            scope.update(returns.get(ident, ()))
+            scope.update(returns.get((None, ident), ()))
+            if attr:
+                attrs.setdefault(where[:2], set()).add(ident)
+    grew = True
+    while grew:
+        grew = False
+        for where, idents in attrs.items():
+            scope = named[where]
+            for (owner, fn), names in returns.items():
+                if owner in scope and fn in idents and not names <= scope:
+                    scope |= names
+                    grew = True
     return named
 
 

@@ -334,6 +334,21 @@ class TestCosetTheta:
             for s in (0, 1, 5):
                 assert coset_theta(3, s, T) == QSeries({}, T)
                 assert lattice_coset_char(3, s, T) == QSeries({}, T)
+            for rank in (0, 1, 2):
+                assert heisenberg_char(rank, T) == QSeries({}, T)
+            assert euler_function(T) == QSeries({}, T)
+
+    def test_blocks_store_normal_terms(self):
+        # the building blocks skip the constructor, so each makes its terms
+        # normal itself: Fraction exponents below T, nonzero Fraction
+        # coefficients, m and -m of one class summed
+        for T in (Q(-1), 0, Q(1, 3), 1, Q(9, 2), 12):
+            blocks = [heisenberg_char(rank, T) for rank in range(3)] + [euler_function(T)]
+            blocks += [coset_theta(k, s, T) for k in (1, 3, 4) for s in range(2 * k)]
+            for block in blocks:
+                assert type(block.truncation) is Fraction and block.truncation == T
+                for e, c in block.terms.items():
+                    assert type(e) is Fraction and type(c) is Fraction and c and e < T, block
 
 
 class TestLatticeCosetChar:
