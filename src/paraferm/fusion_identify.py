@@ -18,7 +18,8 @@ Both families carry a Z_k simple-current action and an order-two twist;
 `identify` reconstructs the only two weight-preserving, current-equivariant
 matchings between the families by the minimal-top-weight / integrality
 induction, one matching per admissible image of the first current.  The
-induction runs on the labels' ints, (k, i, j) -> (k, a, b); each label is built once.
+induction runs on the labels' ints, and a matching is held, checked and
+serialised as int pairs (i, j) -> (a, b); no label is built per pair.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ class ParaLabel(namedtuple("ParaLabel", "k i j")):
     @property
     def topweight_num(self) -> int:
         """P(i,j), the top weight times 2k(k+2)."""
-        return _para_topweight_num(*self)
+        k, i, j = self
+        return k * (i - 2 * j) - (i - 2 * j) ** 2 + 2 * k * (i - j + 1) * j
 
     @property
     def topweight(self) -> Fraction:
@@ -83,7 +85,8 @@ class WLabel(namedtuple("WLabel", "k a b")):
     def topweight_num(self) -> int:
         """The top weight times 2k(k+2), evaluated on the canonical order
         (smaller residue in the quadratic slot)."""
-        return _w_topweight_num(*self)
+        k, a, b = self
+        return -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
 
     @property
     def topweight(self) -> Fraction:
@@ -97,14 +100,6 @@ class WLabel(namedtuple("WLabel", "k a b")):
         """Fusion with the p-th simple current: {a,b} -> {a+p, b+p}."""
         _check_current(self.k, p)
         return w_label(self.k, self.a + p, self.b + p)
-
-
-def _para_topweight_num(k: int, i: int, j: int) -> int:
-    return k * (i - 2 * j) - (i - 2 * j) ** 2 + 2 * k * (i - j + 1) * j
-
-
-def _w_topweight_num(k: int, a: int, b: int) -> int:
-    return -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
 
 
 def _check_current(k: int, p: int) -> None:
@@ -148,23 +143,29 @@ def enumerate_w_simples(k: int) -> list[WLabel]:
 
 @dataclass
 class Bijection:
-    """One matching of the two simple-module families."""
+    """One matching of the two simple-module families as canonical int
+    pairs ((i, j), (a, b)), one per coset label (k, i, j) in label order,
+    each with its W image (k, a, b); `to_obj` hands them to json as they are."""
 
     k: int
     form: str  # "form1" | "form2"
-    mapping: dict[ParaLabel, WLabel] = field(repr=False)
+    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = field(repr=False)
 
     def preserves_topweights(self) -> bool:
-        return all(
-            _para_topweight_num(*p) == _w_topweight_num(*w) for p, w in self.mapping.items()
-        )
+        return next(_topweight_mismatches(self.k, self.pairs), None) is None
 
     def to_obj(self) -> dict:
-        return {
-            "k": self.k,
-            "form": self.form,
-            "pairs": [[[i, j], [a, b]] for (_, i, j), (_, a, b) in sorted(self.mapping.items())],
-        }
+        return {"k": self.k, "form": self.form, "pairs": self.pairs}
+
+
+def _topweight_mismatches(k: int, pairs):
+    """Positions of the canonical int pairs ((i, j), (a, b)) whose P(i, j)
+    and W numerator differ: the labels' topweight_num, regrouped, on ints."""
+    w_lin, w_b = k * (2 * k + 3), 2 * (k + 1)
+    for t, ((i, j), (a, b)) in enumerate(pairs):
+        d = i - 2 * j
+        if (k - d) * d + 2 * k * (i - j + 1) * j != (w_lin - w_b * b - a) * a + (k - b) * b:
+            yield t
 
 
 def _coset_topweight(k: int, s: int) -> int:
@@ -210,15 +211,15 @@ def identify(k: int) -> list[Bijection]:
     floor(k/2), where the candidate pair of minimal top weight is pruned by
     the integrality obstruction and the survivor is spread over the stage
     by current equivariance.  The induction runs on the canonical ints,
-    (k, i, j) -> (k, a, b); each matching's labels are built once, at the end.
+    (i, j) -> (a, b); each matching holds them in `enumerate_simples` order.
     """
     if k < 3:
         raise BadLabel("identification needs k >= 3")
-    labels = enumerate_simples(k)
+    order = [(i, j) for _, i, j in enumerate_simples(k)]
     results: list[Bijection] = []
     for sigma in (1, -1):
         # currents, the classes of (0, j) and {j, j}: stage 0
-        ints = {(k, k, j): (k, sigma * j % k, sigma * j % k) for j in range(k)}
+        ints = {(k, j): (sigma * j % k, sigma * j % k) for j in range(k)}
         for p in range(1, k // 2 + 1):
             cands = _stage_candidates(k, p)
             survivors = [c for c in cands if _obstruction_integral(k, p, sigma, c)]
@@ -231,33 +232,30 @@ def identify(k: int) -> list[Bijection]:
             _, a0, b0 = survivors[0]
             for j in range(k):
                 # para_normalize(k, p, j), and the survivor's (sigma j)-th current
-                key = (k, p, j) if j < p else (k, k - p, j - p)
+                key = (p, j) if j < p else (k - p, j - p)
                 a, b = (a0 + sigma * j) % k, (b0 + sigma * j) % k
-                image = (k, a, b) if a <= b else (k, b, a)
+                image = (a, b) if a <= b else (b, a)
                 if (prev := ints.setdefault(key, image)) != image:
                     raise NoIdentification(
-                        f"inconsistent images for {ParaLabel(*key)} at k={k}: "
-                        f"{WLabel(*prev)} vs {WLabel(*image)}"
+                        f"inconsistent images for {ParaLabel(k, *key)} at k={k}: "
+                        f"{WLabel(k, *prev)} vs {WLabel(k, *image)}"
                     )
-        if ints.keys() != set(labels) or len(set(ints.values())) != len(labels):
+        if ints.keys() != set(order) or len(set(ints.values())) != len(order):
             raise NoIdentification(f"stage assembly is not a bijection at k={k}")
-        # a label equals and hashes as its ints; the images skip WLabel's check
-        mapping = {lab: tuple.__new__(WLabel, ints[lab]) for lab in labels}
-        results.append(Bijection(k, "form1" if sigma == 1 else "form2", mapping))
+        pairs = tuple(zip(order, map(ints.__getitem__, order)))
+        results.append(Bijection(k, "form1" if sigma == 1 else "form2", pairs))
     return results
 
 
 def topweight_match_check(k: int) -> Report:
     """Coset and W-side top weights agree on every label (i, j) under the
     first matching (i, j) -> {j, j - i}."""
-    bad = []
-    for i in range(k + 1):
-        for j in range(k):
-            if para_normalize(k, i, j).topweight_num != w_label(k, j, j - i).topweight_num:
-                bad.append({"i": i, "j": j})
-    n = len(enumerate_simples(k))
-    witness = None if not bad else {"mismatches": bad}
-    entries = [(f"top weights match on all {n} classes", not bad, witness)]
+    grid = [(i, j) for i in range(k + 1) for j in range(k)]
+    # para_normalize(k, i, j) and w_label(k, j, j - i) on ints
+    pairs = [((i, j), (j, j - i + k)) if j < i else ((k - i, j - i), (j - i, j)) for i, j in grid]
+    bad = [{"i": grid[t][0], "j": grid[t][1]} for t in _topweight_mismatches(k, pairs)]
+    witness = {"mismatches": bad} if bad else None
+    entries = [(f"top weights match on all {len(enumerate_simples(k))} classes", not bad, witness)]
     return make_report(
         "top-weight-match",
         {"k": k},

@@ -39,8 +39,10 @@ class Report:
         }
 
     def to_json(self) -> str:
-        """Canonical JSON; rationals (any non-JSON value) as their exact str."""
-        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"), default=str)
+        """Canonical JSON; rationals (any non-JSON value) as their exact str.
+        A report is a tree, so json's cycle check is off: a cycle would raise RecursionError."""
+        return json.dumps(self.to_obj(), sort_keys=True, separators=(",", ":"),
+                          default=str, check_circular=False)
 
 
 def make_report(check, params, entries, identity="", truncated=False) -> Report:

@@ -10,6 +10,8 @@ from math import ceil, comb, isqrt, perm
 
 from paraferm.characters import affine_sl2_char, all_string_functions
 from paraferm.fusion_identify import (
+    ParaLabel,
+    WLabel,
     enumerate_simples,
     enumerate_w_simples,
     para_normalize,
@@ -23,6 +25,7 @@ from paraferm.lattice_fock import (
     state_weight,
 )
 from paraferm.qseries import QSeries, ZQSeries, lattice_coset_char
+from paraferm.report import Report, make_report
 
 Q = Fraction
 
@@ -182,6 +185,58 @@ def form1_map(k: int) -> dict:
 def form2_map(k: int) -> dict:
     """The second matching in closed form: (i,j) -> {-j, i-j} mod k."""
     return {lab: w_label(k, -lab.j, lab.i - lab.j) for lab in enumerate_simples(k)}
+
+
+def label_mapping(bijection) -> dict:
+    """A Bijection's int pairs as the ParaLabel -> WLabel dict they stand
+    for, in their order; each label is built through its validating
+    constructor, so a non-canonical pair raises BadLabel."""
+    k = bijection.k
+    return {ParaLabel(k, i, j): WLabel(k, a, b) for (i, j), (a, b) in bijection.pairs}
+
+
+def identify_report_by_labels(k: int) -> Report:
+    """The `identify` report built on labels: the closed-form matchings as
+    ParaLabel -> WLabel dicts, each serialised in sorted label order, their
+    top weights compared through `.topweight_num`."""
+    maps = {"form1": form1_map(k), "form2": form2_map(k)}
+    objs = {
+        form: {"k": k, "form": form, "pairs": [[[p.i, p.j], [w.a, w.b]] for p, w in sorted(m.items())]}
+        for form, m in maps.items()
+    }
+    moved = [
+        objs[form]
+        for form, m in maps.items()
+        if any(p.topweight_num != w.topweight_num for p, w in m.items())
+    ]
+    entries = [
+        ("exactly two identifications", len(maps) == 2, {"count": len(maps)}),
+        ("both preserve top weights", not moved, {"bijections": moved} if moved else None),
+        ("bijections", True, {"bijections": list(objs.values())}),
+    ]
+    return make_report(
+        "identify", {"k": k}, entries, identity="the two matchings of the simple-module families"
+    )
+
+
+def topweight_match_report_by_labels(k: int) -> Report:
+    """The `top-weight-match` report built on labels: for every (i, j) in
+    0..k x 0..k-1, `para_normalize(k, i, j)` against `w_label(k, j, j - i)`
+    through `.topweight_num`."""
+    bad = [
+        {"i": i, "j": j}
+        for i in range(k + 1)
+        for j in range(k)
+        if para_normalize(k, i, j).topweight_num != w_label(k, j, j - i).topweight_num
+    ]
+    n = len(enumerate_simples(k))
+    entries = [(f"top weights match on all {n} classes", not bad, {"mismatches": bad} if bad else None)]
+    return make_report(
+        "top-weight-match",
+        {"k": k},
+        entries,
+        identity="coset and W-side top weights agree under the first matching",
+    )
 
 
 def symbol_product_coefficient(m: int, r: int, n: int) -> int:

@@ -8,7 +8,7 @@ with `pytest -s` or on failure).
 import time
 from fractions import Fraction
 
-from oracles import brute_force_identifications, form1_map, form2_map
+from oracles import brute_force_identifications, form1_map, form2_map, label_mapping
 
 from paraferm.characters import (
     decomposition_check_lki,
@@ -111,13 +111,13 @@ def test_06_identification_theorem():
     for k in range(3, 9):
         bijs = identify(k)
         ok = ok and len(bijs) == 2
-        by_form = {b.form: b.mapping for b in bijs}
+        by_form = {b.form: label_mapping(b) for b in bijs}
         ok = ok and by_form.get("form1") == form1_map(k)
         ok = ok and by_form.get("form2") == form2_map(k)
     for k in (3, 4, 5):
         oracle = brute_force_identifications(k)
         ok = ok and len(oracle) == 2
-        ok = ok and all(b.mapping in oracle for b in identify(k))
+        ok = ok and all(label_mapping(b) in oracle for b in identify(k))
     _line(6, "exactly two identifications, k in 3..8, oracle k <= 5",
           ok, time.perf_counter() - t0)
 

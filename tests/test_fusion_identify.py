@@ -2,10 +2,19 @@
 
 import json
 from fractions import Fraction
+from itertools import product
+
 import pytest
 
 import paraferm.fusion_identify
-from oracles import brute_force_identifications, form1_map, form2_map
+from oracles import (
+    brute_force_identifications,
+    form1_map,
+    form2_map,
+    identify_report_by_labels,
+    label_mapping,
+    topweight_match_report_by_labels,
+)
 from paraferm.cli import main
 from paraferm.errors import BadLabel, NoIdentification
 from paraferm.fusion_identify import (
@@ -17,6 +26,7 @@ from paraferm.fusion_identify import (
     identify,
     identify_check,
     para_normalize,
+    topweight_match_check,
     w_label,
 )
 
@@ -50,7 +60,7 @@ class TestLabels:
     def test_identify_mappings_are_in_label_order(self):
         for k in range(3, 9):
             for b in identify(k):
-                assert list(b.mapping) == enumerate_simples(k), (k, b.form)
+                assert list(label_mapping(b)) == enumerate_simples(k), (k, b.form)
 
 
 class TestNormalization:
@@ -210,17 +220,17 @@ class TestIdentify:
     # the levels of the benchmark's character-route workload
     def test_matches_closed_forms(self):
         for k in range(3, 41):
-            by_form = {b.form: b.mapping for b in identify(k)}
+            by_form = {b.form: label_mapping(b) for b in identify(k)}
             assert by_form["form1"] == form1_map(k)
             assert by_form["form2"] == form2_map(k)
 
     def test_k3_seed_value(self):
         b1 = next(b for b in identify(3) if b.form == "form1")
-        assert b1.mapping[para_normalize(3, 1, 0)] == w_label(3, 0, 2)
+        assert label_mapping(b1)[para_normalize(3, 1, 0)] == w_label(3, 0, 2)
 
     def test_form2_is_theta_conjugate_of_form1(self):
         for k in range(3, 41):
-            by_form = {b.form: b.mapping for b in identify(k)}
+            by_form = {b.form: label_mapping(b) for b in identify(k)}
             f1, f2 = by_form["form1"], by_form["form2"]
             for lab in enumerate_simples(k):
                 assert f2[lab] == f1[lab.twist()]
@@ -235,16 +245,17 @@ class TestIdentify:
         for k in range(3, 8):
             for b in identify(k):
                 u = 1 if b.form == "form1" else k - 1
+                mapping = label_mapping(b)
                 for p in range(k):
                     for lab in enumerate_simples(k):
-                        lhs = b.mapping[lab.current(p)]
-                        rhs = b.mapping[lab].current((u * p) % k)
+                        lhs = mapping[lab.current(p)]
+                        rhs = mapping[lab].current((u * p) % k)
                         assert lhs == rhs
 
     def test_brute_force_oracle_agreement(self):
         for k in (3, 4, 5):
             oracle = brute_force_identifications(k)
-            ours = [b.mapping for b in identify(k)]
+            ours = [label_mapping(b) for b in identify(k)]
             assert len(oracle) == 2
             for mapping in ours:
                 assert mapping in oracle
@@ -314,16 +325,20 @@ class TestIdentifyCheck:
         witness = {"error": "NoIdentification", "message": message}
         assert identify_check(4).details[0]["witness"] == witness
 
-    def test_moved_topweight_fails_with_the_bijection(self, monkeypatch):
-        form1 = identify(4)[0]
-        mapping = dict(form1.mapping)
-        a, b = ParaLabel(4, 1, 0), ParaLabel(4, 4, 0)
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_moved_topweight_fails_with_the_bijection(self, monkeypatch, k):
+        form1 = identify(k)[0]
+        mapping = label_mapping(form1)
+        a, b = ParaLabel(k, 1, 0), ParaLabel(k, k, 0)
         assert mapping[a].topweight != mapping[b].topweight
-        mapping[a], mapping[b] = mapping[b], mapping[a]
-        moved = Bijection(4, "form1", mapping)
+        # swap the images of a and b in the int pairs
+        images = dict(form1.pairs)
+        images[1, 0], images[k, 0] = images[k, 0], images[1, 0]
+        moved = Bijection(k, "form1", tuple(images.items()))
+        assert label_mapping(moved) == {**mapping, a: mapping[b], b: mapping[a]}
         assert form1.preserves_topweights() and not moved.preserves_topweights()
         monkeypatch.setattr(paraferm.fusion_identify, "identify", lambda k: [moved, form1])
-        report = identify_check(4)
+        report = identify_check(k)
         assert report.status == "fail"
         entry = next(d for d in report.details if d["name"] == "both preserve top weights")
         assert entry == {
@@ -331,3 +346,23 @@ class TestIdentifyCheck:
             "ok": False,
             "witness": {"bijections": [moved.to_obj()]},
         }
+
+
+# the pinned reference (perfbench/reference.json) stops at k = 40
+class TestAgainstLabels:
+    @pytest.mark.parametrize("k", range(3, 61))
+    def test_identify_report_equals_the_label_built_one(self, k):
+        assert identify_check(k).to_json() == identify_report_by_labels(k).to_json()
+
+    @pytest.mark.parametrize("k", range(2, 61))
+    def test_topweight_match_report_equals_the_label_built_one(self, k):
+        assert topweight_match_check(k).to_json() == topweight_match_report_by_labels(k).to_json()
+
+    def test_int_topweights_agree_with_the_labels(self):
+        # every coset label against every W label, so most pairs mismatch
+        for k in range(2, 13):
+            labs = list(product(enumerate_simples(k), enumerate_w_simples(k)))
+            pairs = [(p[1:], w[1:]) for p, w in labs]
+            expected = [t for t, (p, w) in enumerate(labs) if p.topweight_num != w.topweight_num]
+            found = list(paraferm.fusion_identify._topweight_mismatches(k, pairs))
+            assert found == expected, k

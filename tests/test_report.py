@@ -38,3 +38,30 @@ def test_failing_report_json_is_pinned():
         '"weight":"123/20"}}],"identity":"serialiser pin",'
         '"params":{"k":3,"max_weight":"21/2"},"status":"fail"}'
     )
+
+
+def test_shared_witness_object_json_is_pinned():
+    # one object reached twice is shared, not circular: written out in full each time
+    pairs = ((1, 0), (0, 2))
+    shared = {"pairs": pairs, "weight": Q(1, 15)}
+    r = make_report(
+        "demo",
+        {"k": 3},
+        [("breaks", False, {"first": shared, "both": [shared, pairs]})],
+        identity="shared pin",
+    )
+    assert r.to_json() == (
+        '{"check":"demo","details":[{"name":"breaks","ok":false,"witness":{"both":'
+        '[{"pairs":[[1,0],[0,2]],"weight":"1/15"},[[1,0],[0,2]]],"first":'
+        '{"pairs":[[1,0],[0,2]],"weight":"1/15"}}}],"identity":"shared pin",'
+        '"params":{"k":3},"status":"fail"}'
+    )
+
+
+def test_circular_witness_raises_recursion_error():
+    # a report is a tree; json's cycle check is off, so a cycle recurses
+    loop = []
+    loop.append(loop)
+    r = make_report("demo", {}, [("breaks", False, {"loop": loop})])
+    with pytest.raises(RecursionError):
+        r.to_json()
