@@ -18,8 +18,9 @@ Both families carry a Z_k simple-current action and an order-two twist;
 `identify` reconstructs the only two weight-preserving, current-equivariant
 matchings between the families by the minimal-top-weight / integrality
 induction, one matching per admissible image of the first current.  The
-induction runs on the labels' ints, and a matching is held, checked and
-serialised as int pairs (i, j) -> (a, b); no label is built per pair.
+induction runs on canonical ints and fills each matching row by row; it is
+held, checked and serialised as int pairs (i, j) -> (a, b), and no label is
+built unless an error names it.
 """
 
 from __future__ import annotations
@@ -83,10 +84,8 @@ class WLabel(namedtuple("WLabel", "k a b")):
 
     @property
     def topweight_num(self) -> int:
-        """The top weight times 2k(k+2), evaluated on the canonical order
-        (smaller residue in the quadratic slot)."""
-        k, a, b = self
-        return -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
+        """The top weight times 2k(k+2)."""
+        return _w_topweight_num(*self)
 
     @property
     def topweight(self) -> Fraction:
@@ -102,6 +101,15 @@ class WLabel(namedtuple("WLabel", "k a b")):
         return w_label(self.k, self.a + p, self.b + p)
 
 
+def _w_topweight_num(k: int, a: int, b: int) -> int:
+    """The top weight of {a, b} times 2k(k+2), evaluated on the canonical
+    order (residues mod k, the smaller in the quadratic slot)."""
+    a, b = a % k, b % k
+    if a > b:
+        a, b = b, a
+    return -(a * a) + a * (k * (2 * k + 3) - 2 * b * (k + 1)) + b * (k - b)
+
+
 def _check_current(k: int, p: int) -> None:
     if not 0 <= p < k:
         raise BadLabel(f"current index {p} out of range 0..{k - 1}")
@@ -109,6 +117,8 @@ def _check_current(k: int, p: int) -> None:
 
 def para_normalize(k: int, i: int, j: int) -> ParaLabel:
     """Canonical representative of (i, j mod k) under (i,j) ~ (k-i, j-i)."""
+    if k < 1:
+        raise BadLabel(f"need k >= 1, got k={k}")
     if not 0 <= i <= k:
         raise BadLabel(f"first index {i} out of range 0..{k}")
     j %= k
@@ -118,6 +128,8 @@ def para_normalize(k: int, i: int, j: int) -> ParaLabel:
 
 
 def w_label(k: int, a: int, b: int) -> WLabel:
+    if k < 1:
+        raise BadLabel(f"need k >= 1, got k={k}")
     a %= k
     b %= k
     if a > b:
@@ -174,31 +186,29 @@ def _coset_topweight(k: int, s: int) -> int:
     return min(s, 2 * k - s) ** 2 * (k + 2)
 
 
-def _stage_candidates(k: int, p: int) -> list[WLabel]:
-    """The W-classes of minimal top weight p(k-p)/2k(k+2) among those not
-    yet matched at stage p: exactly {0, k-p} and {0, p}."""
-    cands = []
-    for lab in (w_label(k, 0, (k - p) % k), w_label(k, 0, p)):
-        if lab not in cands and lab.topweight_num == p * (k - p):
-            cands.append(lab)
-    return cands
+def _stage_candidates(k: int, p: int) -> list[tuple[int, int, int]]:
+    """The W-classes (k, a, b) of minimal top weight p(k-p)/2k(k+2) among
+    those not yet matched at stage p: exactly {0, k-p} and {0, p}, one class
+    when 2p = k.  The numerator of {0, b} is b(k-b), p(k-p) for both."""
+    return [(k, 0, k - p)] if 2 * p == k else [(k, 0, k - p), (k, 0, p)]
 
 
-def _obstruction_integral(k: int, p: int, sigma: int, cand: WLabel) -> bool:
-    """Whether matching the stage-p seed to `cand` keeps the difference of
-    top weights of two summands of the same simple module integral.
+def _obstruction_integral(k: int, p: int, sigma: int, cand: tuple[int, int, int]) -> bool:
+    """Whether matching the stage-p seed to `cand` = (k, a, b) keeps the
+    difference of top weights of two summands of the same simple module integral.
 
     Fusing the first current summand (coset charge shift -2, W-image the
     sigma-th current) against the candidate summand sitting over coset
     charge p produces a summand over charge p - 2 whose W-part is the
-    current shift of the candidate; within one simple module all weight
+    current shift {a + sigma, b + sigma}; within one simple module all weight
     differences are integers.  The test is on 4k(k+2) times the difference.
     """
+    _, a, b = cand
     diff = (
         _coset_topweight(k, p - 2)
-        + 2 * cand.current(sigma % k).topweight_num
+        + 2 * _w_topweight_num(k, a + sigma, b + sigma)
         - _coset_topweight(k, p)
-        - 2 * cand.topweight_num
+        - 2 * _w_topweight_num(k, a, b)
     )
     return diff % (4 * k * (k + 2)) == 0
 
@@ -207,42 +217,46 @@ def identify(k: int) -> list[Bijection]:
     """Reconstruct the exactly-two admissible matchings.
 
     The seed current (of top weight (k-1)/k) can match only the first or
-    last W current; each choice propagates through the stages i = 1 ..
+    last W current; each choice propagates through the stages p = 1 ..
     floor(k/2), where the candidate pair of minimal top weight is pruned by
     the integrality obstruction and the survivor is spread over the stage
-    by current equivariance.  The induction runs on the canonical ints,
-    (i, j) -> (a, b); each matching holds them in `enumerate_simples` order.
+    by current equivariance.  It runs on canonical ints, row by row: row i
+    holds the images of (i, 0..i-1).  Stage 0 fills row k with the currents
+    {j, j}; stage p fills row p with the survivor's (sigma j)-th currents,
+    j < p, and row k-p with those of j >= p, rows that meet only at 2p = k.
+    Labels are built only to name them in an error.
     """
     if k < 3:
         raise BadLabel("identification needs k >= 3")
-    order = [(i, j) for _, i, j in enumerate_simples(k)]
+    order = [(i, j) for i in range(1, k + 1) for j in range(i)]
+    stages = [(p, _stage_candidates(k, p)) for p in range(1, k // 2 + 1)]
     results: list[Bijection] = []
     for sigma in (1, -1):
-        # currents, the classes of (0, j) and {j, j}: stage 0
-        ints = {(k, j): (sigma * j % k, sigma * j % k) for j in range(k)}
-        for p in range(1, k // 2 + 1):
-            cands = _stage_candidates(k, p)
+        shifts = [sigma * j % k for j in range(k)]
+        rows = [[]] * k + [[(s, s) for s in shifts]]  # row 0 stays empty
+        for p, cands in stages:
             survivors = [c for c in cands if _obstruction_integral(k, p, sigma, c)]
             if not survivors:
                 raise NoIdentification(f"no consistent stage-{p} assignment at k={k}")
             if len(survivors) > 1:
+                labels = [WLabel(*c) for c in survivors]
                 raise AmbiguousIdentification(
-                    f"stage-{p} assignment not unique at k={k}: {survivors}"
+                    f"stage-{p} assignment not unique at k={k}: {labels}"
                 )
             _, a0, b0 = survivors[0]
-            for j in range(k):
-                # para_normalize(k, p, j), and the survivor's (sigma j)-th current
-                key = (p, j) if j < p else (k - p, j - p)
-                a, b = (a0 + sigma * j) % k, (b0 + sigma * j) % k
-                image = (a, b) if a <= b else (b, a)
-                if (prev := ints.setdefault(key, image)) != image:
-                    raise NoIdentification(
-                        f"inconsistent images for {ParaLabel(k, *key)} at k={k}: "
-                        f"{WLabel(k, *prev)} vs {WLabel(k, *image)}"
-                    )
-        if ints.keys() != set(order) or len(set(ints.values())) != len(order):
+            a_row, b_row = [(a0 + s) % k for s in shifts], [(b0 + s) % k for s in shifts]
+            images = [(a, b) if a <= b else (b, a) for a, b in zip(a_row, b_row)]
+            rows[p], rows[k - p] = images[:p], images[p:]
+            if 2 * p == k and images[:p] != images[p:]:
+                j = next(j for j in range(p) if images[j] != images[p + j])
+                raise NoIdentification(
+                    f"inconsistent images for {ParaLabel(k, p, j)} at k={k}: "
+                    f"{WLabel(k, *images[j])} vs {WLabel(k, *images[p + j])}"
+                )
+        flat = [image for row in rows for image in row]
+        if len(flat) != len(order) or len(set(flat)) != len(order):
             raise NoIdentification(f"stage assembly is not a bijection at k={k}")
-        pairs = tuple(zip(order, map(ints.__getitem__, order)))
+        pairs = tuple(zip(order, flat))
         results.append(Bijection(k, "form1" if sigma == 1 else "form2", pairs))
     return results
 

@@ -89,6 +89,14 @@ class TestNormalization:
         with pytest.raises(BadLabel):
             para_normalize(3, 4, 0)
 
+    def test_level_below_one_is_a_bad_label(self):
+        # a residue mod k needs k >= 1; k = 0 used to raise ZeroDivisionError
+        for k in (0, -1):
+            with pytest.raises(BadLabel, match=rf"^need k >= 1, got k={k}$"):
+                w_label(k, 1, 1)
+            with pytest.raises(BadLabel, match=rf"^need k >= 1, got k={k}$"):
+                para_normalize(k, 0, 0)
+
 
 class TestTopWeights:
     def test_para_examples(self):
@@ -224,6 +232,14 @@ class TestIdentify:
             assert by_form["form1"] == form1_map(k)
             assert by_form["form2"] == form2_map(k)
 
+    def test_stage_candidates_have_the_stage_topweight(self):
+        # {0, k-p} and {0, p}, of numerator p(k-p), one class at 2p = k
+        for k in range(3, 41):
+            for p in range(1, k // 2 + 1):
+                cands = paraferm.fusion_identify._stage_candidates(k, p)
+                assert len(set(cands)) == len(cands) == (1 if 2 * p == k else 2)
+                assert [WLabel(*c).topweight_num for c in cands] == [p * (k - p)] * len(cands)
+
     def test_k3_seed_value(self):
         b1 = next(b for b in identify(3) if b.form == "form1")
         assert label_mapping(b1)[para_normalize(3, 1, 0)] == w_label(3, 0, 2)
@@ -269,19 +285,29 @@ class TestIdentify:
 
 class TestIdentifyCheck:
     @pytest.mark.parametrize(
-        "integral, error, message",
+        "k, integral, error, message",
         [
-            (False, "NoIdentification", "no consistent stage-1 assignment at k=4"),
+            (4, False, "NoIdentification", "no consistent stage-1 assignment at k=4"),
             (
+                4,
                 True,
                 "AmbiguousIdentification",
                 "stage-1 assignment not unique at k=4: "
                 "[WLabel(k=4, a=0, b=3), WLabel(k=4, a=0, b=1)]",
             ),
+            (
+                6,
+                True,
+                "AmbiguousIdentification",
+                "stage-1 assignment not unique at k=6: "
+                "[WLabel(k=6, a=0, b=5), WLabel(k=6, a=0, b=1)]",
+            ),
         ],
-        ids=["no-survivor", "two-survivors"],
+        ids=["no-survivor", "two-survivors", "two-survivors-k6"],
     )
-    def test_failed_search_fails_the_check(self, monkeypatch, capsys, integral, error, message):
+    def test_failed_search_fails_the_check(
+        self, monkeypatch, capsys, k, integral, error, message
+    ):
         monkeypatch.setattr(
             paraferm.fusion_identify, "_obstruction_integral", lambda k, p, sigma, cand: integral
         )
@@ -290,22 +316,39 @@ class TestIdentifyCheck:
             "ok": False,
             "witness": {"error": error, "message": message},
         }
-        report = identify_check(4)
+        report = identify_check(k)
         assert report.status == "fail"
         assert report.details[0] == first
-        assert main(["identify", "--k", "4"]) == 1
+        assert main(["identify", "--k", str(k)]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "fail" and out["details"][0] == first
 
+    # a wrong survivor at stage k/2, the one stage whose two halves meet,
+    # or at an earlier stage, where its images repeat those of another
     @pytest.mark.parametrize(
-        "stage, seed, message",
+        "k, stage, seed, message",
         [
-            (2, (0, 1), "inconsistent images for M[2,0] at k=4: W[0,1] vs W[2,3]"),
-            (1, (0, 0), "stage assembly is not a bijection at k=4"),
+            (4, 2, (0, 1), "inconsistent images for M[2,0] at k=4: W[0,1] vs W[2,3]"),
+            (4, 1, (0, 0), "stage assembly is not a bijection at k=4"),
+            (6, 3, (0, 1), "inconsistent images for M[3,0] at k=6: W[0,1] vs W[3,4]"),
+            (6, 3, (0, 5), "inconsistent images for M[3,0] at k=6: W[0,5] vs W[2,3]"),
+            (6, 2, (0, 1), "stage assembly is not a bijection at k=6"),
+            (8, 4, (0, 7), "inconsistent images for M[4,0] at k=8: W[0,7] vs W[3,4]"),
+            (8, 4, (1, 2), "inconsistent images for M[4,0] at k=8: W[1,2] vs W[5,6]"),
+            (8, 3, (0, 2), "stage assembly is not a bijection at k=8"),
         ],
-        ids=["inconsistent", "not-a-bijection"],
+        ids=[
+            "inconsistent",
+            "not-a-bijection",
+            "inconsistent-k6",
+            "inconsistent-k6-far-seed",
+            "not-a-bijection-k6",
+            "inconsistent-k8",
+            "inconsistent-k8-off-zero",
+            "not-a-bijection-k8",
+        ],
     )
-    def test_assembly_errors_name_the_labels(self, monkeypatch, stage, seed, message):
+    def test_assembly_errors_name_the_labels(self, monkeypatch, k, stage, seed, message):
         # force `seed` as the one survivor of `stage`
         candidates = paraferm.fusion_identify._stage_candidates
         integral = paraferm.fusion_identify._obstruction_integral
@@ -320,10 +363,40 @@ class TestIdentifyCheck:
             lambda k, p, sigma, cand: p == stage or integral(k, p, sigma, cand),
         )
         with pytest.raises(NoIdentification) as err:
-            identify(4)
+            identify(k)
         assert str(err.value) == message
         witness = {"error": "NoIdentification", "message": message}
-        assert identify_check(4).details[0]["witness"] == witness
+        assert identify_check(k).details[0]["witness"] == witness
+
+    def test_builds_no_label(self, monkeypatch):
+        # the checks run on canonical ints: no label is built or normalized
+        calls = []
+        fi = paraferm.fusion_identify
+        for owner, name in (
+            (ParaLabel, "__new__"),
+            (WLabel, "__new__"),
+            (fi, "w_label"),
+            (fi, "para_normalize"),
+        ):
+            real = getattr(owner, name)
+
+            def spy(*args, real=real, tag=f"{owner.__name__}.{name}"):
+                calls.append(tag)
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, spy)
+        ParaLabel(3, 1, 0).twist().current(1)
+        WLabel(3, 0, 1)
+        normalize = "paraferm.fusion_identify.para_normalize"
+        assert set(calls) == {"ParaLabel.__new__", "WLabel.__new__", normalize}
+        calls.clear()
+        fi.w_label(3, 0, 1)
+        assert calls == ["paraferm.fusion_identify.w_label", "WLabel.__new__"]
+        calls.clear()
+        for k in range(3, 41):
+            assert identify_check(k).status == "pass"
+        assert topweight_match_check(40).status == "pass"
+        assert calls == []
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_moved_topweight_fails_with_the_bijection(self, monkeypatch, k):

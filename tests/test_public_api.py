@@ -38,6 +38,7 @@ KEPT = {
     "fusion_identify.ParaLabel.twist": "the fusion-ring check applies it (ROADMAP direction 5)",
     "fusion_identify.ParaLabel.current": "the fusion-ring check applies it (ROADMAP direction 5)",
     "fusion_identify.WLabel.twist": "the fusion-ring check applies it (ROADMAP direction 5)",
+    "fusion_identify.WLabel.current": "the fusion-ring check applies it (ROADMAP direction 5)",
 }
 
 
