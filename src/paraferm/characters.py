@@ -13,23 +13,23 @@ affine Weyl alternating sum: with h = i(i+2)/4(k+2) the top weight,
 graded so that z tracks the Cartan eigenvalue and q the absolute conformal
 weight (after the overall shift by q^h).  Each numerator term divided by
 (1 - z^-2) is a finite symmetric z-block, so the division is exact.
-The character is computed as int rows (`_affine_rows`), which
-`affine_sl2_char` turns into a ZQSeries for its public callers.
+`_affine_rows` divides by (1 - z^-2) and the (1 - z^(+-2) q^n) only, so
+its int rows are those of ch_i x prod_{n>=1} (1-q^n); `affine_sl2_char`
+divides by the (1 - q^n) too and makes a ZQSeries.
 
 String functions are extracted from one charge slice (Kac-Peterson): the
 z^m slice of ch_i is c^i_(m mod 2k) q^(m^2/4k) / prod_{n>=1} (1-q^n), so
-the slice at the least |m| of the string's class, times q^(-m^2/4k) and
-Euler's function prod_{n>=1} (1-q^n), is the string, cut at T from row m
-of a character read m^2/4k above T by `_strings`, the one reader, which
-also sums the rows to the z = 1 series.  Every series the reader and the
-decomposition check handle lies on the grid h + Z: the z = 1 series, each
+row m, at the least |m| of the string's class and read from h - m^2/4k, is
+the string, cut at T from a character read m^2/4k above T by `_strings`,
+the one reader, which also sums the rows.  Every series the reader and the
+decomposition check handle lies on the grid h + Z: those column sums, each
 string (offset h - m^2/4k) and each theta_(i-2j) x string_j.  So the reader
 returns int lists, each with the offset of its first entry, and the check
-compares the z = 1 series with eta^-1 x sum_j theta_(i-2j) x string_j
-entry by entry, which reads every other slice of the class; no check takes
-supplied strings.  One private converter, `_series`, turns the int form
-into the QSeries that `string_function`, `all_string_functions` and the
-dual route hand out and compare.
+compares the column sums with sum_j theta_(i-2j) x string_j entry by entry,
+which reads every other slice of the class; no check takes supplied
+strings.  One private converter, `_series`, turns the int form into the
+QSeries that `string_function`, `all_string_functions` and the dual route
+hand out and compare.
 The string coefficients must also agree with the kernel dimensions computed
 in the Fock realization (`string_dual_route_check`), which is the central
 oracle of the whole suite.
@@ -42,8 +42,7 @@ from math import ceil, isqrt
 
 from . import lattice_fock
 from .errors import BadLabel, IdentityFailed
-from .qseries import (QSeries, ZQSeries, _grid_product, _rat, coset_theta, euler_function,
-                      heisenberg_char)
+from .qseries import QSeries, ZQSeries, _grid_product, _rat, coset_theta
 from .report import Report, make_report
 
 
@@ -52,9 +51,10 @@ def affine_top_weight(k: int, i: int) -> Fraction:
 
 
 def _affine_rows(k: int, i: int, T) -> tuple[list[Fraction], dict[int, list[int]]]:
-    """The character of the i-th integrable level-k module below T as int
-    rows z -> [c_0, ..., c_E], c_e the coefficient of z^z q^(h+e), and the
-    exponents h + e, e = 0..E (both empty when T <= h)."""
+    """The character of the i-th integrable level-k module times
+    prod_{n>=1} (1-q^n), below T, as int rows z -> [c_0, ..., c_E], c_e the
+    coefficient of z^z q^(h+e), and the exponents h + e, e = 0..E (both
+    empty when T <= h)."""
     if k < 1 or not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
     T = _rat(T)
@@ -78,14 +78,16 @@ def _affine_rows(k: int, i: int, T) -> tuple[list[Fraction], dict[int, list[int]
             sign, span = -1, -a - 2
         for t in range(span + 1):
             rows.setdefault(span - 2 * t, [0] * (E + 1))[dep] += sign
-    _grid_product(rows, [(a, n) for n in range(1, E + 1) for a in (0, 2, -2)], E)
+    _grid_product(rows, [(a, n) for n in range(1, E + 1) for a in (2, -2)], E)
     return [h + e for e in range(E + 1)], rows
 
 
 def affine_sl2_char(k: int, i: int, T) -> ZQSeries:
     """Character of the i-th integrable level-k module, graded by (Cartan
-    eigenvalue, absolute conformal weight), truncated at q-exponent T."""
+    eigenvalue, absolute conformal weight), truncated at q-exponent T: the
+    rows of `_affine_rows` divided by prod_{n>=1} (1-q^n)."""
     exps, rows = _affine_rows(k, i, T)
+    _grid_product(rows, [(0, n) for n in range(1, len(exps))], len(exps) - 1)
     return ZQSeries((((z, e), c) for z, row in rows.items() for e, c in zip(exps, row)), T)
 
 
@@ -102,30 +104,24 @@ def _min_charge_rep(k: int, i: int, j: int) -> int:
 def _strings(k: int, i: int, js, T) -> tuple[_Ints, list[_Ints]]:
     """The one reader of strings, on ints: from the int rows of module i
     read at T plus the largest m^2/4k over the least charges m of js, the
-    z = 1 series (the column sums) as (h, ints) and the (i, j) string of
-    each j in js as (h - m^2/4k, ints), row m times the pentagonal terms of
-    `euler_function`.  A pair (o, c) stands for sum_e c[e] q^(o + e), one
-    entry per step below T.  A string with a negative entry, or whose first
-    nonzero entry is not 1, raises IdentityFailed."""
+    column sums (the z = 1 series times prod_{n>=1} (1-q^n)) as (h, ints)
+    and the (i, j) string of each j in js, row m, as (h - m^2/4k, ints).
+    A pair (o, c) stands for sum_e c[e] q^(o + e), one entry per step below
+    T.  A string with a negative entry, or whose first nonzero entry is not
+    1, raises IdentityFailed."""
     if k < 1 or not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
     T = _rat(T)
     ms = [_min_charge_rep(k, i, j) for j in js]
-    exps, rows = _affine_rows(k, i, T + max(Fraction(m * m, 4 * k) for m in ms))
+    _, rows = _affine_rows(k, i, T + max(Fraction(m * m, 4 * k) for m in ms))
     h = affine_top_weight(k, i)
     z1 = (h, [sum(col) for col in zip(*rows.values())][: max(ceil(T - h), 0)])
-    # Euler's function as (exponent, sign) ints, far enough for every string
-    euler = [(e.numerator, c.numerator) for e, c in euler_function(len(exps)).terms.items()]
     strings = []
     for j, m in zip(js, ms):
         offset = h - Fraction(m * m, 4 * k)
         # the entries e with offset + e < T; row m reaches that far
         n = max(ceil(T - offset), 0)
-        row = rows.get(m, [0] * n)
-        string = [0] * n
-        for p, sign in euler:
-            for e in range(p, n):
-                string[e] += sign * row[e - p]
+        string = rows.get(m, [0] * n)[:n]
         for e, c in enumerate(string):
             if c < 0:
                 raise IdentityFailed(
@@ -172,16 +168,17 @@ def decomposition_check_lki(k: int, i: int, max_weight) -> Report:
     The character and the k strings are one read, so every charge slice the
     strings need is exact below max_weight.
 
-    Both sides lie on h + Z and are compared as int lists, entry by entry:
-    the rhs is eta^-1 x sum_j theta_(i-2j) x string_j, theta read from
-    `coset_theta` and eta^-1 once from `heisenberg_char(1, .)`.  String j
-    starts at h - m^2/4k, m the least charge of its class, and every
+    Both sides lie on h + Z and are compared as int lists, entry by entry,
+    each times prod_{n>=1} (1-q^n), which starts with 1: the column sums of
+    `_strings` with sum_j theta_(i-2j) x string_j, theta from `coset_theta`.
+    String j starts at h - m^2/4k, m the least charge of its class, and every
     exponent m'^2/4k of theta, m' in that class, exceeds m^2/4k by an
-    integer.  Only the witness is made of Fractions."""
+    integer.  Only a failing entry divides both sides by that product, up to
+    it, for a witness of graded dimensions in Fractions."""
     T = _rat(max_weight)
     (h, lhs), strings = _strings(k, i, range(k), T)
     n = len(lhs)
-    acc = [0] * n
+    rhs = [0] * n
     for j, (offset, string) in enumerate(strings):
         # shift = m^2/4k: q^(m'^2/4k) x string_j starts d = m'^2/4k - shift
         # steps above h
@@ -189,18 +186,16 @@ def decomposition_check_lki(k: int, i: int, max_weight) -> Report:
         for e, c in coset_theta(k, (i - 2 * j) % (2 * k), shift + n).terms.items():
             d, c = int(e - shift), c.numerator
             for x, y in zip(range(d, n), string):
-                acc[x] += c * y
-    eta_inv = [0] * n
-    for e, c in heisenberg_char(1, n).terms.items():
-        eta_inv[e.numerator] = c.numerator
-    rhs = [sum(eta_inv[p] * acc[e - p] for p in range(e + 1)) for e in range(n)]
+                rhs[x] += c * y
     bad = next((e for e in range(n) if lhs[e] != rhs[e]), None)
     witness = None
     if bad is not None:
+        dims = _grid_product({0: lhs[: bad + 1], 1: rhs[: bad + 1]},
+                             [(0, p) for p in range(1, bad + 1)], bad)
         witness = {
             "first_failing_exponent": h + bad,
-            "lhs": Fraction(lhs[bad]),
-            "rhs": Fraction(rhs[bad]),
+            "lhs": Fraction(dims[0][bad]),
+            "rhs": Fraction(dims[1][bad]),
         }
     return make_report(
         "lki-decomposition" if i else "lk0-decomposition",
@@ -235,6 +230,8 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     so each read charge is built exactly as in the whole module (see
     `lattice_fock.generated_subspace`).
     """
+    if k < 2:
+        raise BadLabel(f"no Fock realization at k={k}: need k >= 2")
     if not 0 <= i <= k:
         raise BadLabel(f"no integrable module (k={k}, i={i})")
     if j is not None and not 0 <= j < k:

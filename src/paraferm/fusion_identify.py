@@ -264,12 +264,14 @@ def identify(k: int) -> list[Bijection]:
 def topweight_match_check(k: int) -> Report:
     """Coset and W-side top weights agree on every label (i, j) under the
     first matching (i, j) -> {j, j - i}."""
+    if k < 2:
+        raise BadLabel("need k >= 2")
     grid = [(i, j) for i in range(k + 1) for j in range(k)]
     # para_normalize(k, i, j) and w_label(k, j, j - i) on ints
     pairs = [((i, j), (j, j - i + k)) if j < i else ((k - i, j - i), (j - i, j)) for i, j in grid]
     bad = [{"i": grid[t][0], "j": grid[t][1]} for t in _topweight_mismatches(k, pairs)]
     witness = {"mismatches": bad} if bad else None
-    entries = [(f"top weights match on all {len(enumerate_simples(k))} classes", not bad, witness)]
+    entries = [(f"top weights match on all {k * (k + 1) // 2} classes", not bad, witness)]
     return make_report(
         "top-weight-match",
         {"k": k},

@@ -9,14 +9,12 @@ A sum and a geometric multiple hand raw (key, coefficient) pairs, repeated
 keys, zeros and terms at or above the truncation included, to the one
 normaliser, the constructor.  The character building blocks make their
 terms normal as they go (distinct exponents below T, nonzero Fraction
-coefficients) and skip it, so a caller that reads their terms as ints,
-like the string reader and the decomposition check, runs no series
-arithmetic.
+coefficients) and skip it; `coset_theta` is the one block read as ints,
+by the decomposition check, which so runs no series arithmetic.
 
 The module also provides the standard character building blocks: the
-Heisenberg (free boson) character and its inverse, Euler's function, the
-theta series of a rescaled rank-one coset and their product (the character
-of a lattice coset module).
+Heisenberg (free boson) character, the theta series of a rescaled rank-one
+coset and their product (the character of a lattice coset module).
 
 :class:`ZQSeries` is the two-variable variant graded by an integer charge
 exponent in z and a rational conformal weight in q.  It exists only for the
@@ -249,22 +247,6 @@ def heisenberg_char(rank: int, T) -> QSeries:
     factors = [(0, n) for n in range(1, E + 1) for _ in range(rank)]
     row = _grid_product({0: [1] + [0] * E}, factors, E)[0]
     return QSeries._normal({Fraction(e): Fraction(c) for e, c in enumerate(row) if c}, T)
-
-
-def euler_function(T) -> QSeries:
-    """Euler's function prod_{n>=1} (1-q^n) = 1/heisenberg_char(1, T), by the
-    pentagonal number theorem: sum_{n in Z} (-1)^n q^(n(3n-1)/2), its
-    terms by ascending exponent."""
-    T = _rat(T)
-    terms, n = {}, 0
-    # n and -n give the pentagonal numbers n(3n-1)/2 and n(3n+1)/2, one sign
-    while n * (3 * n - 1) // 2 < T:
-        sign = Fraction(-1 if n % 2 else 1)
-        for e in (n * (3 * n - 1) // 2, n * (3 * n + 1) // 2):
-            if e < T:
-                terms[Fraction(e)] = sign
-        n += 1
-    return QSeries._normal(terms, T)
 
 
 def coset_theta(k: int, s: int, T) -> QSeries:

@@ -59,6 +59,18 @@ def colored_partitions_table(n: int, colors: int) -> int:
     return table[n]
 
 
+def euler_function(T) -> QSeries:
+    """Euler's function prod_{n>=1} (1-q^n) below T, by the pentagonal
+    number theorem: sum_{n in Z} (-1)^n q^(n(3n-1)/2)."""
+    terms, n = {}, 0
+    # n and -n give the pentagonal numbers n(3n-1)/2 and n(3n+1)/2, one sign
+    while n * (3 * n - 1) // 2 < T:
+        for e in (n * (3 * n - 1) // 2, n * (3 * n + 1) // 2):
+            terms[e] = -1 if n % 2 else 1
+        n += 1
+    return QSeries(terms, T)
+
+
 def fraction_product(a: QSeries, b: QSeries) -> QSeries:
     """a * b by the plain Fraction double loop over every pair of terms,
     each exponent sum compared with the smaller truncation: no grid."""

@@ -17,13 +17,13 @@ from paraferm.characters import (
     string_function,
     w_minimal_central_charge,
 )
-from oracles import affine_char_cascade, decomposition_by_series, q_slice
+from oracles import affine_char_cascade, decomposition_by_series, euler_function, q_slice
 from oracles import colored_partitions_table as colored_partitions
 from paraferm.characters import _series
 from paraferm.errors import BadLabel, IdentityFailed
 from paraferm.fusion_identify import para_normalize
 from paraferm.lattice_fock import affine_module_basis
-from paraferm.qseries import QSeries, ZQSeries, _Series, euler_function
+from paraferm.qseries import QSeries, ZQSeries, _Series
 
 Q = Fraction
 
@@ -162,9 +162,9 @@ class TestStringFunctions:
 
     def test_reader_matches_the_public_character(self):
         # each string is the z^m slice of affine_sl2_char read m^2/4k above
-        # T, shifted by -m^2/4k and times Euler's function, and the z = 1
-        # series is that character summed over z and cut at T; m is the
-        # charge in (-k, k] of the class i-2j mod 2k
+        # T, shifted by -m^2/4k and times Euler's function, and the column
+        # sums are that character summed over z, times Euler's function and
+        # cut at T; m is the charge in (-k, k] of the class i-2j mod 2k
         for k in range(1, 7):
             for i in range(k + 1):
                 ms = [
@@ -184,7 +184,8 @@ class TestStringFunctions:
                         expected = QSeries(row, T) * euler_function(T)
                         assert _series(offset, ints, T) == expected, (k, i, T, j)
                     assert z1[0] == h and len(z1[1]) == max(ceil(T - h), 0), (k, i, T)
-                    assert _series(*z1, T) == QSeries(_summed_over_z(ch).terms, T), (k, i, T)
+                    z1_expected = QSeries(_summed_over_z(ch).terms, T) * euler_function(T)
+                    assert _series(*z1, T) == z1_expected, (k, i, T)
 
     @pytest.mark.parametrize(
         "i, m, edit, message",
@@ -347,6 +348,29 @@ class TestDecomposition:
             assert decomposition_check_lki(k, i, 10).status == "pass"
         assert calls == []
 
+    def test_applies_no_heisenberg_factor(self, monkeypatch):
+        # the strings are rows of ch x prod (1-q^n) and the check compares
+        # them with the column sums as they are: on a passing read no factor
+        # (1-q^n)^-1, a pair (0, n), reaches `_grid_product`; only the public
+        # character divides by prod (1-q^n)
+        real = paraferm.characters._grid_product
+        pairs = []
+
+        def spy(rows, factors, E):
+            pairs.extend((a, n) for a, n in factors if a == 0)
+            return real(rows, factors, E)
+
+        monkeypatch.setattr(paraferm.characters, "_grid_product", spy)
+        affine_sl2_char(3, 1, 6)
+        assert pairs
+        pairs.clear()
+        for k in range(3, 7):
+            for i in range(k + 1):
+                assert decomposition_check_lki(k, i, 10).status == "pass"
+        all_string_functions(5, 2, 10)
+        assert string_dual_route_check(3, 1, 3).status == "pass"
+        assert pairs == []
+
 
 class TestDualRoute:
     def test_k3_all_sectors(self):
@@ -371,6 +395,13 @@ class TestDualRoute:
         for i in (-1, 4):
             with pytest.raises(BadLabel):
                 string_dual_route_check(3, i, 3)
+
+    def test_level_below_two_is_a_bad_label(self):
+        # the level is checked before the budget and the Fock realization
+        # are built
+        for k in (0, 1):
+            with pytest.raises(BadLabel, match=f"k={k}"):
+                string_dual_route_check(k, 0, 3)
 
     @pytest.mark.parametrize(
         "shift", [Q(1), Q(-1), Q(1, 2)], ids=["one_above", "one_below", "half_above"]

@@ -377,6 +377,7 @@ class TestIdentifyCheck:
             (WLabel, "__new__"),
             (fi, "w_label"),
             (fi, "para_normalize"),
+            (fi, "enumerate_simples"),
         ):
             real = getattr(owner, name)
 
@@ -392,6 +393,9 @@ class TestIdentifyCheck:
         calls.clear()
         fi.w_label(3, 0, 1)
         assert calls == ["paraferm.fusion_identify.w_label", "WLabel.__new__"]
+        calls.clear()
+        fi.enumerate_simples(3)
+        assert calls == ["paraferm.fusion_identify.enumerate_simples"]
         calls.clear()
         for k in range(3, 41):
             assert identify_check(k).status == "pass"

