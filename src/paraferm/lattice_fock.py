@@ -20,9 +20,9 @@ table is one dict of integer numerators with its denominator.  The hot loops
 work in ints: `_lincomb` sums at the lcm of the denominators, and weights
 are bounded in units of 1/2den (a point a has weight a.a / 2den), so each
 room or recursion bound is floor(c + x / 2den), c one rational per call
-and x an int (`_floor_bound`).  `StateVector.terms`, ``coefficient`` and
-``canonical_text`` present ``Fraction``s, and the public constructor
-takes ints or ``Fraction``s.  One fraction-free elimination,
+and x an int (`_floor_bound`).  `StateVector.terms` and ``canonical_text``
+present ``Fraction``s, and the public constructor takes ints or
+``Fraction``s.  One fraction-free elimination,
 `_insert`, reduces primitive integer rows against pivots on their least
 key; the layer bases of `generated_subspace`, `rank` and `nullspace` use it.
 
@@ -320,9 +320,6 @@ class StateVector:
         if len(vals) != 1:
             raise ValueError("vector does not have a single charge")
         return Fraction(vals.pop(), lat.den)
-
-    def coefficient(self, state: FockState) -> Fraction:
-        return Fraction(self.num.get(state, 0), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, StateVector):
@@ -1059,7 +1056,9 @@ class GradedBasis:
     Every row is charge-homogeneous, and ``charges`` holds the
     gamma(0)-eigenvalue of each, in the order of ``layers``.
     ``aff_offset`` is the constant difference between the ambient (lattice)
-    weight and the weight defined by the realized conformal vector.
+    weight and the weight defined by the realized conformal vector:
+    i(k-i)/4(k+2) for `affine_module_basis`, 0 for a bare
+    `generated_subspace` basis.
 
     ``budget``, when set, maps each charge lam to an ambient weight bound
     t(lam), and the basis was built inside the charge cone of that budget
@@ -1228,38 +1227,28 @@ def affine_module_basis(k: int, i: int, max_weight, budget=None) -> GradedBasis:
     coordinates of the group it works out from the seeds, H, E and F:
     S_i x S_(k-i), permuting the lattice basis inside p < i and p >= i.
     With a budget (charge -> ambient weight bound, each at most max_weight)
-    only the charge cone of the budget is built."""
+    only the charge cone of the budget is built.  ``aff_offset`` is the
+    closed form i(k-i)/4(k+2): the top level has ambient weight i/4 and
+    omega_aff weight i(i+2)/4(k+2), which the tests measure."""
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}")
     T = _rat(max_weight)
     if T < Fraction(i, 4):
         raise ValueError(f"truncation {T} lies below the top level i/4 = {Fraction(i, 4)}")
-    # H, E, F, the top level and omega_aff live at T3, so H = gamma(-1)1
-    # survives T < 1; generated_subspace cuts at T
-    T3 = max(T, Fraction(3))
-    H, E, F = sl2_generators(k, T3)
-    lat = H.lattice
-    if i == 0:
-        seeds = [StateVector.vacuum(lat, T3)]
-    else:
-        top = StateVector.exponential(lat, tuple(1 if p < i else 0 for p in range(k)), T3)
-        seeds = [top]
-        cur = top
-        for _ in range(i):
-            cur = mode_apply(F, 0, cur)
-            if cur.is_zero():
-                raise AssertionError("top level closed too early")
-            seeds.append(cur)
-        if not mode_apply(F, 0, cur).is_zero():
-            raise AssertionError("top level did not close")
+    # H = gamma(-1)1 needs T1 >= 1; generated_subspace cuts at T
+    T1 = max(T, Fraction(1))
+    H, E, F = sl2_generators(k, T1)
+    cur = StateVector.exponential(H.lattice, tuple(1 if p < i else 0 for p in range(k)), T1)
+    seeds = [cur]
+    for _ in range(i):
+        cur = mode_apply(F, 0, cur)
+        if cur.is_zero():
+            raise AssertionError("top level closed too early")
+        seeds.append(cur)
+    if not mode_apply(F, 0, cur).is_zero():
+        raise AssertionError("top level did not close")
     basis = generated_subspace([H, E, F], T, seeds=seeds, budget=budget)
-    top = seeds[0]
-    l0 = mode_apply(_omegas(k, H, E, F)["omega_aff"], 1, top)
-    (s0, c0), = top.terms.items()
-    aff_weight = l0.coefficient(s0) / c0
-    basis.aff_offset = state_weight(lat, s0) - aff_weight
-    if basis.aff_offset != Fraction(i * (k - i), 4 * (k + 2)):
-        raise AssertionError(f"realized offset {basis.aff_offset} differs from i(k-i)/4(k+2)")
+    basis.aff_offset = Fraction(i * (k - i), 4 * (k + 2))
     return basis
 
 

@@ -139,7 +139,7 @@ class TestIllShapedInput:
         with pytest.raises(ValueError):
             StateVector(lat, 4, [(FockState(pt, [(0, 1)]), 1)])
         sorted_modes = FockState(pt, ((0, 1), (0, 1), (1, 1)))
-        assert StateVector(lat, 4, {sorted_modes: 1}).coefficient(sorted_modes) == 1
+        assert StateVector(lat, 4, {sorted_modes: 1}).terms == {sorted_modes: 1}
 
     def test_modes_and_points_must_fit_the_lattice(self):
         # a mode n = 0 was accepted, as were directions and points off the lattice
@@ -608,10 +608,34 @@ class TestGeneratedSubspace:
             top = min(_layer_dims(b))
             assert _layer_dims(b)[top] == i + 1
             assert top == Q(i, 4)
-            # measured conformal weight of the top level
-            assert top - b.aff_offset == Q(i * (i + 2), 4 * (k + 2))
             if T < 1:
                 assert _layer_dims(b) == {top: i + 1} and not b.truncated
+        # measured conformal weight of the top level: L(0) of omega_aff on
+        # the exponential with i ones is i(i+2)/4(k+2), and the basis offset
+        # is the ambient weight i/4 less that
+        for k in range(2, 9):
+            omega_aff = conformal_vectors(k, 3)["omega_aff"]
+            for i in range(k + 1):
+                h = Q(i * (i + 2), 4 * (k + 2))
+                point = tuple(1 if p < i else 0 for p in range(k))
+                top = StateVector.exponential(rank_lattice(k), point, 3)
+                l0 = virasoro_mode(omega_aff, 0, top)
+                assert l0 == top.scale(h) and not l0.truncated, (k, i)
+                assert affine_module_basis(k, i, Q(i, 4)).aff_offset == Q(i, 4) - h, (k, i)
+
+    def test_builds_no_conformal_vector(self, monkeypatch):
+        # the offset is a closed form, so neither the basis nor the dual
+        # route that reads it builds omega_aff
+        def refuse(*args):
+            raise RuntimeError("built a conformal vector")
+
+        monkeypatch.setattr(paraferm.lattice_fock, "_omegas", refuse)
+        for k in (3, 4):
+            for i in range(k + 1):
+                affine_module_basis(k, i, 2)
+        assert paraferm.characters.string_dual_route_check(3, 1, 3).status == "pass"
+        with pytest.raises(RuntimeError, match="conformal vector"):
+            conformal_vectors(3, 3)
 
 
 class TestCommutantKernel:

@@ -10,10 +10,9 @@ reads `.name` outside the member's own definition, `perfbench/tracer.py`
 wraps `module.Class.name`, or `KEPT` gives the reason.  Where several
 public classes define a member name, a `.name` reaches the member of class
 C only from a top-level definition that names C, itself or through the
-return annotation of a function it calls; so a use on a `QSeries` does not
-reach `StateVector.coefficient`, and a use on a `WLabel` does not reach
-`ParaLabel.current`: a method's return annotation counts only where its
-own class is named.
+return annotation of a function it calls; so a use on a `WLabel` does not
+reach `ParaLabel.current`: a method's return annotation counts only where
+its own class is named.
 """
 
 import ast
@@ -186,7 +185,7 @@ def _benchmark_pins() -> set[str]:
 def test_every_public_name_is_reached():
     public = [(mod, name) for mod, name, _ in _public_objects()]
     members = [(mod, name, owner, meth) for mod, name, owner, meth, _ in _public_members()]
-    assert len(public) > 50 and len(members) >= 40
+    assert len(public) > 50 and len(members) >= 39
     dotted = {f"{mod}.{name}" for mod, name in public}
     dotted |= {f"{mod}.{name}.{meth}" for mod, name, _, meth in members}
     assert set(KEPT) <= dotted
