@@ -31,7 +31,9 @@ its argument v.  All bare exponentials e^beta of a take one pass
 (`_exp_modes`, whose one-summand case is `exp_mode_apply`): each (beta,
 point) pair's room, degree and shifted point are worked out once, in
 integers, each component comes from one memo, and everything is added
-into one integer dict over one common denominator.  The other states go
+into one integer dict over one common denominator; a component whose
+net degree is below minus the weight of the modes in beta's support is
+memoised as empty without being expanded.  The other states go
 by prefix groups: each state b_p(-n) rest is keyed by (n, rest) and a
 key's coefficients fold into one pairing vector beta.  Every group whose
 rest is the vacuum or one mode b_q(-n')1, as in H, in a conformal
@@ -68,12 +70,12 @@ when the operator acting first leaves s nonzero.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from collections import Counter
 from fractions import Fraction
 from functools import wraps
 from math import comb, floor, gcd, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import NamedTuple
 
 from .errors import NonIntegralPairing
@@ -178,7 +180,7 @@ class Lattice:
         return (self.den,) * self.rank
 
     def add(self, a, b) -> tuple[int, ...]:
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def negate(self, a) -> tuple[int, ...]:
         return tuple(-x for x in a)
@@ -394,10 +396,8 @@ class StateVector:
 
 
 def _insert_mode(modes: tuple, p: int, n: int) -> tuple:
-    out = list(modes)
-    out.append((p, n))
-    out.sort()
-    return tuple(out)
+    i = bisect_right(modes, (p, n))
+    return modes[:i] + ((p, n),) + modes[i:]
 
 
 def _contractions(modes: tuple, beta):
@@ -475,11 +475,15 @@ def _exp_component(lat, beta, modes: tuple, d: int) -> tuple[dict, int]:
     to b_p(-n) - beta[p] z^(-n), so on r copies of b_p(-n) it is the sum over
     s of C(r, s) (-beta[p])^s z^(-ns) times r - s copies: in integers, one
     kept mode tuple per choice of s for each distinct (p, n).  The z^(-b)
-    part of that is merged with the creation half S_(b+d).
+    part of that is merged with the creation half S_(b+d).  The annihilation
+    half removes at most the weight of the modes in beta's support and the
+    creation half needs b + d >= 0, so below that the component is empty.
     """
+    if d + sum(n for p, n in modes if beta[p]) < 0:
+        return {}, 1
     kept = [(0, (), 1)]
-    for (p, n), r in Counter(modes).items():
-        c = -beta[p]
+    for p, n in dict.fromkeys(modes):
+        r, c = modes.count((p, n)), -beta[p]
         kept = [
             (b + n * s, mds + ((p, n),) * (r - s), x * comb(r, s) * c**s)
             for s in range(r + 1 if c else 1)
@@ -490,7 +494,12 @@ def _exp_component(lat, beta, modes: tuple, d: int) -> tuple[dict, int]:
         a = b + d
         if a >= 0:
             cnum, cden = _creation_poly(lat, beta, a)
-            pieces.append((x, {tuple(sorted(tmds + cmds)): cc for cmds, cc in cnum.items()}, cden))
+            if tmds:
+                cnum = {tuple(sorted(tmds + cmds)): cc for cmds, cc in cnum.items()}
+            pieces.append((x, cnum, cden))
+    if len(pieces) == 1 and pieces[0][0] == 1:
+        # one canonical creation table, shifted by a fixed mode tuple
+        return pieces[0][1:]
     return _canonical(*_lincomb(pieces))
 
 
@@ -512,6 +521,7 @@ def _exp_modes(fields, m, v: StateVector) -> StateVector:
     mn, md = m.numerator, m.denominator
     bn, bd = -(mn + md) * lat.den, md * lat.den
     per_point: dict[tuple, list] = {s.point: [] for s in v.num}
+    norms = {point: _dot(point, point) for point in per_point}
     for beta, c in fields:
         x_beta = 2 * lat.den - _dot(beta, beta)
         pairs = {point: _dot(beta, point) for point in per_point}
@@ -523,7 +533,7 @@ def _exp_modes(fields, m, v: StateVector) -> StateVector:
         for point, pair in pairs.items():
             d, frac = divmod(bn - pair * md, bd)
             if not frac:
-                r = room(x_beta - _dot(point, point))
+                r = room(x_beta - norms[point])
                 per_point[point].append((beta, c, r, d, lat.add(point, beta)))
     flagged = v.truncated
     parts = []
@@ -561,6 +571,8 @@ def exp_mode_apply(beta, m, v: StateVector) -> StateVector:
 
 def _binom_general(a: int, b: int) -> int:
     """binom(a, b) for integer a of either sign, b >= 0."""
+    if not b:
+        return 1
     if a >= 0:
         return comb(a, b) if a >= b else 0
     return (-1) ** b * comb(b - a - 1, b)

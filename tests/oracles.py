@@ -5,6 +5,7 @@ separate construction, never through the code paths under test.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations, product
 from math import ceil, comb, isqrt, perm
 
@@ -320,6 +321,57 @@ def heisenberg_field_mode(prefix, m, v: StateVector) -> StateVector:
                 piece = heisenberg_field_mode(rest, m - n - j, heisenberg_mode(beta, j, u))
             total = total + piece.scale(_binomial(-j - 1, n - 1))
     return total
+
+
+def exp_component(lat, beta, modes: tuple, d: int) -> dict[tuple, Fraction]:
+    """The z^d part of E^-(-beta, z) E^+(-beta, z) on prod b_p(-n), the sorted
+    mode tuple modes, beta in lattice coordinates: sorted mode tuple ->
+    nonzero Fraction, every entry of mode weight wt(modes) + d.  Both
+    exponentials are summed term by term, E^+(-beta, z) = sum_k A^k / k! with
+    A = -sum_(n>=1) beta(n) z^(-n) / n, where beta(n) removes each copy of
+    b_p(-n) with factor n beta[p], and E^-(-beta, z) as `_creation_part`."""
+    # (z-power, modes) -> coefficient of A^k / k!; A^k = 0 beyond len(modes)
+    power = {(0, modes): Q(1)}
+    annihilated = dict(power)
+    for k in range(1, len(modes) + 1):
+        nxt: dict = {}
+        for (e, mds), c in power.items():
+            for i, (p, n) in enumerate(mds):
+                if beta[p]:
+                    key = (e - n, mds[:i] + mds[i + 1:])
+                    nxt[key] = nxt.get(key, 0) - c * Q(beta[p], k)
+        power = nxt
+        for key, c in power.items():
+            annihilated[key] = annihilated.get(key, 0) + c
+    out: dict = {}
+    for (e, rest), c in annihilated.items():
+        if c and d - e >= 0:
+            for cmds, cc in _creation_part(lat.den, tuple(beta), d - e).items():
+                key = tuple(sorted(rest + cmds))
+                out[key] = out.get(key, 0) + c * cc
+    return {key: c for key, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _creation_part(den: int, beta: tuple, a: int) -> dict[tuple, Fraction]:
+    """The z^a part of E^-(-beta, z) = sum_k B^k / k! with B = sum_(n>=1)
+    beta(-n) z^n / n and beta(-n) = sum_p (beta[p] / den) b_p(-n), as sorted
+    created mode tuple -> Fraction."""
+    power = {(0, ()): Q(1)}
+    part = {(): Q(1)} if a == 0 else {}
+    for k in range(1, a + 1):
+        nxt: dict = {}
+        for (e, mds), c in power.items():
+            for n in range(1, a - e + 1):
+                for p, b in enumerate(beta):
+                    if b:
+                        key = (e + n, tuple(sorted(mds + ((p, n),))))
+                        nxt[key] = nxt.get(key, 0) + c * Q(b, den * n * k)
+        power = nxt
+        for (e, mds), c in power.items():
+            if e == a:
+                part[mds] = part.get(mds, 0) + c
+    return part
 
 
 def _binomial(a: int, b: int) -> Fraction:

@@ -36,11 +36,13 @@ from paraferm.lattice_fock import (
     Lattice,
     StateVector,
     _basis_coords,
+    _binom_general,
     _canonical,
     _commutant_systems,
     _exp_component,
     _floor_bound,
     _fold,
+    _insert_mode,
     _lincomb,
     affine_module_basis,
     central_charge_of,
@@ -1546,6 +1548,90 @@ class TestIntegerArithmetic:
         assert _floor_bound(lat, T)(-aa) == floor(T - wa)
         assert _floor_bound(lat, T + m)(q - bb - aa) == floor(T + m + 1 - wb - wa)
         assert _floor_bound(lat, -m)(aa + bb) == floor(wa + wb - m)
+
+
+def _mode_tuples(rank: int, weight: int) -> list[tuple]:
+    """Every sorted mode tuple over rank directions of weight <= weight."""
+    pairs = [(p, n) for p in range(rank) for n in range(1, weight + 1)]
+    return [
+        mds
+        for size in range(weight + 1)
+        for mds in itertools.combinations_with_replacement(pairs, size)
+        if sum(n for _, n in mds) <= weight
+    ]
+
+
+def _small_roots(rank: int) -> list[tuple]:
+    """+-b_p, b_p - b_q, b_p + b_q and 2 b_p in half-unit coordinates."""
+    b = [tuple(2 * (q == p) for q in range(rank)) for p in range(rank)]
+    out = [x for p in range(rank) for x in (b[p], tuple(-y for y in b[p]), tuple(2 * y for y in b[p]))]
+    for p, q in itertools.permutations(range(rank), 2):
+        out.append(tuple(x - y for x, y in zip(b[p], b[q])))
+        if p < q:
+            out.append(tuple(x + y for x, y in zip(b[p], b[q])))
+    return out
+
+
+class TestModeKernels:
+    """The exponential component and the helpers under every mode pass,
+    against their definitions."""
+
+    CASES = [
+        (lat, beta, modes, d)
+        for lat in (rank_lattice(2), rank_lattice(3))
+        for beta in _small_roots(lat.rank)
+        for modes in _mode_tuples(lat.rank, 4)
+        for d in range(-6, 4)
+    ]
+
+    def test_exp_component_is_the_series_coefficient(self):
+        empty = 0
+        for lat, beta, modes, d in self.CASES:
+            num, den = _exp_component.__wrapped__(lat, beta, modes, d)
+            got = {mds: Fraction(c, den) for mds, c in num.items()}
+            assert got == oracles.exp_component(lat, beta, modes, d), (lat, beta, modes, d)
+            assert gcd(den, *num.values()) == 1 and 0 not in num.values()
+            empty += not num
+        assert 0 < empty < len(self.CASES)
+
+    def test_components_empty_by_support_weight_expand_nothing(self, monkeypatch):
+        # d + (weight of the modes in beta's support) < 0: the annihilation
+        # half cannot lower the degree far enough, so the component is empty
+        # and neither a creation table nor a sum is built for it
+        calls = []
+
+        def spy(fn):
+            def recording(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return recording
+
+        for name in ("_creation_poly", "_lincomb"):
+            monkeypatch.setattr(paraferm.lattice_fock, name, spy(getattr(paraferm.lattice_fock, name)))
+        empty = [
+            (lat, beta, modes, d)
+            for lat, beta, modes, d in self.CASES
+            if d + sum(n for p, n in modes if beta[p]) < 0
+        ]
+        assert len(empty) > 1000
+        for lat, beta, modes, d in empty:
+            assert _exp_component.__wrapped__(lat, beta, modes, d) == ({}, 1)
+        assert calls == []
+        # the spies see a component that is not empty by its support weight
+        lat = rank_lattice(2)
+        assert _exp_component.__wrapped__(lat, (2, 0), ((0, 1), (1, 2)), -1) == ({((1, 2),): -2}, 1)
+        assert set(calls) == {"_creation_poly", "_lincomb"}
+
+    def test_binom_general_is_the_binomial(self):
+        for a in range(-8, 9):
+            for b in range(7):
+                assert _binom_general(a, b) == oracles._binomial(a, b), (a, b)
+
+    def test_insert_mode_is_sorted_insertion(self):
+        for modes in _mode_tuples(3, 4):
+            for p in range(3):
+                for n in range(1, 5):
+                    assert _insert_mode(modes, p, n) == tuple(sorted(modes + ((p, n),)))
 
 
 class TestOneDispatcher:
