@@ -293,7 +293,7 @@ def _emit(reports: list[Report], fmt: str, out: str | None) -> None:
         text = _format_table(reports) + "\n"
     else:
         text = "".join(r.to_json() + "\n" for r in reports)
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     try:
         args = vars(_build_parser().parse_args(argv))
         command, fmt, out = args.pop("command"), args.pop("format"), args.pop("out")
-        if out:
+        if out is not None:
             # fail before any check runs; an existing file is left as it is
             try:
                 open(out, "a").close()

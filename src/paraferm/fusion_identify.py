@@ -26,8 +26,8 @@ built unless an error names it.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import AmbiguousIdentification, BadLabel, NoIdentification
 from .report import Report, make_report
@@ -153,21 +153,20 @@ def enumerate_w_simples(k: int) -> list[WLabel]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Bijection:
+class Bijection(NamedTuple):
     """One matching of the two simple-module families as canonical int
     pairs ((i, j), (a, b)), one per coset label (k, i, j) in label order,
     each with its W image (k, a, b); `to_obj` hands them to json as they are."""
 
     k: int
     form: str  # "form1" | "form2"
-    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = field(repr=False)
+    pairs: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
 
     def preserves_topweights(self) -> bool:
         return next(_topweight_mismatches(self.k, self.pairs), None) is None
 
     def to_obj(self) -> dict:
-        return {"k": self.k, "form": self.form, "pairs": self.pairs}
+        return self._asdict()
 
 
 def _topweight_mismatches(k: int, pairs):

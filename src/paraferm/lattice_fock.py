@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import comb, floor, gcd, lcm
@@ -140,7 +139,6 @@ def _lincomb(pieces) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Lattice:
     """Orthogonal lattice basis b_1..b_rank with <b_p,b_p> = den.
 
@@ -148,16 +146,29 @@ class Lattice:
     itself consists of the points with all coordinates divisible by den.
     As den is also the norm of each b_p, they are dual-lattice coordinates:
     <a, b_p> = a[p] and <a, b> = a.b / den.
+
+    Immutable by convention, like `StateVector`: two lattices are equal, and
+    hash alike, when their (rank, den) are; ``memo`` holds the memo tables
+    of the mode computations on this instance (see `_per_lattice`).
     """
 
-    rank: int
-    den: int
-    # memo tables of the mode computations on this lattice, see _per_lattice
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("rank", "den", "memo", "__weakref__")
 
-    def __post_init__(self):
-        if self.rank < 1 or self.den < 1:
-            raise ValueError(f"need rank >= 1 and den >= 1, got rank={self.rank}, den={self.den}")
+    def __init__(self, rank: int, den: int):
+        if rank < 1 or den < 1:
+            raise ValueError(f"need rank >= 1 and den >= 1, got rank={rank}, den={den}")
+        self.rank, self.den, self.memo = rank, den, {}
+
+    def __eq__(self, other):
+        if not isinstance(other, Lattice):
+            return NotImplemented
+        return self.rank == other.rank and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.rank, self.den))
+
+    def __repr__(self):
+        return f"Lattice(rank={self.rank}, den={self.den})"
 
     def __reduce__(self):
         # pickle the lattice without its tables
@@ -593,12 +604,18 @@ def _vacuum_modes(groups, m, v: StateVector) -> StateVector:
     if isinstance(m, Fraction):
         return v._with({}, 1)
     D, binom, bound = v.lattice.den, _binom_general, _floor_bound(v.lattice, v.truncation)
-    # one mode: (beta, c0, den C(-c0-1, n-1)); a pair: (beta, n, delta, n2, c0)
+    # one mode: (beta, c0, den C(-c0-1, n-1)); a pair: (beta, n, delta, n2,
+    # c0, its constant term's binomials, (j2, binomials) of each zero or
+    # creation j2 in (B)), the binomials that do not depend on the state
     ones, pairs = [], []
     for beta, n, *second in groups:
         c0 = m - n + 1
         if second:
-            pairs.append((beta, n, *second, c0 - second[1]))
+            delta, n2 = second
+            c0 -= n2
+            pairs.append((beta, n, delta, n2, c0, binom(-c0 - 1, n2 - 1) * binom(-1, n - 1),
+                          [(j2, binom(-j2 - 1, n2 - 1) * binom(j2 - c0 - 1, n - 1))
+                           for j2 in range(c0 + n, 1)]))
         else:
             ones.append((beta, c0, D * binom(-c0 - 1, n - 1)))
     flagged = v.truncated
@@ -617,10 +634,9 @@ def _vacuum_modes(groups, m, v: StateVector) -> StateVector:
         # the distinct modes (p, t) of s, their multiplicities, s less one copy
         dist = [(*pt, modes.count(pt), modes[:i] + modes[i + 1:])
                 for i, pt in enumerate(modes) if not i or pt != modes[i - 1]] if pairs else ()
-        for (beta, n, delta, n2, c0), (zb, zd) in zip(pairs, zpairs):
+        for (beta, n, delta, n2, c0, const, creations), (zb, zd) in zip(pairs, zpairs):
             lo, over = c0 + n, c0 < excess
-            c = x * zb * binom(-c0 - 1, n2 - 1) * binom(-1, n - 1)
-            terms.append((c, delta, zd, c0, modes, over))
+            terms.append((x * zb * const, delta, zd, c0, modes, over))
             for p, t, r, rest in dist:
                 if beta[p]:
                     c = binom(t - c0 - 1, n2 - 1) * binom(-t - 1, n - 1)
@@ -628,8 +644,8 @@ def _vacuum_modes(groups, m, v: StateVector) -> StateVector:
                 if t >= lo and delta[p]:
                     c = binom(-t - 1, n2 - 1) * binom(t - c0 - 1, n - 1)
                     terms.append((x * r * t * delta[p] * D * c, beta, zb, c0 - t, rest, over))
-            for j2 in range(lo, 1):
-                c = x * binom(-j2 - 1, n2 - 1) * binom(j2 - c0 - 1, n - 1)
+            for j2, c in creations:
+                c *= x
                 terms += [(c * zd, beta, zb, c0, modes, over)] if not j2 else [
                     (c * d, beta, zb, c0 - j2, _insert_mode(modes, q, -j2), over)
                     for q, d in enumerate(delta) if d]
@@ -1053,8 +1069,7 @@ def _insert(ech: dict, r: dict) -> dict:
     return r
 
 
-@dataclass
-class GradedBasis:
+class GradedBasis(NamedTuple):
     """Exact graded basis of a module realized in the Fock space, in orbit
     coordinates of the group S_b1 x S_b2 x ... with block sizes ``blocks``
     that `generated_subspace` works out: it permutes the lattice basis
@@ -1070,7 +1085,8 @@ class GradedBasis:
     ``aff_offset`` is the constant difference between the ambient (lattice)
     weight and the weight defined by the realized conformal vector:
     i(k-i)/4(k+2) for `affine_module_basis`, 0 for a bare
-    `generated_subspace` basis.
+    `generated_subspace` basis.  The basis is an immutable named tuple, so
+    a field is changed only by `_replace`, which returns a new basis.
 
     ``budget``, when set, maps each charge lam to an ambient weight bound
     t(lam), and the basis was built inside the charge cone of that budget
@@ -1082,8 +1098,8 @@ class GradedBasis:
 
     lattice: Lattice
     truncation: Fraction
-    layers: dict[Fraction, list[StateVector]] = field(repr=False)
-    charges: dict[Fraction, list[int]] = field(repr=False)
+    layers: dict[Fraction, list[StateVector]]
+    charges: dict[Fraction, list[int]]
     blocks: tuple[int, ...]
     aff_offset: Fraction = Fraction(0)
     truncated: bool = False
@@ -1240,7 +1256,8 @@ def affine_module_basis(k: int, i: int, max_weight, budget=None) -> GradedBasis:
     S_i x S_(k-i), permuting the lattice basis inside p < i and p >= i.
     With a budget (charge -> ambient weight bound, each at most max_weight)
     only the charge cone of the budget is built.  ``aff_offset`` is the
-    closed form i(k-i)/4(k+2): the top level has ambient weight i/4 and
+    closed form i(k-i)/4(k+2), set by `_replace` on the bare basis of
+    `generated_subspace`: the top level has ambient weight i/4 and
     omega_aff weight i(i+2)/4(k+2), which the tests measure."""
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}")
@@ -1260,8 +1277,7 @@ def affine_module_basis(k: int, i: int, max_weight, budget=None) -> GradedBasis:
     if not mode_apply(F, 0, cur).is_zero():
         raise AssertionError("top level did not close")
     basis = generated_subspace([H, E, F], T, seeds=seeds, budget=budget)
-    basis.aff_offset = Fraction(i * (k - i), 4 * (k + 2))
-    return basis
+    return basis._replace(aff_offset=Fraction(i * (k - i), 4 * (k + 2)))
 
 
 def _echelon(rows) -> dict:

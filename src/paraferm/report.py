@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
 PASS_TRUNCATED = "pass-up-to-truncation"
 
 
-@dataclass
-class Report:
-    """Outcome of one named check.
+class Report(NamedTuple):
+    """Outcome of one named check, an immutable named tuple built by
+    `make_report`.
 
     ``status`` is one of pass / fail / pass-up-to-truncation; a fail always
     carries a witness in ``details``.  Output is deterministic for fixed
@@ -22,21 +22,15 @@ class Report:
     check: str
     params: dict
     status: str
-    identity: str = ""
-    details: list = field(default_factory=list)
+    identity: str
+    details: list
 
     @property
     def passed(self) -> bool:
         return self.status in (PASS, PASS_TRUNCATED)
 
     def to_obj(self) -> dict:
-        return {
-            "check": self.check,
-            "params": self.params,
-            "status": self.status,
-            "identity": self.identity,
-            "details": self.details,
-        }
+        return self._asdict()
 
     def to_json(self) -> str:
         """Canonical JSON; rationals (any non-JSON value) as their exact str.

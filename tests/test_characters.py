@@ -1,6 +1,5 @@
 """Affine characters, string functions, decomposition identities."""
 
-import dataclasses
 from fractions import Fraction
 from math import ceil
 
@@ -473,7 +472,7 @@ class TestDualRoute:
         monkeypatch.setattr(
             paraferm.lattice_fock,
             "affine_module_basis",
-            lambda *a, **kw: dataclasses.replace(real(*a, **kw), truncated=True),
+            lambda *a, **kw: real(*a, **kw)._replace(truncated=True),
         )
         assert string_dual_route_check(3, 0, 3).status == "pass-up-to-truncation"
 

@@ -123,17 +123,22 @@ class TestMain:
         assert rec["params"]["j"] == 0
 
 
-def _run_cli(*args, **env):
-    """Run `python -m paraferm ARGS` with the parent's environment plus ENV,
-    importing the same paraferm as this process does."""
+def _run_python(*args, **env):
+    """Run `python ARGS` with the parent's environment plus ENV, importing
+    the same paraferm as this process does."""
     src = str(Path(paraferm.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "paraferm", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def _run_cli(*args, **env):
+    """Run `python -m paraferm ARGS` as `_run_python` does."""
+    return _run_python("-m", "paraferm", *args, **env)
 
 
 class TestSubprocess:
@@ -159,6 +164,24 @@ class TestSubprocess:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # each command pays its import: these two and what they load cost
+        # several milliseconds of start-up and nothing in the package needs them
+        heavy = {"dataclasses", "inspect"}
+        proc = _run_python("-c", (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import paraferm.cli\n"
+            f"heavy = {sorted(heavy)!r}\n"
+            "print(' '.join(m for m in heavy if m in before))\n"
+            "print(' '.join(m for m in heavy if m in sys.modules and m not in before))\n"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        preloaded, loaded = proc.stdout.split("\n")[:2]
+        if preloaded:
+            pytest.skip(f"the interpreter loads {preloaded} before paraferm")
+        assert loaded == ""
 
 
 def _main(argv):
@@ -251,6 +274,7 @@ BAD_INPUT = [
     "no-such-check",
     "ope --k 3 --out /nonexistent/x.json",
     "ope --k 3 --out .",
+    "ope --k 3 --out ''",
 ]
 
 

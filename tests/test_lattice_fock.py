@@ -342,6 +342,12 @@ class TestLatticeMemo:
         assert hash(lat) == hash(twin)
         assert repr(lat) == repr(twin) == "Lattice(rank=3, den=2)"
 
+    def test_eq_and_hash_read_rank_and_den(self):
+        lat = Lattice(3, 2)
+        assert lat != Lattice(4, 2) and lat != Lattice(3, 1)
+        assert lat != (3, 2) and (3, 2) != lat
+        assert len({lat, rank_lattice(3), Lattice(4, 2)}) == 2
+
     def test_tables_are_freed_with_the_lattice(self):
         lat = rank_lattice(3)
         ref = weakref.ref(lat)
@@ -624,6 +630,27 @@ class TestGeneratedSubspace:
                 l0 = virasoro_mode(omega_aff, 0, top)
                 assert l0 == top.scale(h) and not l0.truncated, (k, i)
                 assert affine_module_basis(k, i, Q(i, 4)).aff_offset == Q(i, 4) - h, (k, i)
+
+    def test_offset_is_set_on_a_copy_of_the_bare_basis(self, monkeypatch):
+        # affine_module_basis returns the closed form on a new basis and
+        # leaves generated_subspace's own basis at offset 0; neither can be
+        # assigned to
+        bare = []
+
+        def recording(*args, **kw):
+            bare.append(generated_subspace(*args, **kw))
+            return bare[-1]
+
+        monkeypatch.setattr(paraferm.lattice_fock, "generated_subspace", recording)
+        for i in range(4):
+            b = affine_module_basis(3, i, 2)
+            assert b.aff_offset == Q(i * (3 - i), 20), i
+            assert bare[-1].aff_offset == 0
+            assert b._replace(aff_offset=Q(0)) == bare[-1]
+            with pytest.raises(AttributeError):
+                b.aff_offset = Q(0)
+            with pytest.raises(AttributeError):
+                b.truncated = True
 
     def test_builds_no_conformal_vector(self, monkeypatch):
         # the offset is a closed form, so neither the basis nor the dual

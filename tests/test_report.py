@@ -17,6 +17,14 @@ def test_failing_entry_with_witness_fails_the_report():
     assert r.status == "fail" and r.details[0]["witness"] == {"got": 1}
 
 
+def test_report_is_immutable():
+    r = make_report("demo", {}, [("holds", True, None)])
+    for name in ("status", "details"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, None)
+    assert r.status == "pass"
+
+
 def test_failing_report_json_is_pinned():
     # rationals print exactly, tuples as lists, a nested report's to_obj() in
     # place; keys sorted, no spaces
