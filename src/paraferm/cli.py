@@ -5,10 +5,17 @@ machine-readable report per check (JSON lines by default, a table with
 --format table); `all` runs the whole suite over a range of levels.  Exit
 code 0 when everything passes, 1 on any failure, 2 on usage errors.
 
-The table CHECKS declares each check once, and the subcommands, `run_check`
-and `run_all` read it.  Every param is an integer, validated before any
+The table CHECKS declares each check once, and the command line, `run_check`
+and `run_all` read it.  A command line reads `paraferm COMMAND [--KEY VALUE |
+--KEY=VALUE]...`, KEY being one of the command's params with `_` written as
+`-`, or `--format json|table` (default json), or `--out PATH`.  A param
+value goes through `int(value)`, and every param is validated before any
 computation: a missing, unknown or out-of-range one is a usage error.
-`paraferm CHECK --help` shows the ranges; below, (default) and [truncation]:
+`paraferm CHECK -h` (or `--help`) prints the check's flags and ranges, and
+`paraferm --help` prints this text and the command list.  No command, an
+unknown command, an unknown or abbreviated flag, a flag without a value, a
+flag given twice, a stray argument and a format other than json or table
+are usage errors too.  Below, (default) and [truncation]:
 
     ope                  --k >= 2 [4]
     singular-vector      --k >= 3, --seed (0) [4]
@@ -29,8 +36,6 @@ PARAFERM_TRUNCATION (a positive integer) overrides the truncation fallbacks;
 
 from __future__ import annotations
 
-import argparse
-import functools
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -250,30 +255,68 @@ ALL = Check("run the full suite for 3 <= k <= kmax", run_all,
 # ---------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as BadParams, so it ends in one usage line."""
-
-    def error(self, message):
-        raise BadParams(message)
+_COMMANDS = {**CHECKS, "all": ALL}
+_USAGE = "[--KEY VALUE | --KEY=VALUE]..."
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    ap = _Parser(prog="paraferm", description=__doc__,
-                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, check in {**CHECKS, "all": ALL}.items():
-        p = sub.add_parser(name, help=check.help)
-        for key, param in check.params.items():
-            hint = param.bounds(key)
-            if param.default is not None:
-                hint += f", default {param.default}"
-            p.add_argument(
-                "--" + key.replace("_", "-"), type=int, required=param.required, help=hint
-            )
-        p.add_argument("--format", choices=("json", "table"), default="json")
-        p.add_argument("--out", type=str, default=None)
-    return ap
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _help(name: str, check: Check) -> str:
+    """`paraferm NAME --help`: the check's help and one line per flag."""
+    rows = [
+        (f"{_flag(key)} N", param.bounds(key) + (
+            "" if param.default is None else f", default {param.default}"))
+        for key, param in check.params.items()
+    ]
+    rows += [("--format json|table", "default json"), ("--out PATH", "write to PATH, not stdout")]
+    return f"usage: paraferm {name} {_USAGE}\n\n{check.help}\n\n" + "".join(
+        f"  {flag:<24}{hint}\n" for flag, hint in rows)
+
+
+def _parse(argv: list[str]):
+    """(command, params, format, out) from a command line, params holding
+    every param of the command (None where no flag gives it), or the help
+    text that the command line asks for.  Raises BadParams on a usage
+    error."""
+    if not argv:
+        raise BadParams("no command; paraferm --help lists them")
+    name, *rest = argv
+    if name in ("-h", "--help"):
+        return f"usage: paraferm COMMAND {_USAGE}\n\n{__doc__}\ncommands:\n" + "".join(
+            f"  {n:<21}{c.help}\n" for n, c in _COMMANDS.items())
+    check = _COMMANDS.get(name)
+    if check is None:
+        raise BadParams(f"unknown command {name!r}; known: {list(_COMMANDS)}")
+    keys = {_flag(key): key for key in (*check.params, "format", "out")}
+    given: dict[str, str] = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(name, check)
+        flag, eq, value = token.partition("=")
+        if not flag.startswith("--"):
+            raise BadParams(f"unexpected argument {token!r}")
+        if flag not in keys:
+            raise BadParams(f"{name} takes no flag {flag!r}; it takes {list(keys)}")
+        if keys[flag] in given:
+            raise BadParams(f"{flag} is given twice")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise BadParams(f"{flag} needs a value")
+        given[keys[flag]] = value
+    fmt, out = given.pop("format", "json"), given.pop("out", None)
+    if fmt not in ("json", "table"):
+        raise BadParams(f"--format must be json or table, got {fmt!r}")
+    params = dict.fromkeys(check.params)
+    for key, value in given.items():
+        try:
+            params[key] = int(value)
+        except ValueError:
+            raise BadParams(f"{_flag(key)} needs an integer, got {value!r}") from None
+    return name, params, fmt, out
 
 
 def _format_table(reports: list[Report]) -> str:
@@ -302,15 +345,18 @@ def _emit(reports: list[Report], fmt: str, out: str | None) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = vars(_build_parser().parse_args(argv))
-        command, fmt, out = args.pop("command"), args.pop("format"), args.pop("out")
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(parsed, str):
+            sys.stdout.write(parsed)
+            return 0
+        command, params, fmt, out = parsed
         if out is not None:
             # fail before any check runs; an existing file is left as it is
             try:
                 open(out, "a").close()
             except OSError as exc:
                 raise BadParams(f"cannot write --out {out}: {exc.strerror}") from exc
-        reports = run_all(**args) if command == "all" else [run_check(command, args)]
+        reports = run_all(**params) if command == "all" else [run_check(command, params)]
     except BadParams as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

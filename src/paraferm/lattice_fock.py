@@ -55,7 +55,11 @@ stored as its orbit totals w_r, the sum of its coefficients over the orbit
 of r; for an invariant operator A the orbit totals of A v are
 sum_r w_r fold(A r), where fold adds each output coefficient onto the
 representative of its state.  No stabiliser factor enters, and a layer
-holds the primitive integer rows of its elimination.  v -> w is a
+holds the primitive integer rows of its elimination.  The elimination
+keys each representative by `_key`, a bytes string that compares as the
+state does, so every pivot is the one the states would pick, while the
+keys hash once and compare by memcmp; a stored row is read back onto the
+representatives (`_unfold`).  v -> w is a
 bijection on invariant vectors, so ranks and kernel dimensions are those
 of the Fock vectors, and the commutant kernels stay in these coordinates.
 
@@ -636,13 +640,15 @@ def _vacuum_modes(groups, m, v: StateVector) -> StateVector:
                 for i, pt in enumerate(modes) if not i or pt != modes[i - 1]] if pairs else ()
         for (beta, n, delta, n2, c0, const, creations), (zb, zd) in zip(pairs, zpairs):
             lo, over = c0 + n, c0 < excess
+            # at n = n2 = 1, as in every conformal vector, each binomial is 1
+            unit = n == n2 == 1
             terms.append((x * zb * const, delta, zd, c0, modes, over))
             for p, t, r, rest in dist:
                 if beta[p]:
-                    c = binom(t - c0 - 1, n2 - 1) * binom(-t - 1, n - 1)
+                    c = 1 if unit else binom(t - c0 - 1, n2 - 1) * binom(-t - 1, n - 1)
                     terms.append((x * r * t * beta[p] * D * c, delta, zd, c0 - t, rest, over))
                 if t >= lo and delta[p]:
-                    c = binom(-t - 1, n2 - 1) * binom(t - c0 - 1, n - 1)
+                    c = 1 if unit else binom(-t - 1, n2 - 1) * binom(t - c0 - 1, n - 1)
                     terms.append((x * r * t * delta[p] * D * c, beta, zb, c0 - t, rest, over))
             for j2, c in creations:
                 c *= x
@@ -1006,18 +1012,39 @@ def _representative(s: FockState, blocks) -> FockState:
     return _from_columns(cols)
 
 
-def _fold(lat: Lattice, blocks, num: dict) -> dict:
-    """The orbit totals of num: each coefficient added onto the
-    representative of its state, zero totals dropped.  The representatives
-    are memoised in one table of lat.memo per group."""
-    table = lat.memo.setdefault((_representative, blocks), {})
-    acc: dict[FockState, int] = {}
+def _key(s: FockState) -> bytes:
+    """A bytes key that compares as s does: the point, each coordinate
+    offset by 128, then two bytes (p, n) per mode.  The point has one byte
+    per direction, so a longer mode tuple extends its key as it extends the
+    tuple; `bytes` raises rather than wraps a value outside 0..255.  Bytes
+    cache their hash and compare by memcmp."""
+    return bytes([a + 128 for a in s.point] + [x for mode in s.modes for x in mode])
+
+
+def _fold(lat: Lattice, blocks, num: dict) -> dict[bytes, int]:
+    """The orbit totals of num, keyed by the `_key` of each representative:
+    each coefficient added onto the representative of its state, zero
+    totals dropped.  Per group, lat.memo holds one pair of tables: each
+    state's key, and each key's representative for `_unfold`."""
+    tables = lat.memo.get((_fold, blocks))
+    if tables is None:
+        tables = lat.memo[(_fold, blocks)] = ({}, {})
+    keys, states = tables
+    acc: dict[bytes, int] = {}
     for s, c in num.items():
-        r = table.get(s)
-        if r is None:
-            r = table[s] = _representative(s, blocks)
-        acc[r] = acc.get(r, 0) + c
-    return {r: c for r, c in acc.items() if c} if 0 in acc.values() else acc
+        x = keys.get(s)
+        if x is None:
+            r = _representative(s, blocks)
+            x = keys[s] = _key(r)
+            states[x] = r
+        acc[x] = acc.get(x, 0) + c
+    return {x: c for x, c in acc.items() if c} if 0 in acc.values() else acc
+
+
+def _unfold(lat: Lattice, blocks, row: dict) -> dict[FockState, int]:
+    """row, keyed by `_fold`'s keys, keyed by the representatives again."""
+    states = lat.memo[(_fold, blocks)][1]
+    return {states[x]: c for x, c in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -1219,7 +1246,7 @@ def generated_subspace(generators, max_weight, seeds=None, budget=None) -> Grade
     def insert(w, v: StateVector, q: int) -> None:
         r = _insert(echelons.setdefault(w, {}), _fold(lat, blocks, v.num))
         if r:
-            layers.setdefault(w, []).append(v._with(r, 1))
+            layers.setdefault(w, []).append(v._with(_unfold(lat, blocks, r), 1))
             charges.setdefault(w, []).append(q)
 
     seed_weights = set().union(*(s.weights() for s in seeds))
@@ -1320,7 +1347,8 @@ def nullspace(rows: list[dict], ncols: int) -> list[dict]:
 def _commutant_systems(basis: GradedBasis, charge: int):
     """Per ambient weight holding vectors of the given gamma(0)-eigenvalue:
     the coset weight, those candidate vectors and, per candidate, its
-    images under gamma(m) for every m >= 1, keyed by (m, state).  The
+    images under gamma(m) for every m >= 1, keyed by bytes([m]) and the
+    `_key` of the state, one bytes key ordered as (m, state).  The
     candidates are the layer's primitive integer rows, so the kernel
     vectors sum_t x_t cands[t] are the solutions x of the system whose
     columns are the images.  gamma is fixed by the basis's group, so the
@@ -1339,8 +1367,8 @@ def _commutant_systems(basis: GradedBasis, charge: int):
             continue
         # gamma(m) acts only through the modes b_p(-m) present
         images = [
-            {(m, s): c for m, img in _annihilations(gamma, v.num).items()
-             for s, c in _fold(lat, basis.blocks, img).items()}
+            {bytes([m]) + x: c for m, img in _annihilations(gamma, v.num).items()
+             for x, c in _fold(lat, basis.blocks, img).items()}
             for v in cands
         ]
         yield w - basis.aff_offset - heis, cands, images
@@ -1395,11 +1423,11 @@ def singular_space_dimension(k: int) -> int:
     basis = affine_module_basis(k, 0, 3, budget={0: 3})
     images = []
     for v in commutant_kernel(basis, 0).get(3, []):
-        row: dict[tuple, Fraction] = {}
+        row: dict[bytes, Fraction] = {}
         for n in (1, 2):
             img = virasoro_mode(omega, n, v)
-            for s, c in _fold(basis.lattice, basis.blocks, img.num).items():
-                row[(n, s)] = Fraction(c, img.den)
+            for x, c in _fold(basis.lattice, basis.blocks, img.num).items():
+                row[bytes([n]) + x] = Fraction(c, img.den)
         images.append(row)
     return len(images) - rank(images)
 

@@ -165,10 +165,10 @@ class TestSubprocess:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("usage error:")
 
-    def test_import_loads_neither_dataclasses_nor_inspect(self):
-        # each command pays its import: these two and what they load cost
+    def test_import_loads_no_dataclasses_inspect_argparse_or_gettext(self):
+        # each command pays its import: these and what they load cost
         # several milliseconds of start-up and nothing in the package needs them
-        heavy = {"dataclasses", "inspect"}
+        heavy = {"dataclasses", "inspect", "argparse", "gettext"}
         proc = _run_python("-c", (
             "import sys\n"
             "before = set(sys.modules)\n"
@@ -275,6 +275,13 @@ BAD_INPUT = [
     "ope --k 3 --out /nonexistent/x.json",
     "ope --k 3 --out .",
     "ope --k 3 --out ''",
+    "ope --k",
+    "ope --k 3 --k 4",
+    "all --km 3",
+    "ope --k 3 extra",
+    "ope --k 3 --format xml",
+    "--k 3 ope",
+    "",
 ]
 
 
@@ -282,6 +289,20 @@ class TestBadInput:
     @pytest.mark.parametrize("command", BAD_INPUT)
     def test_usage_error(self, command):
         _assert_usage_error(*_main(shlex.split(command)))
+
+    def test_usage_error_names_the_token(self):
+        for command, token in [
+            ("ope --k", "--k"),
+            ("ope --k 3 --k 4", "--k"),
+            ("all --km 3", "--km"),
+            ("ope --k 3 extra", "extra"),
+            ("ope --k 3 --format xml", "xml"),
+            ("--k 3 ope", "--k"),
+            ("ope --max-w 3", "--max-w"),
+        ]:
+            code, out, err = _main(shlex.split(command))
+            _assert_usage_error(code, out, err)
+            assert token in err, (command, err)
 
     def test_all_passes_seed_to_singular_vector(self, monkeypatch):
         calls = []
@@ -305,14 +326,69 @@ def _readme_commands():
     ]
 
 
+# What the argparse front end, replaced by `cli._parse`, gave for each
+# command line: (command, params, format, out).
+PARSED = [
+    ("ope --k 3", ("ope", {"k": 3}, "json", None)),
+    ("singular-vector --k 4 --seed 1", ("singular-vector", {"k": 4, "seed": 1}, "json", None)),
+    ("ek-power --k 3", ("ek-power", {"k": 3}, "json", None)),
+    ("lk0-decomposition --k 3 --max-weight 6",
+     ("lk0-decomposition", {"k": 3, "max_weight": 6}, "json", None)),
+    ("lki-decomposition --k 4 --i 2 --max-weight 6",
+     ("lki-decomposition", {"k": 4, "i": 2, "max_weight": 6}, "json", None)),
+    ("string-dual-route --k 3 --i 0 --j 0 --max-weight 6",
+     ("string-dual-route", {"k": 3, "i": 0, "j": 0, "max_weight": 6}, "json", None)),
+    ("top-weight-match --k 12", ("top-weight-match", {"k": 12}, "json", None)),
+    ("identify --k 5", ("identify", {"k": 5}, "json", None)),
+    ("w1inf-generation --max 20", ("w1inf-generation", {"max": 20}, "json", None)),
+    ("intertwiner-leading --k 5", ("intertwiner-leading", {"k": 5}, "json", None)),
+    ("all --kmax 4", ("all", {"kmax": 4, "max_weight": None, "seed": None}, "json", None)),
+    ("ope --k=3", ("ope", {"k": 3}, "json", None)),
+    ("string-dual-route --k=3 --i=0 --j=0 --max-weight=6",
+     ("string-dual-route", {"k": 3, "i": 0, "j": 0, "max_weight": 6}, "json", None)),
+    ("all --kmax=4 --max-weight 5 --seed=2",
+     ("all", {"kmax": 4, "max_weight": 5, "seed": 2}, "json", None)),
+    ("ope --k 3 --format table --out r.txt", ("ope", {"k": 3}, "table", "r.txt")),
+    ("ope --format=table --out=r.txt --k=3", ("ope", {"k": 3}, "table", "r.txt")),
+    ("lk0-decomposition --k 3 --max-weight -2",
+     ("lk0-decomposition", {"k": 3, "max_weight": -2}, "json", None)),
+    ("ope --k +3", ("ope", {"k": 3}, "json", None)),
+    ("ope --k ' 3 '", ("ope", {"k": 3}, "json", None)),
+]
+
+
+@pytest.mark.parametrize("command, parsed", PARSED)
+def test_parse_gives_what_argparse_gave(command, parsed):
+    assert cli._parse(shlex.split(command)) == parsed
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE))
+def test_check_help_names_every_flag_with_its_range(name):
+    code, out, err = _main([name, "--help"])
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert _TABLE[name].help in lines
+    for key, param in _TABLE[name].params.items():
+        flag = "--" + key.replace("_", "-")
+        assert any(line.split()[:1] == [flag] and param.bounds(key) in line for line in lines)
+    # help after a flag too, as long as it stands where a flag may
+    first = "--" + next(iter(_TABLE[name].params)).replace("_", "-")
+    assert _main([name, first, "3", "-h"]) == (0, out, "")
+
+
+def test_help_lists_every_command():
+    code, out, err = _main(["--help"])
+    assert (code, err) == (0, "")
+    assert cli.__doc__ in out
+    for name, check in _TABLE.items():
+        assert f"  {name}" in out and check.help in out
+
+
 def test_readme_commands_match_the_table():
     commands = _readme_commands()
-    parser = cli._build_parser()
     for argv in commands:
-        args = vars(parser.parse_args(argv))
-        name = args.pop("command")
-        del args["format"], args["out"]
-        cli._resolve(name, _TABLE[name], args)
+        name, params, _, _ = cli._parse(argv)
+        cli._resolve(name, _TABLE[name], params)
     assert {argv[0] for argv in commands} == set(CHECKS) | {"all"}
     # `paraferm --help` prints the module docstring, whose table rows start
     # with the check name; continuation rows start with a flag

@@ -43,7 +43,10 @@ from paraferm.lattice_fock import (
     _floor_bound,
     _fold,
     _insert_mode,
+    _key,
     _lincomb,
+    _representative,
+    _unfold,
     affine_module_basis,
     central_charge_of,
     commutant_dims,
@@ -71,6 +74,11 @@ from paraferm.lattice_fock import (
 from paraferm.qseries import lattice_coset_char
 
 Q = Fraction
+
+
+def _folded(lat, blocks, num) -> dict[FockState, int]:
+    """`_fold` with its keys read back as states."""
+    return _unfold(lat, blocks, _fold(lat, blocks, num))
 
 
 def _layer_dims(b) -> dict[Fraction, int]:
@@ -708,9 +716,9 @@ class TestCommutantKernel:
                 assert kernel, (k, i, charge)
                 for vecs in kernel.values():
                     for v in vecs:
-                        assert _fold(lat, b.blocks, v.num) == v.num
+                        assert _folded(lat, b.blocks, v.num) == v.num
                         x = expand(b, v)
-                        totals = {r: Q(c, x.den) for r, c in _fold(lat, b.blocks, x.num).items()}
+                        totals = {r: Q(c, x.den) for r, c in _folded(lat, b.blocks, x.num).items()}
                         assert StateVector(lat, T, totals) == v
 
     def test_rank_dims_equal_kernel_dims(self):
@@ -786,7 +794,7 @@ class TestOrbitCoordinates:
             for w, layer in orbit.layers.items():
                 fock = [expand(orbit, v) for v in layer]
                 for v, x in zip(layer, fock):
-                    totals = _fold(x.lattice, orbit.blocks, x.num)
+                    totals = _folded(x.lattice, orbit.blocks, x.num)
                     back = StateVector(x.lattice, T, {r: Q(c, x.den) for r, c in totals.items()})
                     assert back == v
                     assert x.charge() == v.charge()
@@ -835,9 +843,35 @@ class TestOrbitCoordinates:
         assert generated_subspace([H, E, F], x.count(2), seeds=[seed]).blocks == runs
 
     def test_fold_table_is_kept_per_group_on_the_lattice(self):
+        # one pair of tables per group: each state met to the key of its
+        # representative, and each key to that representative
         b = affine_module_basis(3, 1, Q(9, 4))
-        tables = [key[1] for key in b.lattice.memo if isinstance(key, tuple)]
-        assert tables == [(1, 2)]
+        tables = {key[1]: t for key, t in b.lattice.memo.items() if isinstance(key, tuple)}
+        assert list(tables) == [(1, 2)]
+        keys, states = tables[(1, 2)]
+        assert keys and set(keys.values()) == set(states)
+        for s, x in keys.items():
+            assert x == _key(states[x]) and states[x] == _representative(s, (1, 2))
+
+    @given(
+        states=st.lists(
+            st.tuples(
+                st.tuples(*[st.integers(-128, 127)] * 3),
+                st.lists(st.tuples(st.integers(0, 2), st.integers(1, 255)), max_size=4),
+            ).map(lambda t: FockState(t[0], tuple(sorted(t[1])))),
+            min_size=2, max_size=2,
+        )
+    )
+    def test_keys_compare_as_the_states_do(self, states):
+        a, b = states
+        assert (_key(a) < _key(b), _key(a) == _key(b)) == (a < b, a == b)
+
+    @pytest.mark.parametrize("state", [
+        FockState((128, 0), ()), FockState((-129, 0), ()), FockState((0, 0), ((0, 256),)),
+    ])
+    def test_key_refuses_what_a_byte_cannot_hold(self, state):
+        with pytest.raises(ValueError):
+            _key(state)
 
 
 def _dual_budget(k, i, T, js):
@@ -1653,6 +1687,26 @@ class TestModeKernels:
         for a in range(-8, 9):
             for b in range(7):
                 assert _binom_general(a, b) == oracles._binomial(a, b), (a, b)
+
+    def test_unit_pairs_work_out_no_binomial_per_state(self, monkeypatch):
+        # every group of a conformal vector has n = n2 = 1, so each binomial
+        # of its pair terms is 1: the number worked out does not grow with
+        # the states of the argument
+        omega = conformal_vectors(3, 6)["omega_para"]
+        one = _dressed(omega.lattice, 6)
+        many = one + random_state_vector(omega.lattice, 6, random.Random(1), nterms=8, max_weight=4)
+        assert sum(1 for s in many.num if s.modes) > 4
+        real = paraferm.lattice_fock._binom_general
+        calls = []
+        monkeypatch.setattr(paraferm.lattice_fock, "_binom_general",
+                            lambda a, b: calls.append(b) or real(a, b))
+        for m in (-1, 0, 1, 2):
+            counts = []
+            for v in (one, many):
+                calls.clear()
+                virasoro_mode(omega, m, v)
+                counts.append(len(calls))
+            assert counts[0] == counts[1], m
 
     def test_insert_mode_is_sorted_insertion(self):
         for modes in _mode_tuples(3, 4):
