@@ -28,11 +28,10 @@ returns int lists, each with the offset of its first entry, and the check
 compares the column sums with sum_j theta_(i-2j) x string_j entry by entry,
 which reads every other slice of the class; no check takes supplied
 strings.  One private converter, `_series`, turns the int form into the
-QSeries that `string_function`, `all_string_functions` and the dual route
-hand out and compare.
-The string coefficients must also agree with the kernel dimensions computed
-in the Fock realization (`string_dual_route_check`), which is the central
-oracle of the whole suite.
+QSeries that `string_function` and `all_string_functions` hand out.
+The string ints must also agree with the kernel dimensions computed in the
+Fock realization (`string_dual_route_check`), which is the central oracle
+of the whole suite.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def _strings(k: int, i: int, js, T) -> tuple[_Ints, list[_Ints]]:
 def _series(offset: Fraction, ints: list[int], T) -> QSeries:
     """The QSeries sum_e ints[e] q^(offset + e) truncated at T, every
     entry below T: the one converter from the int form of `_strings` to
-    the series the public string functions and the dual route use."""
+    the series the public string functions hand out."""
     return QSeries._normal({offset + e: Fraction(c) for e, c in enumerate(ints) if c}, _rat(T))
 
 
@@ -211,9 +210,9 @@ def decomposition_check_lki(k: int, i: int, max_weight) -> Report:
 
 
 def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) -> Report:
-    """Compare the string function with the kernel dimensions of the Fock
-    realization, exactly, as two series below max_weight: every weight where
-    either route has a term is compared.
+    """Compare each string, as the ints `_strings` reads, with the kernel
+    dimensions of the Fock realization, exactly, below max_weight: every
+    weight where either side has a term is compared.
 
     With j omitted, all k strings of the sector are checked against one
     shared realization.  A disagreement is an implementation bug; its entry
@@ -248,12 +247,13 @@ def string_dual_route_check(k: int, i: int, max_weight, j: int | None = None) ->
     top = max(*budget.values(), Fraction(i, 4))
     basis = lattice_fock.affine_module_basis(k, i, top, budget=budget)
     entries = []
-    for jj, string in zip(js, _strings(k, i, js, T)[1]):
-        st = _series(*string, T)
-        ker = QSeries(lattice_fock.commutant_dims(basis, lams[jj]), T)
+    for jj, (offset, ints) in zip(js, _strings(k, i, js, T)[1]):
+        st = {offset + e: c for e, c in enumerate(ints)}
+        ker = lattice_fock.commutant_dims(basis, lams[jj])
         mism = [
-            {"weight": w, "string": int(st.coefficient(w)), "kernel": int(ker.coefficient(w))}
-            for w in st.disagreements(ker)
+            {"weight": w, "string": st.get(w, 0), "kernel": ker.get(w, 0)}
+            for w in sorted(st.keys() | ker.keys())
+            if w < T and st.get(w, 0) != ker.get(w, 0)
         ]
         entries.append(
             (

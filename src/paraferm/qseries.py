@@ -103,22 +103,12 @@ class QSeries(_Series):
 
     # -- basic queries ----------------------------------------------------
 
-    def coefficient(self, exponent) -> Fraction:
-        return self.terms.get(_rat(exponent), Fraction(0))
-
     def leading(self):
         """(exponent, coefficient) of the lowest term, or None if zero."""
         if not self.terms:
             return None
         e = min(self.terms)
         return e, self.terms[e]
-
-    def disagreements(self, other: "QSeries") -> list[Fraction]:
-        """The exponents below the smaller truncation where the two series
-        differ, ascending."""
-        T = min(self.truncation, other.truncation)
-        exps = {e for e in self.terms if e < T} | {e for e in other.terms if e < T}
-        return sorted(e for e in exps if self.terms.get(e) != other.terms.get(e))
 
     def __repr__(self):
         body = " + ".join(

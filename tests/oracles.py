@@ -136,11 +136,12 @@ def decomposition_by_series(k: int, i: int, T) -> dict | None:
     rhs = QSeries({}, T)
     for j, string in enumerate(all_string_functions(k, i, T)):
         rhs = rhs + lattice_coset_char(k, (i - 2 * j) % (2 * k), T) * string
-    bad = lhs.disagreements(rhs)
+    a, b = lhs.terms, rhs.terms
+    bad = sorted(e for e in a.keys() | b.keys() if e < T and a.get(e, 0) != b.get(e, 0))
     if not bad:
         return None
     e = bad[0]
-    return {"first_failing_exponent": e, "lhs": lhs.coefficient(e), "rhs": rhs.coefficient(e)}
+    return {"first_failing_exponent": e, "lhs": a.get(e, Q(0)), "rhs": b.get(e, Q(0))}
 
 
 def brute_force_identifications(k: int) -> list[dict]:

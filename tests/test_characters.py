@@ -39,13 +39,6 @@ def _edit_strings(monkeypatch, edit):
     monkeypatch.setattr(paraferm.characters, "_strings", edited)
 
 
-def _edit_string_series(monkeypatch, edit):
-    """Sabotage at the public boundary: every string the int reader hands
-    out as a QSeries is replaced by edit(string), which may leave h + Z."""
-    real = paraferm.characters._series
-    monkeypatch.setattr(paraferm.characters, "_series", lambda *a: edit(real(*a)))
-
-
 def _summed_over_z(ch: ZQSeries) -> QSeries:
     """The z = 1 specialisation of ch: its terms summed over the charge."""
     return QSeries([(e, c) for (_, e), c in ch.terms.items()], ch.truncation)
@@ -61,7 +54,7 @@ class TestAffineChar:
         for k in (3, 4, 5):
             ch = _summed_over_z(affine_sl2_char(k, 0, k + 1))
             for w in range(k + 1):
-                assert ch.coefficient(w) == colored_partitions(w, 3)
+                assert ch.terms.get(w, 0) == colored_partitions(w, 3)
 
     def test_top_levels(self):
         # (i+1)-dimensional top at weight i(i+2)/4(k+2)
@@ -143,13 +136,13 @@ class TestStringFunctions:
                 for j in range(k):
                     a = string_function(k, i, j, 5)
                     b = string_function(k, k - i, j - i, 5)
-                    assert a.disagreements(b) == [], (k, i, j)
+                    assert a == b, (k, i, j)
 
     def test_top_row_equals_vacuum_row(self):
         for j in range(3):
             a = string_function(3, 3, j, 5)
             b = string_function(3, 0, j, 5)
-            assert a.disagreements(b) == []
+            assert a == b
 
     def test_strings_are_truncated_at_t(self):
         # a string alone and the same string among all k are one read: both
@@ -406,17 +399,39 @@ class TestDualRoute:
         "shift", [Q(1), Q(-1), Q(1, 2)], ids=["one_above", "one_below", "half_above"]
     )
     def test_disagreement_fails_with_mismatches(self, monkeypatch, shift):
-        # sabotage: one unit added to the string one weight above its top,
-        # below it, or half a unit off its grid must fail the entry, with
-        # that weight as the one mismatch of the witness
-        _edit_string_series(
-            monkeypatch, lambda st: st + QSeries({st.leading()[0] + shift: 1}, st.truncation)
-        )
+        # sabotage: one unit added to the kernel one weight above the
+        # string's top, below it, or half a unit off its grid must fail the
+        # entry, with that weight as the one mismatch of the witness; the
+        # string's coefficient there is 0 below the top and off the grid
+        string = string_function(3, 0, 0, 3)
+        w = string.leading()[0] + shift
+        s = string.terms.get(w, 0)
+        real = paraferm.lattice_fock.commutant_dims
+
+        def bumped(basis, charge):
+            dims = real(basis, charge)
+            return {**dims, w: dims.get(w, 0) + 1}
+
+        monkeypatch.setattr(paraferm.lattice_fock, "commutant_dims", bumped)
         r = string_dual_route_check(3, 0, 3, j=0)
         assert r.status == "fail"
         assert r.details[0]["witness"] == {
-            "mismatches": [{"weight": shift, "string": 1, "kernel": 0}]
+            "mismatches": [{"weight": w, "string": s, "kernel": s + 1}]
         }
+
+    def test_builds_no_series(self, monkeypatch):
+        # the route compares the int strings with the kernel dimensions as
+        # they are: no QSeries is constructed, normal or raw
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dual route built a series")
+
+        monkeypatch.setattr(_Series, "__init__", refuse)
+        monkeypatch.setattr(QSeries, "_normal", refuse)
+        monkeypatch.setattr(paraferm.characters, "_series", refuse)
+        assert string_dual_route_check(3, 1, 3).status == "pass"
+        assert string_dual_route_check(4, 2, 3, j=1).status == "pass"
+        with pytest.raises(AssertionError, match="built a series"):
+            string_function(3, 0, 0, 3)
 
     def test_failing_report_bytes(self, monkeypatch):
         # string (3, 0, 1) starts at q^(-1/3); its entry 2, at q^(5/3), is
